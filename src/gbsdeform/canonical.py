@@ -12,25 +12,41 @@ sorted lexicographically; the two index entries of a loop are ordered by
 (absolute value, sign).  Equal certificates hold exactly on equivalence
 classes, so certificates double as deduplication keys for move searches.
 
-The search is a branch and bound over rank assignments.  Sign freedom
-factors exactly: flipping an edge negates both of its entries, so each edge
-tuple is minimized over the pair sign independently, and only the vertex
-signs (one per rank, the first fixed to +1) couple the edges.  Partial
-assignments are compared block by block against the best complete encoding;
-a block collects the tuples whose min rank is a fixed value, and within a
-block the already-determined tuples form a prefix, which makes the pruning
-sound.  ``brute_force_isomorphic`` is the independent oracle the search is
-validated against.
+The search assigns ranks one at a time.  Flipping an edge negates both of its
+entries, so each tuple is minimized over its pair sign on its own and only
+the vertex signs (one per rank, the first +1) couple the edges.  Block a holds
+the tuples with min rank a; its size is fixed once rank a is given, and its
+determined tuples sort before its open ones.  A node's *staircase* is the
+determined tuples in flat order up to the first open slot, then the bound
+(a, k+1, -m) on that slot, m the largest index at the rank-a vertex on an
+edge to an unranked one: below every entry that can fill the slot, above
+every determined entry that can stand there.  After McKay and Piperno,
+"Practical graph isomorphism, II" (2014), two rules prune:
+
+  sibling dominance - a completion of a strictly smaller staircase is below
+      every completion of a larger one, so at rank k only the candidates
+      (vertex, sign) with the least staircase are kept.  Only neighbours of
+      the first vertex with an open slot can fill it, so rank prefixes stay
+      connected, and the tuples a vertex fills there settle its sign.
+  rank 0 - the staircase is the loops, then (0, 1, -m): without loops, only
+      vertices carrying an end of maximal absolute index survive.
+
+A staircase above the best complete encoding is cut too.  Survivors are
+walked in the exhaustive walk's order, (tuples they determine, vertex,
+-sign), and a cut drops only leaves strictly above another leaf, so the
+first minimal leaf, with the rank order and signs that ``graph_isomorphism``
+hands to path stitching, is the exhaustive walk's.  ``brute_force_isomorphic``
+is the independent oracle.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 
+from .bigint import index_str
 from .graphs import EdgeIndexedGraph, End
 
 __all__ = [
@@ -49,8 +65,6 @@ __all__ = [
 DEFAULT_SIZE_CAP = 12
 ORACLE_SIZE_CAP = 6
 
-_PRUNE, _UNDECIDED, _LESS = 0, 1, 2
-
 
 class SizeCapError(ValueError):
     """The graph exceeds the configured vertex cap for canonicalization."""
@@ -60,10 +74,6 @@ def _sgn(x: int) -> int:
     return 1 if x > 0 else -1
 
 
-def _abs_sign_key(x: int) -> tuple[int, int]:
-    return (abs(x), 0 if x < 0 else 1)
-
-
 def _loop_slot(a: int, b: int) -> tuple[tuple[int, int], int, int]:
     """Canonical (pair, first side, sign) for a loop with raw indices (a, b).
 
@@ -71,16 +81,13 @@ def _loop_slot(a: int, b: int) -> tuple[tuple[int, int], int, int]:
     by (absolute value, sign).  ``first side`` records which physical side
     supplies the first entry, for isomorphism extraction.
     """
-    best = None
-    for s in (1, -1):
+    def slot(s: int):
         va, vb = s * a, s * b
-        if _abs_sign_key(va) <= _abs_sign_key(vb):
-            cand = ((va, vb), 0, s)
-        else:
-            cand = ((vb, va), 1, s)
-        if best is None or cand[0] < best[0]:
-            best = cand
-    return best
+        if (abs(va), va > 0) <= (abs(vb), vb > 0):
+            return ((va, vb), 0, s)
+        return ((vb, va), 1, s)
+
+    return min(slot(1), slot(-1), key=lambda cand: cand[0])
 
 
 @dataclass(eq=False)
@@ -112,115 +119,114 @@ class Isomorphism:
 
 def _search_min_encoding(g: EdgeIndexedGraph):
     """Return (flat encoding, rank order, alpha) minimizing the edge listing."""
-    verts = g.vertices
-    n = len(verts)
-    loops: dict[str, list[tuple[int, int]]] = {v: [] for v in verts}
-    adj: dict[str, list[tuple[str, int, int]]] = {v: [] for v in verts}
+    names = g.vertices
+    n = len(names)
+    at = {v: i for i, v in enumerate(names)}
+    loops: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    # nbr[v][w]: (entry 2, entry 4 before vertex signs) of each edge v-w,
+    # read with w ranked first; reach[u]: (-|index at u|, w), largest first.
+    nbr: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(n)]
+    reach: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for e in g.edges:
-        if e.is_loop:
-            loops[e.v0].append(_loop_slot(e.i0, e.i1)[0])
+        i, j = at[e.v0], at[e.v1]
+        if i == j:
+            loops[i].append(_loop_slot(e.i0, e.i1)[0])
+            continue
+        x0, x1 = -abs(e.i0), -abs(e.i1)
+        nbr[i].setdefault(j, []).append((x1, -e.i0 * _sgn(e.i1)))
+        nbr[j].setdefault(i, []).append((x0, -e.i1 * _sgn(e.i0)))
+        reach[i].append((x0, j))
+        reach[j].append((x1, i))
+    for slots in loops + reach:
+        slots.sort()
+
+    rank = [-1] * n
+    order, alpha, sizes = [], [], []                      # per rank
+    blocks: list[list[tuple[int, int, int, int]]] = []   # determined prefixes
+    best: list = [None, None, None]                       # flat, order, alpha
+
+    def staircase(k: int, v: int, elsewhere, mine) -> list:
+        # Determined entries once v takes rank k, then the open slot's bound.
+        stair, i = [], 0
+        for a, u in enumerate(order):
+            j = i
+            while j < len(elsewhere) and elsewhere[j][0] == a:
+                j += 1
+            stair += blocks[a]
+            stair += elsewhere[i:j]
+            if len(blocks[a]) + j - i < sizes[a]:
+                break
+            i = j
         else:
-            adj[e.v0].append((e.v1, e.i1, e.i0))
-            adj[e.v1].append((e.v0, e.i0, e.i1))
-    for v in verts:
-        loops[v].sort()
-    big = g.max_abs_index()
-
-    rank: dict[str, int] = {}
-    order: list[str] = []
-    alpha: list[int] = []
-    blocks: list[list[tuple[int, int, int, int]]] = []
-    sizes: list[int] = []
-    best: dict = {"flat": None, "order": None, "alpha": None}
-
-    def new_tuples(v: str, t: int, k: int):
-        """Tuples determined by assigning rank k, sign t to vertex v."""
-        mine = [(k, k, p, q) for (p, q) in loops[v]]
-        elsewhere = []
-        unranked = 0
-        for (w, xw, yv) in adj[v]:
-            a = rank.get(w)
-            if a is None:
-                unranked += 1
-            else:
-                elsewhere.append((a, k, -abs(xw), -yv * _sgn(xw) * alpha[a] * t))
-        return mine, elsewhere, unranked
-
-    def compare_partial(k: int) -> int:
-        """Compare the determined staircase against the best encoding."""
-        flat_best = best["flat"]
-        p = 0
-        for a in range(k + 1):
-            block = blocks[a]
-            have = len(block)
-            for i in range(sizes[a]):
-                if i < have:
-                    tv, bv = block[i], flat_best[p]
-                    if tv < bv:
-                        return _LESS
-                    if tv > bv:
-                        return _PRUNE
-                else:
-                    # Remaining tuples in this block have max rank > k.
-                    lb = (a, k + 1, -big, -big)
-                    return _PRUNE if lb > flat_best[p] else _UNDECIDED
-                p += 1
-        return _UNDECIDED
+            a, u = k, v
+            stair += mine
+            if len(elsewhere) == len(reach[v]):
+                return stair
+        return stair + [next((a, k + 1, x) for (x, w) in reach[u] if rank[w] < 0 and w != v)]
 
     def dfs(k: int) -> None:
-        if k == n:
-            flat = [t for block in blocks for t in block]
-            if best["flat"] is None or flat < best["flat"]:
-                best["flat"] = flat
-                best["order"] = tuple(order)
-                best["alpha"] = tuple(alpha)
-            return
-        # Minimal orderings keep every rank prefix connected, so only
-        # neighbors of ranked vertices need be tried beyond rank 0.
+        # Dominance among siblings, first on a cheap prefix of the staircase.
         if k == 0:
-            cands = list(verts)
+            picks = [(v, 1) for v in range(n)]
+            keys = [[(0, 0, p, q) for (p, q) in loops[v]] + [(0, 1, x) for (x, _) in reach[v][:1]]
+                    for v in range(n)]
         else:
-            cands = sorted({w for v in order for (w, _, _) in adj[v] if w not in rank})
-        signs = (1,) if k == 0 else (1, -1)
-        moves = []
-        for v in cands:
-            for t in signs:
-                mine, elsewhere, unranked = new_tuples(v, t, k)
-                preview = sorted(mine + elsewhere)
-                moves.append((preview, v, t, mine, elsewhere, unranked))
-        moves.sort(key=lambda m: (m[0], m[1], -m[2]))
-        for preview, v, t, mine, elsewhere, unranked in moves:
+            a0 = 0
+            while len(blocks[a0]) == sizes[a0]:
+                a0 += 1
+            u = order[a0]
+            cands = [w for w in nbr[u] if rank[w] < 0]
+            if len(cands) == 1 and len(nbr[cands[0]][u]) == 1:
+                # One tuple fills the slot: the sign making its last entry negative.
+                picks = [(cands[0], -1 if nbr[cands[0]][u][0][1] * alpha[a0] > 0 else 1)]
+            else:
+                picks = [(v, t) for v in sorted(cands) for t in (1, -1)]
+                # The tuples each fills in block a0; (0,) is an open slot, above all.
+                keys = [sorted([(x, y * alpha[a0] * t) for (x, y) in nbr[v][u]]) + [(0,)]
+                        for (v, t) in picks]
+        if len(picks) > 1:
+            low = min(keys)
+            picks = [pick for pick, key in zip(picks, keys) if key == low]
+        options = []
+        for v, t in picks:
+            mine = [(k, k, p, q) for (p, q) in loops[v]]
+            elsewhere = sorted([(rank[w], k, x, y * alpha[rank[w]] * t)
+                                for w, pairs in nbr[v].items() if rank[w] >= 0
+                                for (x, y) in pairs])
+            options.append((v, t, elsewhere, mine))
+        if len(options) > 1 or best[0] is not None or k == n - 1:
+            stairs = [staircase(k, v, elsewhere, mine) for (v, _, elsewhere, mine) in options]
+            stair = min(stairs)
+            options = sorted((opt for key, opt in zip(stairs, options) if key == stair),
+                             key=lambda opt: (opt[2] + opt[3], opt[0], -opt[1]))
+        for v, t, elsewhere, mine in options:
+            if best[0] is not None and stair > best[0][:len(stair)]:
+                return
+            if k == n - 1:
+                if best[0] is None or stair < best[0]:
+                    best[:] = stair, (*order, v), (*alpha, t)
+                return
             rank[v] = k
             order.append(v)
             alpha.append(t)
-            blocks.append(sorted(mine))
-            sizes.append(len(mine) + unranked)
             for tup in elsewhere:
-                insort(blocks[tup[0]], tup)
-            if best["flat"] is None or compare_partial(k) != _PRUNE:
-                dfs(k + 1)
+                blocks[tup[0]].append(tup)
+            blocks.append(mine)
+            sizes.append(len(mine) + len(reach[v]) - len(elsewhere))
+            dfs(k + 1)
+            del blocks[k:], sizes[k:], alpha[k:], order[k:]
             for tup in elsewhere:
-                blocks[tup[0]].remove(tup)
-            blocks.pop()
-            sizes.pop()
-            alpha.pop()
-            order.pop()
-            del rank[v]
+                blocks[tup[0]].pop()
+            rank[v] = -1
 
     dfs(0)
-    return best["flat"], best["order"], best["alpha"]
-
-
-def _encode(n: int, flat) -> bytes:
-    body = ";".join(f"{a},{b},{x},{y}" for (a, b, x, y) in flat)
-    return f"v{n}:{body}".encode("ascii")
+    return best[0], tuple(names[i] for i in best[1]), best[2]
 
 
 @lru_cache(maxsize=1 << 16)
 def _canonical_form_cached(g: EdgeIndexedGraph, size_cap: int) -> CanonicalForm:
     if len(g.vertices) > size_cap:
-        raise SizeCapError(
-            f"graph has {len(g.vertices)} vertices, cap is {size_cap}")
+        raise SizeCapError(f"graph has {len(g.vertices)} vertices, cap is {size_cap}")
     flat, order, alpha = _search_min_encoding(g)
     rank = {v: i for i, v in enumerate(order)}
     slots: dict[str, tuple[tuple[int, int, int, int], int]] = {}
@@ -237,15 +243,11 @@ def _canonical_form_cached(g: EdgeIndexedGraph, size_cap: int) -> CanonicalForm:
                 a, b, x, y, first = r1, r0, e.i1, e.i0, 1
             tup = (a, b, -abs(x), -y * _sgn(x) * alpha[a] * alpha[b])
             slots[e.eid] = (tup, first)
-    assert sorted(t for t, _ in slots.values()) == flat
-    return CanonicalForm(
-        cert=_encode(len(g.vertices), flat),
-        order=tuple(order),
-        rank=rank,
-        alpha=tuple(alpha),
-        tuples=tuple(flat),
-        edge_slots=slots,
-    )
+    tuples = tuple(sorted(t for t, _ in slots.values()))
+    assert list(tuples) == flat
+    body = ";".join(f"{a},{b},{index_str(x)},{index_str(y)}" for (a, b, x, y) in tuples)
+    return CanonicalForm(cert=f"v{len(order)}:{body}".encode("ascii"), order=order, rank=rank,
+                         alpha=alpha, tuples=tuples, edge_slots=slots)
 
 
 def canonical_form(g: EdgeIndexedGraph, size_cap: int = DEFAULT_SIZE_CAP) -> CanonicalForm:
@@ -289,18 +291,16 @@ def graph_isomorphism(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
     vertex_map = {v: f2.order[f1.rank[v]] for v in g1.vertices}
     groups1: dict[tuple, list[str]] = {}
     groups2: dict[tuple, list[str]] = {}
-    for eid, (tup, _) in f1.edge_slots.items():
-        groups1.setdefault(tup, []).append(eid)
-    for eid, (tup, _) in f2.edge_slots.items():
-        groups2.setdefault(tup, []).append(eid)
+    for form, groups in ((f1, groups1), (f2, groups2)):
+        for eid, (tup, _) in form.edge_slots.items():
+            groups.setdefault(tup, []).append(eid)
     edge_map: dict[str, str] = {}
     end_map: dict[End, End] = {}
     for tup, eids1 in groups1.items():
         eids2 = groups2[tup]
         for e1, e2 in zip(sorted(eids1), sorted(eids2)):
             edge_map[e1] = e2
-            first1 = f1.edge_slots[e1][1]
-            first2 = f2.edge_slots[e2][1]
+            first1, first2 = f1.edge_slots[e1][1], f2.edge_slots[e2][1]
             end_map[End(e1, first1)] = End(e2, first2)
             end_map[End(e1, 1 - first1)] = End(e2, 1 - first2)
     return Isomorphism(vertex_map, edge_map, end_map)

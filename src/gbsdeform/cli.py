@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .bigint import index_str
 from .canonical import SizeCapError, canonical_certificate
 from .counterexample import (
     ExampleParams,
@@ -238,6 +239,8 @@ def _cmd_explore(args) -> int:
     print(f"closed: {_bool(report.closed)}")
     print(f"hit_index_cap: {_bool(report.hit_index_cap)}")
     print(f"hit_node_cap: {_bool(report.hit_node_cap)}")
+    if report.hit_size_cap:
+        print("hit_size_cap: true")
     if args.dump_visited:
         _write(args.dump_visited, dump_visited(report))
     if args.emit_dot:
@@ -275,7 +278,7 @@ def _cmd_paper_example(args) -> int:
     for move in report.moves:
         print(format_move(move))
     for i, indices in enumerate(report.index_tuples):
-        print(f"indices {i}: " + " ".join(str(x) for x in indices))
+        print(f"indices {i}: " + " ".join(index_str(x) for x in indices))
     print(f"endpoint_matches: {_bool(report.endpoint_matches)}")
     ok = report.endpoint_matches
     if args.emit_x:
@@ -289,7 +292,7 @@ def _cmd_paper_example(args) -> int:
     else:
         print(f"ladder_depth: {ladder.depth}")
         for k, level in enumerate(ladder.levels):
-            print(f"level {k}: index {level.index} neighbors {level.move_count}")
+            print(f"level {k}: index {index_str(level.index)} neighbors {level.move_count}")
         print(f"shape_ok: {_bool(ladder.shape_ok)}")
         print(f"y_absent: {_bool(ladder.y_absent)}")
         ok = ok and ladder.ok

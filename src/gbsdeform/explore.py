@@ -3,7 +3,9 @@
 ``explore_class`` runs a breadth-first enumeration of everything reachable
 from a graph under one move class, keyed by canonical certificate.  A report
 is *closed* when the frontier emptied and nothing was dropped by a cap; only
-then is the member set the whole class.
+then is the member set the whole class.  The caps are the budget's index and
+node bounds and the certificate's vertex cap (``DEFAULT_SIZE_CAP``): a move
+result past it is dropped before its certificate is computed.
 
 ``decide_equivalence`` answers whether two graphs are joined by moves of a
 class, using fast invariant refuters and then a bidirectional search.  The
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonical import Isomorphism, canonical_certificate, graph_isomorphism
+from .canonical import DEFAULT_SIZE_CAP, Isomorphism, canonical_certificate, graph_isomorphism
 from .graphs import EdgeIndexedGraph, End, betti_number, serialize_graph
 from .moves import (
     Collapse,
@@ -88,6 +90,7 @@ class ExplorationReport:
     closed: bool
     hit_index_cap: bool
     hit_node_cap: bool
+    hit_size_cap: bool = False
 
 
 def explore_class(g: EdgeIndexedGraph, move_class: str, budget: Budget) -> ExplorationReport:
@@ -96,7 +99,7 @@ def explore_class(g: EdgeIndexedGraph, move_class: str, budget: Budget) -> Explo
     members: dict[bytes, EdgeIndexedGraph] = {start: g}
     depths: dict[bytes, int] = {start: 0}
     adjacency: dict[bytes, set[bytes]] = {start: set()}
-    hit_index_cap = hit_node_cap = False
+    hit_index_cap = hit_node_cap = hit_size_cap = False
     frontier = [start]
     depth = 0
     while frontier and depth < budget.max_depth:
@@ -107,6 +110,9 @@ def explore_class(g: EdgeIndexedGraph, move_class: str, budget: Budget) -> Explo
                 h = apply_move(gu, move)
                 if h.max_abs_index() > budget.max_abs_index:
                     hit_index_cap = True
+                    continue
+                if len(h.vertices) > DEFAULT_SIZE_CAP:
+                    hit_size_cap = True
                     continue
                 cert_h = canonical_certificate(h)
                 if cert_h not in members:
@@ -121,7 +127,7 @@ def explore_class(g: EdgeIndexedGraph, move_class: str, budget: Budget) -> Explo
                 adjacency[cert_h].add(cert_u)
         frontier = nxt
         depth += 1
-    closed = not frontier and not hit_index_cap and not hit_node_cap
+    closed = not (frontier or hit_index_cap or hit_node_cap or hit_size_cap)
     return ExplorationReport(
         move_class=move_class,
         members=members,
@@ -130,6 +136,7 @@ def explore_class(g: EdgeIndexedGraph, move_class: str, budget: Budget) -> Explo
         closed=closed,
         hit_index_cap=hit_index_cap,
         hit_node_cap=hit_node_cap,
+        hit_size_cap=hit_size_cap,
     )
 
 
@@ -250,7 +257,7 @@ def _expand_layer(side: _Side, other: _Side, move_class: str, budget: Budget) ->
         depth_u = side.visited[cert_u][1]
         for move in neighbor_moves(gu, move_class, budget.expansion):
             h = apply_move(gu, move)
-            if h.max_abs_index() > budget.max_abs_index:
+            if h.max_abs_index() > budget.max_abs_index or len(h.vertices) > DEFAULT_SIZE_CAP:
                 side.dropped = True
                 continue
             cert_h = canonical_certificate(h)

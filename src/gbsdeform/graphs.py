@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
+from .bigint import index_str, parse_index
+
 __all__ = [
     "GraphError",
     "InvalidGraphError",
@@ -291,7 +293,7 @@ def parse_graph(text: str) -> EdgeIndexedGraph:
                     raise ParseError(f"zero index on edge {eid!r}", lineno, col(tok))
                 if not _INT_RE.match(tok):
                     raise ParseError(f"bad integer {tok!r}", lineno, col(tok))
-                indices.append(int(tok))
+                indices.append(parse_index(tok))
             seen_e.add(eid)
             edges.append(Edge(eid, v0, v1, indices[0], indices[1]))
         else:
@@ -305,7 +307,7 @@ def parse_graph(text: str) -> EdgeIndexedGraph:
 def serialize_graph(g: EdgeIndexedGraph) -> str:
     """Emit .gbs text; round-trips with parse_graph up to declaration order."""
     lines = [f"vertex {v}" for v in g.vertices]
-    lines += [f"edge {e.eid} {e.v0} {e.v1} {e.i0} {e.i1}" for e in g.edges]
+    lines += [f"edge {e.eid} {e.v0} {e.v1} {index_str(e.i0)} {index_str(e.i1)}" for e in g.edges]
     return "\n".join(lines) + "\n"
 
 
@@ -313,6 +315,7 @@ def dot_export(g: EdgeIndexedGraph, name: str = "G") -> str:
     """Graphviz export: one node per vertex, edges labeled "index0|index1"."""
     lines = [f"graph {name} {{"]
     lines += [f'  "{v}";' for v in g.vertices]
-    lines += [f'  "{e.v0}" -- "{e.v1}" [label="{e.i0}|{e.i1}"];' for e in g.edges]
+    lines += [f'  "{e.v0}" -- "{e.v1}" [label="{index_str(e.i0)}|{index_str(e.i1)}"];'
+              for e in g.edges]
     lines.append("}")
     return "\n".join(lines) + "\n"

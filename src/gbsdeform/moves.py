@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
+from .bigint import index_str
 from .graphs import Edge, EdgeIndexedGraph, End
 
 __all__ = [
@@ -185,7 +186,7 @@ def _apply_expansion(g: EdgeIndexedGraph, m: Expansion) -> EdgeIndexedGraph:
         idx = g.end_index(end)
         if not divides(m.n, idx):
             raise IllegalMoveError(
-                f"index {idx} at end {end} is not divisible by {m.n}")
+                f"index {index_str(idx)} at end {end} is not divisible by {m.n}")
         moved.add(end)
     new_edges = []
     for f in g.edges:
@@ -214,7 +215,7 @@ def _apply_slide(g: EdgeIndexedGraph, m: Slide) -> EdgeIndexedGraph:
     i_a = g.end_index(along)
     if not divides(i_a, i_m):
         raise IllegalMoveError(
-            f"carrier index {i_a} does not divide moving index {i_m}")
+            f"carrier index {index_str(i_a)} does not divide moving index {index_str(i_m)}")
     ratio = i_m // i_a
     far = End(along.edge, 1 - along.side)
     far_vertex = g.end_vertex(far)

@@ -1,0 +1,9 @@
+"""Subprocesses the suite starts import the package from this checkout too,
+as the tests themselves do through pytest's ``pythonpath`` setting."""
+
+import os
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)

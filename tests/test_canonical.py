@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +14,7 @@ from gbsdeform import (
     is_isomorphic,
     parse_graph,
 )
+from gbsdeform.canonical import _loop_slot
 
 from strategies import X_TEXT, Y_TEXT, connected_graphs, scramble
 
@@ -142,3 +143,65 @@ def test_canonical_form_exposes_consistent_assignment():
     assert sorted(form.rank.values()) == [0, 1]
     assert form.alpha[0] == 1
     assert tuple(sorted(t for t, _ in form.edge_slots.values())) == form.tuples
+
+
+def _oracle_min_encoding(g):
+    """The certificate's definition, by exhaustion: the least sorted encoding
+    over every vertex bijection and every vertex sign vector."""
+    n = len(g.vertices)
+    best = None
+    for perm in permutations(range(n)):
+        rank = dict(zip(g.vertices, perm))
+        for alpha in product((1, -1), repeat=n):
+            tuples = []
+            for e in g.edges:
+                a, b, x, y = rank[e.v0], rank[e.v1], e.i0, e.i1
+                if e.is_loop:
+                    p, q = _loop_slot(x, y)[0]
+                    tuples.append((a, a, p, q))
+                    continue
+                if a > b:
+                    a, b, x, y = b, a, y, x
+                sgn = 1 if x > 0 else -1
+                tuples.append((a, b, -abs(x), -y * sgn * alpha[a] * alpha[b]))
+            encoding = tuple(sorted(tuples))
+            if best is None or encoding < best:
+                best = encoding
+    return best
+
+
+def _assert_lex_min_with_connected_prefixes(g):
+    form = canonical_form(g)
+    assert form.tuples == _oracle_min_encoding(g)
+    for k, v in enumerate(form.order[1:], start=1):
+        earlier = set(form.order[:k])
+        assert any({e.v0, e.v1} & earlier for e in g.edges if v in (e.v0, e.v1)), \
+            f"rank {k} ({v}) is not adjacent to a lower rank"
+
+
+@settings(max_examples=50, deadline=None)
+@given(connected_graphs(max_vertices=5))
+def test_certificate_is_the_lex_min_over_all_bijections_and_signs(g):
+    _assert_lex_min_with_connected_prefixes(g)
+
+
+# Tie-heavy graphs, with the rank order and vertex signs behind each
+# certificate.  graph_isomorphism builds witnesses from them, and path
+# stitching names its moves through those witnesses.
+TIE_HEAVY = [
+    (graph_from_parts("ABCD", [("a", "A", "B", 2, 2), ("b", "B", "C", 2, 2),
+                               ("c", "C", "D", 2, 2), ("d", "D", "A", 2, 2)]),
+     ("A", "B", "D", "C"), (1, 1, 1, 1)),
+    (graph_from_parts("ABCD", [(f"e{i}{j}", "ABCD"[i], "ABCD"[j], 3, 3)
+                               for i in range(4) for j in range(i + 1, 4)]),
+     ("A", "B", "C", "D"), (1, 1, 1, 1)),
+    (graph_from_parts("AB", [("e", "A", "B", 2, 3), ("f", "A", "B", 2, -3)]),
+     ("B", "A"), (1, 1)),
+]
+
+
+@pytest.mark.parametrize("g, order, alpha", TIE_HEAVY, ids=["4-cycle", "K4", "parallel"])
+def test_tie_heavy_cases_are_lex_min_and_pinned(g, order, alpha):
+    _assert_lex_min_with_connected_prefixes(g)
+    form = canonical_form(g)
+    assert (form.order, form.alpha) == (order, alpha)

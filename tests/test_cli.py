@@ -99,6 +99,19 @@ def test_equiv_deform_path_replays_through_apply(capsys, tmp_path, x_file, y_fil
     assert is_isomorphic(parse_graph(out), parse_graph(Y_TEXT))
 
 
+def test_equiv_stitched_path_is_pinned(capsys, tmp_path, x_file):
+    # The second move comes from the back half of the search, transported
+    # across a witness built from canonical rank orders and vertex signs.
+    other = tmp_path / "G.gbs"
+    other.write_text("vertex A\nvertex B\nvertex C\nvertex D\nedge d B D 7 1\n"
+                     "edge l A A 30 5\nedge t C D 10 1\nedge u A C 2 1\n")
+    code, out, _ = run(capsys, "equiv", "--moves", "deform", "--depth", "4", "--max-n", "10",
+                       "--max-index", "100", x_file, str(other))
+    assert code == 0
+    assert out == ("verdict: equivalent\npath_length: 2\n"
+                   "expand A 2 t:0 as w x\nexpand B 7 t:1 as w2 x2\n")
+
+
 def test_equiv_slide_unknown(capsys, x_file, y_file):
     code, out, _ = run(capsys, "equiv", "--moves", "slide", "--depth", "10",
                        "--max-index", "1000000000000", x_file, y_file)
@@ -134,6 +147,17 @@ def test_explore_closed_class(capsys, tmp_path):
     code, out, _ = run(capsys, "explore", str(point), "--moves", "deform")
     assert code == 0
     assert "closed: true" in out
+
+
+def test_explore_past_the_size_cap_is_open_not_bad_input(capsys, tmp_path):
+    path = tmp_path / "path.gbs"
+    path.write_text("".join(f"vertex v{i}\n" for i in range(12))
+                    + "".join(f"edge e{i} v{i} v{i + 1} 2 2\n" for i in range(11)))
+    code, out, err = run(capsys, "explore", str(path), "--moves", "deform", "--depth", "1",
+                         "--max-index", "100")
+    assert code == 2
+    assert "closed: false\nhit_index_cap: false\nhit_node_cap: false\nhit_size_cap: true\n" in out
+    assert err == ""
 
 
 def test_reduce_emits_graph_and_script(capsys, tmp_path):

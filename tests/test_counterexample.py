@@ -100,6 +100,16 @@ def test_ladder_certificate_small_depth():
     assert [lv.move_count for lv in cert6.levels] == [1, 2, 2, 2, 2, 2, 2]
 
 
+def test_ladder_certificate_past_the_int_str_digit_limit():
+    # The deepest levels carry indices of more than 4,300 digits, CPython's
+    # default int<->str limit, which certificates must get past.
+    p = ExampleParams(2, 3, 5, 7)
+    assert len(str(free_edge_index(p, 4000))) < 4300
+    cert = verify_slide_ladder(p, 5600)
+    assert cert.ok
+    assert cert.levels[-1].index == free_edge_index(p, 5600)
+
+
 def test_ladder_hypotheses_enforced():
     with pytest.raises(LadderHypothesisError):
         verify_slide_ladder(ExampleParams(2, 4, 5, 7), 3)

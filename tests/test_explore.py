@@ -8,9 +8,11 @@ from gbsdeform import (
     canonical_certificate,
     decide_equivalence,
     explore_class,
+    graph_from_parts,
     is_isomorphic,
     parse_graph,
 )
+from gbsdeform.canonical import DEFAULT_SIZE_CAP
 from gbsdeform.counterexample import ExampleParams, example_graph
 from gbsdeform.explore import adjacency_dot, dump_visited
 
@@ -68,6 +70,29 @@ def test_node_cap_marks_report_open(x):
     assert report.hit_node_cap
     assert not report.closed
     assert len(report.members) == 5
+
+
+def _path(n, index):
+    verts = [f"v{i}" for i in range(n)]
+    return graph_from_parts(
+        verts, [(f"e{i}", verts[i], verts[i + 1], index, index) for i in range(n - 1)])
+
+
+def test_size_cap_marks_report_open():
+    # Expansions of a 12-vertex path have 13 vertices, past the certificate
+    # cap; they are dropped like any capped graph instead of raising.
+    report = explore_class(_path(DEFAULT_SIZE_CAP, 2), "deform",
+                           Budget(max_depth=1, max_abs_index=100))
+    assert report.hit_size_cap
+    assert not report.closed
+    assert not report.hit_index_cap and not report.hit_node_cap
+    assert all(len(g.vertices) <= DEFAULT_SIZE_CAP for g in report.members.values())
+
+
+def test_size_cap_leaves_equivalence_open():
+    verdict = decide_equivalence(_path(DEFAULT_SIZE_CAP, 2), _path(DEFAULT_SIZE_CAP, 3),
+                                 "deform", Budget(max_depth=2, max_abs_index=100))
+    assert verdict.kind == "unknown"
 
 
 def test_deform_equivalence_of_the_example_pair(x, y):

@@ -129,3 +129,13 @@ def test_graph_values_are_immutable_and_hashable():
     assert len({g, h, g}) == 2
     with pytest.raises(Exception):
         g.vertices = ()
+
+
+def test_round_trip_past_the_int_str_digit_limit():
+    digits = "-1" + "0" * 4998 + "7"     # 5,000 digits, past CPython's default limit
+    g = parse_graph(f"vertex A\nvertex B\nedge e A B {digits} 3\n")
+    assert g.edge("e").i0 == -(10 ** 4999 + 7)
+    text = serialize_graph(g)
+    assert text == f"vertex A\nvertex B\nedge e A B {digits} 3\n"
+    assert parse_graph(text) == g
+    assert f'[label="{digits}|3"]' in dot_export(g)
