@@ -110,9 +110,6 @@ class Isomorphism:
     edge_map: dict[str, str]
     end_map: dict[End, End]
 
-    def map_vertex(self, v: str) -> str:
-        return self.vertex_map[v]
-
     def map_end(self, end: End) -> End:
         return self.end_map[end]
 

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 true/equivalent/pass, 1 false/distinct/fail, 2 unknown or
-inconclusive, 64 usage error, 65 bad input data.  Output is plain key: value
-text and move-script lines, byte-stable for fixed inputs, flags and seeds.
+inconclusive (also valid input past the certificate's vertex cap), 64 usage
+error, 65 bad input data.  Output is plain key: value text and move-script
+lines, byte-stable for fixed inputs, flags and seeds.
 """
 
 from __future__ import annotations
@@ -89,13 +90,14 @@ def _write(path: str, text: str) -> None:
 
 
 def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--depth", type=int, default=4, help="search depth bound")
-    sub.add_argument("--max-nodes", type=int, default=100_000)
-    sub.add_argument("--max-index", type=int, default=1_000_000,
+    default = Budget()
+    sub.add_argument("--depth", type=int, default=default.max_depth, help="search depth bound")
+    sub.add_argument("--max-nodes", type=int, default=default.max_nodes)
+    sub.add_argument("--max-index", type=int, default=default.max_abs_index,
                      help="drop generated graphs with a larger absolute index")
-    sub.add_argument("--max-n", type=int, default=6,
+    sub.add_argument("--max-n", type=int, default=default.expansion.max_n,
                      help="largest expansion factor enumerated")
-    sub.add_argument("--max-subset", type=int, default=3,
+    sub.add_argument("--max-subset", type=int, default=default.expansion.max_subset_size,
                      help="largest moved-end subset enumerated")
 
 
@@ -324,7 +326,10 @@ def main(argv: list[str] | None = None) -> int:
     except _DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATA
-    except (GraphError, IllegalMoveError, ScriptError, SizeCapError,
+    except SizeCapError as exc:  # valid input the certificate cannot take
+        print(f"error: {exc}", file=sys.stderr)
+        return EX_UNKNOWN
+    except (GraphError, IllegalMoveError, ScriptError,
             GenerationError, LadderHypothesisError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATA

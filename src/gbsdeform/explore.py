@@ -1,15 +1,19 @@
 """Bounded search over move graphs with canonical deduplication.
 
-``explore_class`` runs a breadth-first enumeration of everything reachable
-from a graph under one move class, keyed by canonical certificate.  A report
-is *closed* when the frontier emptied and nothing was dropped by a cap; only
-then is the member set the whole class.  The caps are the budget's index and
-node bounds and the certificate's vertex cap (``DEFAULT_SIZE_CAP``): a move
-result past it is dropped before its certificate is computed.
+One engine, ``_Side``, runs every search: a breadth-first enumeration under
+one move class, keyed by canonical certificate.  ``_Side.grow`` expands one
+layer and is the only place the caps apply: the index bound and the
+certificate's vertex cap (``DEFAULT_SIZE_CAP``) drop a move result before
+its certificate is computed, the node bound drops a new certificate after,
+and ``_Side.caps`` names each cap that dropped one.  A side is *closed* when
+its frontier emptied and no cap fired; only then is it the whole class.
 
-``decide_equivalence`` answers whether two graphs are joined by moves of a
-class, using fast invariant refuters and then a bidirectional search.  The
-move classes:
+``explore_class`` grows one side to an empty frontier or the depth bound and
+records the class adjacency from the pairs it yields.  ``decide_equivalence``
+applies invariant refuters, then grows two sides, smaller frontier first,
+until a new certificate is one the other side reached within the depth
+bound.  ``unknown`` names what bound it: the caps of both sides, and
+``depth`` while a frontier remains.  The move classes:
 
   slide   - slide moves only; enumeration is complete, so a closed side
             decides distinctness on its own.
@@ -29,6 +33,7 @@ an explicit isomorphism of the meeting graphs.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .canonical import DEFAULT_SIZE_CAP, Isomorphism, canonical_certificate, graph_isomorphism
@@ -93,50 +98,75 @@ class ExplorationReport:
     hit_size_cap: bool = False
 
 
-def explore_class(g: EdgeIndexedGraph, move_class: str, budget: Budget) -> ExplorationReport:
-    """BFS closure of g under one move class, deduplicated by certificate."""
-    start = canonical_certificate(g)
-    members: dict[bytes, EdgeIndexedGraph] = {start: g}
-    depths: dict[bytes, int] = {start: 0}
-    adjacency: dict[bytes, set[bytes]] = {start: set()}
-    hit_index_cap = hit_node_cap = hit_size_cap = False
-    frontier = [start]
-    depth = 0
-    while frontier and depth < budget.max_depth:
+class _Side:
+    """One breadth-first search from a root graph, keyed by certificate."""
+
+    def __init__(self, g: EdgeIndexedGraph):
+        self.root = canonical_certificate(g)
+        # cert -> (graph as reached, depth, parent cert, move from parent)
+        self.visited: dict[bytes, tuple[EdgeIndexedGraph, int, bytes | None, Move | None]] = {
+            self.root: (g, 0, None, None)}
+        self.frontier: list[bytes] = [self.root]
+        self.depth = 0
+        self.caps: set[str] = set()     # "index", "size", "node": caps that dropped a result
+
+    @property
+    def closed(self) -> bool:
+        return not self.frontier and not self.caps
+
+    def grow(self, move_class: str, budget: Budget) -> Iterator[tuple[bytes, bytes, bool]]:
+        """One layer: yield (parent, cert, is_new) per uncapped result, then advance."""
         nxt: list[bytes] = []
-        for cert_u in frontier:
-            gu = members[cert_u]
+        for cert_u in self.frontier:
+            gu, depth_u, _, _ = self.visited[cert_u]
             for move in neighbor_moves(gu, move_class, budget.expansion):
                 h = apply_move(gu, move)
                 if h.max_abs_index() > budget.max_abs_index:
-                    hit_index_cap = True
+                    self.caps.add("index")
                     continue
                 if len(h.vertices) > DEFAULT_SIZE_CAP:
-                    hit_size_cap = True
+                    self.caps.add("size")
                     continue
                 cert_h = canonical_certificate(h)
-                if cert_h not in members:
-                    if len(members) >= budget.max_nodes:
-                        hit_node_cap = True
+                is_new = cert_h not in self.visited
+                if is_new:
+                    if len(self.visited) >= budget.max_nodes:
+                        self.caps.add("node")
                         continue
-                    members[cert_h] = h
-                    depths[cert_h] = depth + 1
-                    adjacency[cert_h] = set()
+                    self.visited[cert_h] = (h, depth_u + 1, cert_u, move)
                     nxt.append(cert_h)
-                adjacency[cert_u].add(cert_h)
-                adjacency[cert_h].add(cert_u)
-        frontier = nxt
-        depth += 1
-    closed = not (frontier or hit_index_cap or hit_node_cap or hit_size_cap)
+                yield cert_u, cert_h, is_new
+        self.frontier = nxt
+        self.depth += 1
+
+    def chain(self, cert: bytes) -> list[tuple[EdgeIndexedGraph, Move, EdgeIndexedGraph]]:
+        """(graph before, move, graph after) steps from the root to cert."""
+        steps = []
+        while True:
+            graph, _, parent, move = self.visited[cert]
+            if parent is None:
+                return list(reversed(steps))
+            steps.append((self.visited[parent][0], move, graph))
+            cert = parent
+
+
+def explore_class(g: EdgeIndexedGraph, move_class: str, budget: Budget) -> ExplorationReport:
+    """BFS closure of g under one move class, deduplicated by certificate."""
+    side = _Side(g)
+    adjacency: dict[bytes, set[bytes]] = {side.root: set()}
+    while side.frontier and side.depth < budget.max_depth:
+        for parent, cert, _ in side.grow(move_class, budget):
+            adjacency.setdefault(cert, set()).add(parent)
+            adjacency[parent].add(cert)
     return ExplorationReport(
         move_class=move_class,
-        members=members,
-        depths=depths,
+        members={c: entry[0] for c, entry in side.visited.items()},
+        depths={c: entry[1] for c, entry in side.visited.items()},
         adjacency={c: tuple(sorted(nb)) for c, nb in adjacency.items()},
-        closed=closed,
-        hit_index_cap=hit_index_cap,
-        hit_node_cap=hit_node_cap,
-        hit_size_cap=hit_size_cap,
+        closed=side.closed,
+        hit_index_cap="index" in side.caps,
+        hit_node_cap="node" in side.caps,
+        hit_size_cap="size" in side.caps,
     )
 
 
@@ -149,33 +179,6 @@ class Verdict:
     @property
     def exit_code(self) -> int:
         return {"equivalent": 0, "distinct": 1, "unknown": 2}[self.kind]
-
-
-class _Side:
-    def __init__(self, g: EdgeIndexedGraph):
-        self.start = g
-        cert = canonical_certificate(g)
-        self.root = cert
-        # cert -> (graph as reached, depth, parent cert, move from parent)
-        self.visited: dict[bytes, tuple[EdgeIndexedGraph, int, bytes | None, Move | None]] = {
-            cert: (g, 0, None, None)}
-        self.frontier: list[bytes] = [cert]
-        self.depth = 0
-        self.dropped = False
-
-    @property
-    def closed(self) -> bool:
-        return not self.frontier and not self.dropped
-
-    def chain(self, cert: bytes) -> list[tuple[EdgeIndexedGraph, Move, EdgeIndexedGraph]]:
-        """(graph before, move, graph after) steps from the root to cert."""
-        steps = []
-        while True:
-            graph, _, parent, move = self.visited[cert]
-            if parent is None:
-                return list(reversed(steps))
-            steps.append((self.visited[parent][0], move, graph))
-            cert = parent
 
 
 def transport_move(m: Move, iso: Isomorphism, target: EdgeIndexedGraph) -> Move:
@@ -235,9 +238,10 @@ def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
             break
         side = min(expandable, key=lambda s: (len(s.frontier), s is bwd))
         other = bwd if side is fwd else fwd
-        meet = _expand_layer(side, other, move_class, budget)
-        if meet is not None:
-            return Verdict("equivalent", path=_stitch(fwd, bwd, meet))
+        for _, cert, is_new in side.grow(move_class, budget):
+            if (is_new and cert in other.visited
+                    and side.visited[cert][1] + other.visited[cert][1] <= budget.max_depth):
+                return Verdict("equivalent", path=_stitch(fwd, bwd, cert))
 
     if move_class == "slide":
         if fwd.closed or bwd.closed:
@@ -245,40 +249,10 @@ def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
     else:
         if fwd.closed and bwd.closed:
             return Verdict("distinct", reason="deformation class exhausted within bounds")
-    return Verdict("unknown", reason="budget exhausted")
-
-
-def _expand_layer(side: _Side, other: _Side, move_class: str, budget: Budget) -> bytes | None:
-    """Grow one BFS layer; return a meeting certificate within the depth cap."""
-    nxt: list[bytes] = []
-    met: bytes | None = None
-    for cert_u in side.frontier:
-        gu = side.visited[cert_u][0]
-        depth_u = side.visited[cert_u][1]
-        for move in neighbor_moves(gu, move_class, budget.expansion):
-            h = apply_move(gu, move)
-            if h.max_abs_index() > budget.max_abs_index or len(h.vertices) > DEFAULT_SIZE_CAP:
-                side.dropped = True
-                continue
-            cert_h = canonical_certificate(h)
-            if cert_h in side.visited:
-                continue
-            if len(side.visited) >= budget.max_nodes:
-                side.dropped = True
-                continue
-            side.visited[cert_h] = (h, depth_u + 1, cert_u, move)
-            nxt.append(cert_h)
-            if met is None and cert_h in other.visited:
-                total = depth_u + 1 + other.visited[cert_h][1]
-                if total <= budget.max_depth:
-                    met = cert_h
-        if met is not None:
-            break
-    if met is not None:
-        return met
-    side.frontier = nxt
-    side.depth += 1
-    return None
+    bounds = [f"{cap} cap" for cap in fwd.caps | bwd.caps]
+    if fwd.frontier or bwd.frontier:
+        bounds.append("depth")
+    return Verdict("unknown", reason=f"budget exhausted ({', '.join(sorted(bounds))})")
 
 
 def dump_visited(report: ExplorationReport) -> str:

@@ -1,10 +1,11 @@
+import hashlib
 import subprocess
 import sys
 
 import pytest
 
-from gbsdeform import canonical_certificate, is_isomorphic, parse_graph
-from gbsdeform.cli import main
+from gbsdeform import Budget, canonical_certificate, is_isomorphic, parse_graph
+from gbsdeform.cli import _budget, build_parser, main
 
 from strategies import X_TEXT, Y_TEXT
 
@@ -117,6 +118,7 @@ def test_equiv_slide_unknown(capsys, x_file, y_file):
                        "--max-index", "1000000000000", x_file, y_file)
     assert code == 2
     assert "verdict: unknown" in out
+    assert "reason: budget exhausted (depth)\n" in out
 
 
 def test_equiv_distinct(capsys, tmp_path, x_file):
@@ -141,6 +143,28 @@ def test_explore_dumps(capsys, tmp_path, x_file):
     assert dot.read_text().startswith("graph classgraph {")
 
 
+def test_explore_deform_output_is_pinned(capsys, tmp_path, x_file):
+    # Stdout is pinned as text; the member dump and the DOT file, 19 and 5 kB,
+    # by line count and SHA-256 of their exact bytes.
+    dump = tmp_path / "visited.txt"
+    dot = tmp_path / "class.dot"
+    code, out, _ = run(capsys, "explore", x_file, "--moves", "deform", "--depth", "2",
+                       "--max-n", "5", "--max-index", "100",
+                       "--dump-visited", str(dump), "--emit-dot", str(dot))
+    assert code == 2
+    assert out == ("members: 104\nclosed: false\nhit_index_cap: true\n"
+                   "hit_node_cap: false\n")
+    dump_bytes, dot_bytes = dump.read_bytes(), dot.read_bytes()
+    assert dump_bytes.count(b"\n") == 104
+    assert dump_bytes.startswith(b"76323a302c302c2d352c2d33303b302c312c2d32302c2d37 "
+                                 b"vertex A; vertex B; edge l A A 30 5; edge t A B 20 7\n")
+    assert hashlib.sha256(dump_bytes).hexdigest() == (
+        "a69bbe8997b82d0801dbf3829f280407a65263fb5084035f2b137a8df0ce7000")
+    assert dot_bytes.count(b"\n") == 251
+    assert hashlib.sha256(dot_bytes).hexdigest() == (
+        "3d8a7c66099ebd49073875ed23ebd4135df82a74e147d6adc04cb30916a6fb6e")
+
+
 def test_explore_closed_class(capsys, tmp_path):
     point = tmp_path / "point.gbs"
     point.write_text("vertex A\n")
@@ -158,6 +182,22 @@ def test_explore_past_the_size_cap_is_open_not_bad_input(capsys, tmp_path):
     assert code == 2
     assert "closed: false\nhit_index_cap: false\nhit_node_cap: false\nhit_size_cap: true\n" in out
     assert err == ""
+
+
+@pytest.mark.parametrize("argv", [("canon",), ("explore", "--depth", "1"), ("equiv",)])
+def test_valid_input_past_the_size_cap_is_unknown_not_bad_input(capsys, tmp_path, argv):
+    path = tmp_path / "path.gbs"
+    path.write_text("".join(f"vertex v{i}\n" for i in range(13))
+                    + "".join(f"edge e{i} v{i} v{i + 1} 2 2\n" for i in range(12)))
+    files = [str(path)] * (2 if argv[0] == "equiv" else 1)
+    code, out, err = run(capsys, *argv, *files)
+    assert code == 2
+    assert out == ""
+    assert err == "error: graph has 13 vertices, cap is 12\n"
+
+
+def test_budget_flag_defaults_are_the_budget_defaults():
+    assert _budget(build_parser().parse_args(["explore", "g.gbs"])) == Budget()
 
 
 def test_reduce_emits_graph_and_script(capsys, tmp_path):

@@ -43,6 +43,13 @@ def test_slide_class_is_a_ray_prefix(x):
     assert degrees == [1, 1, 2, 2, 2, 2, 2]
 
 
+def test_slide_depths_follow_the_ladder(x):
+    report = explore_class(x, "slide", Budget(max_depth=3, max_abs_index=10**6))
+    ladder_certs = [canonical_certificate(example_graph("Xk", P, k)) for k in range(4)]
+    assert report.depths == {cert: k for k, cert in enumerate(ladder_certs)}
+    assert list(report.depths) == ladder_certs
+
+
 def test_unit_loop_slide_class_is_closed():
     g = parse_graph("vertex A\nedge e A A 1 1")
     report = explore_class(g, "slide", Budget(max_depth=10))
@@ -93,6 +100,7 @@ def test_size_cap_leaves_equivalence_open():
     verdict = decide_equivalence(_path(DEFAULT_SIZE_CAP, 2), _path(DEFAULT_SIZE_CAP, 3),
                                  "deform", Budget(max_depth=2, max_abs_index=100))
     assert verdict.kind == "unknown"
+    assert verdict.reason == "budget exhausted (depth, size cap)"
 
 
 def test_deform_equivalence_of_the_example_pair(x, y):
@@ -178,6 +186,7 @@ def test_unknown_on_tiny_node_budget(x, y):
                                  Budget(max_depth=4, max_nodes=3, max_abs_index=100,
                                         expansion=ExpansionBounds(max_n=10)))
     assert verdict.kind == "unknown"
+    assert verdict.reason == "budget exhausted (index cap, node cap)"
 
 
 @settings(max_examples=25, deadline=None)
