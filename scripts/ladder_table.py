@@ -11,6 +11,7 @@ import argparse
 import itertools
 
 from gbsdeform import ExampleParams, LadderHypothesisError, verify_slide_ladder
+from gbsdeform.bigint import index_str
 
 
 def main() -> None:
@@ -30,7 +31,7 @@ def main() -> None:
                 print(f"{tag}: skipped ({exc})")
                 continue
             status = "ok" if cert.ok else "FAILED"
-            indices = " ".join(str(level.index) for level in cert.levels)
+            indices = " ".join(index_str(level.index) for level in cert.levels)
             print(f"{tag}: {status}  indices: {indices}")
 
 

@@ -20,6 +20,8 @@ def main() -> None:
     ap.add_argument("--max-vertices", type=int, default=5)
     ap.add_argument("--max-n", type=int, default=9)
     args = ap.parse_args()
+    if args.max_vertices < 2:
+        ap.error("--max-vertices must be at least 2")
 
     bounds = ExpansionBounds(max_n=args.max_n)
     passed = 0

@@ -36,7 +36,9 @@ walked in the exhaustive walk's order, (tuples they determine, vertex,
 -sign), and a cut drops only leaves strictly above another leaf, so the
 first minimal leaf, with the rank order and signs that ``graph_isomorphism``
 hands to path stitching, is the exhaustive walk's.  ``brute_force_isomorphic``
-is the independent oracle.
+is the independent oracle.  Only certificate bytes are cached, since searches
+read nothing else; ``graph_isomorphism`` rebuilds the two forms it compares.
+``DEFAULT_SIZE_CAP`` is the single vertex cap on canonicalization.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ ORACLE_SIZE_CAP = 6
 
 
 class SizeCapError(ValueError):
-    """The graph exceeds the configured vertex cap for canonicalization."""
+    """The graph exceeds the vertex cap for canonicalization."""
 
 
 def _sgn(x: int) -> int:
@@ -109,9 +111,6 @@ class Isomorphism:
     vertex_map: dict[str, str]
     edge_map: dict[str, str]
     end_map: dict[End, End]
-
-    def map_end(self, end: End) -> End:
-        return self.end_map[end]
 
 
 def _search_min_encoding(g: EdgeIndexedGraph):
@@ -220,10 +219,9 @@ def _search_min_encoding(g: EdgeIndexedGraph):
     return best[0], tuple(names[i] for i in best[1]), best[2]
 
 
-@lru_cache(maxsize=1 << 16)
-def _canonical_form_cached(g: EdgeIndexedGraph, size_cap: int) -> CanonicalForm:
-    if len(g.vertices) > size_cap:
-        raise SizeCapError(f"graph has {len(g.vertices)} vertices, cap is {size_cap}")
+def canonical_form(g: EdgeIndexedGraph) -> CanonicalForm:
+    if len(g.vertices) > DEFAULT_SIZE_CAP:
+        raise SizeCapError(f"graph has {len(g.vertices)} vertices, cap is {DEFAULT_SIZE_CAP}")
     flat, order, alpha = _search_min_encoding(g)
     rank = {v: i for i, v in enumerate(order)}
     slots: dict[str, tuple[tuple[int, int, int, int], int]] = {}
@@ -247,42 +245,30 @@ def _canonical_form_cached(g: EdgeIndexedGraph, size_cap: int) -> CanonicalForm:
                          alpha=alpha, tuples=tuples, edge_slots=slots)
 
 
-def canonical_form(g: EdgeIndexedGraph, size_cap: int = DEFAULT_SIZE_CAP) -> CanonicalForm:
-    return _canonical_form_cached(g, size_cap)
+@lru_cache(maxsize=1 << 16)
+def _certificate(g: EdgeIndexedGraph) -> bytes:
+    return canonical_form(g).cert
 
 
-def canonical_certificate(g: EdgeIndexedGraph, size_cap: int = DEFAULT_SIZE_CAP) -> bytes:
+def canonical_certificate(g: EdgeIndexedGraph) -> bytes:
     """Certificate bytes; equal exactly on relabel-and-sign-flip classes."""
-    return canonical_form(g, size_cap).cert
+    return _certificate(g)
 
 
-def is_isomorphic(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
-                  size_cap: int = DEFAULT_SIZE_CAP) -> bool:
+def is_isomorphic(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph) -> bool:
     """Equivalence up to relabeling and sign flips, via certificates."""
-    if len(g1.vertices) > size_cap or len(g2.vertices) > size_cap:
-        raise SizeCapError(f"vertex cap {size_cap} exceeded")
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
-        return False
-    if _abs_index_profile(g1) != _abs_index_profile(g2):
-        return False
-    return canonical_certificate(g1, size_cap) == canonical_certificate(g2, size_cap)
+    return canonical_certificate(g1) == canonical_certificate(g2)
 
 
-def _abs_index_profile(g: EdgeIndexedGraph):
-    return sorted((abs(e.i0), abs(e.i1)) if abs(e.i0) <= abs(e.i1)
-                  else (abs(e.i1), abs(e.i0)) for e in g.edges)
-
-
-def graph_isomorphism(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
-                      size_cap: int = DEFAULT_SIZE_CAP) -> Isomorphism | None:
+def graph_isomorphism(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph) -> Isomorphism | None:
     """An explicit equivalence witness, or None when the graphs differ.
 
     Edges sharing a canonical tuple are interchangeable, so they are paired
     in identifier order; any such pairing differs from any other by an
     automorphism composed with sign flips.
     """
-    f1 = canonical_form(g1, size_cap)
-    f2 = canonical_form(g2, size_cap)
+    f1 = canonical_form(g1)
+    f2 = canonical_form(g2)
     if f1.cert != f2.cert:
         return None
     vertex_map = {v: f2.order[f1.rank[v]] for v in g1.vertices}

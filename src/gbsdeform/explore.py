@@ -37,7 +37,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .canonical import DEFAULT_SIZE_CAP, Isomorphism, canonical_certificate, graph_isomorphism
-from .graphs import EdgeIndexedGraph, End, betti_number, serialize_graph
+from .graphs import EdgeIndexedGraph, betti_number, serialize_graph
 from .moves import (
     Collapse,
     Expansion,
@@ -186,13 +186,12 @@ def transport_move(m: Move, iso: Isomorphism, target: EdgeIndexedGraph) -> Move:
     if isinstance(m, Collapse):
         return Collapse(edge=iso.edge_map[m.edge], survivor=iso.vertex_map[m.survivor])
     if isinstance(m, Slide):
-        return Slide(moving_end=iso.map_end(End(*m.moving_end)),
-                     along=iso.map_end(End(*m.along)))
+        return Slide(moving_end=iso.end_map[m.moving_end], along=iso.end_map[m.along])
     if isinstance(m, Expansion):
         return Expansion(
             vertex=iso.vertex_map[m.vertex],
             n=m.n,
-            moved_ends=tuple(iso.map_end(End(*e)) for e in m.moved_ends),
+            moved_ends=tuple(iso.end_map[e] for e in m.moved_ends),
             new_vertex=fresh_vertex_id(target),
             new_edge=fresh_edge_id(target),
         )

@@ -85,6 +85,10 @@ class Slide:
     moving_end: End
     along: End
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "moving_end", End(*self.moving_end))
+        object.__setattr__(self, "along", End(*self.along))
+
 
 Move = Collapse | Expansion | Slide
 
@@ -121,7 +125,6 @@ def fresh_edge_id(g: EdgeIndexedGraph, base: str = "x") -> str:
 
 
 def _require_end(g: EdgeIndexedGraph, end: End) -> End:
-    end = End(*end)
     if end.side not in (0, 1):
         raise IllegalMoveError(f"end {end.edge}:{end.side} has a bad side")
     if not any(e.eid == end.edge for e in g.edges):
@@ -248,8 +251,7 @@ def invert_move(g: EdgeIndexedGraph, m: Move) -> Move:
                          new_vertex=dead, new_edge=m.edge)
     if isinstance(m, Expansion):
         return Collapse(edge=m.new_edge, survivor=m.vertex)
-    return Slide(moving_end=End(*m.moving_end),
-                 along=End(m.along.edge, 1 - m.along.side))
+    return Slide(moving_end=m.moving_end, along=End(m.along.edge, 1 - m.along.side))
 
 
 def enumerate_collapses(g: EdgeIndexedGraph) -> list[Collapse]:

@@ -3,6 +3,7 @@ from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbsdeform import (
     SizeCapError,
@@ -70,7 +71,10 @@ def test_size_caps():
         [(f"e{i}", f"v{i}", f"v{i+1}", 2, 3) for i in range(12)])
     with pytest.raises(SizeCapError):
         canonical_certificate(big)
-    assert canonical_certificate(big, size_cap=13)
+    with pytest.raises(SizeCapError, match="graph has 13 vertices, cap is 12"):
+        is_isomorphic(big, big)
+    with pytest.raises(SizeCapError, match="graph has 13 vertices, cap is 12"):
+        graph_isomorphism(big, big)
     seven = graph_from_parts(
         [f"v{i}" for i in range(7)],
         [(f"e{i}", f"v{i}", f"v{i+1}", 2, 3) for i in range(6)])
@@ -135,6 +139,14 @@ def test_isomorphism_witness_maps_structure():
         assert {abs(e.i0), abs(e.i1)} == {abs(f.i0), abs(f.i1)}
         assert iso.vertex_map[e.v0] in (f.v0, f.v1)
     assert graph_isomorphism(g, parse_graph(Y_TEXT)) is None
+
+
+@settings(max_examples=50, deadline=None)
+@given(connected_graphs(max_vertices=5), st.integers(0, 1000))
+def test_cached_certificate_is_the_form_certificate(g, seed):
+    # The cache holds bytes only; they must be what a fresh form computes.
+    assert canonical_form(g).cert == canonical_certificate(g)
+    assert is_isomorphic(g, scramble(g, seed))
 
 
 def test_canonical_form_exposes_consistent_assignment():

@@ -122,6 +122,15 @@ def test_invert_slide_traverses_loop_oppositely(x):
     assert apply_move(out, inv) == x
 
 
+def test_slide_built_from_tuples_formats_parses_and_inverts(x):
+    move = Slide(("t", 0), ("l", 1))
+    assert move == Slide(End("t", 0), End("l", 1))
+    text = format_script([move])
+    assert text == "slide t:0 along l:1\n"
+    assert parse_move(text) == move
+    assert invert_move(x, move) == Slide(End("t", 0), End("l", 0))
+
+
 def test_invert_collapse_restores_up_to_signs(diagram4):
     move = Collapse(edge="u", survivor="B")
     out = apply_move(diagram4, move)
