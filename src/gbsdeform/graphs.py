@@ -8,7 +8,9 @@ arbitrary-precision; slide orbits grow geometrically and overflow fixed-width
 integers quickly.
 
 Graphs are immutable values.  Every operation returns a new graph, so values
-can be shared freely across threads.
+can be shared freely across threads.  The constructor only normalizes and
+trusts its caller: outside data enters through ``parse_graph`` or
+``graph_from_parts``, which check every invariant, and the moves keep them.
 """
 
 from __future__ import annotations
@@ -115,7 +117,8 @@ class EdgeIndexedGraph:
 
     Vertices and edges are stored sorted by identifier, so two graphs built
     from the same id-keyed content compare equal regardless of declaration
-    order.  Loops and parallel edges are permitted.
+    order.  Loops and parallel edges are permitted.  The constructor checks
+    nothing; build graphs from outside data with ``graph_from_parts``.
     """
 
     vertices: tuple[str, ...]
@@ -124,50 +127,6 @@ class EdgeIndexedGraph:
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
         object.__setattr__(self, "edges", tuple(sorted(self.edges, key=lambda e: e.eid)))
-        self._validate()
-
-    def _validate(self) -> None:
-        if not self.vertices:
-            raise InvalidGraphError("a graph needs at least one vertex")
-        seen_v: set[str] = set()
-        for v in self.vertices:
-            if not _IDENT_RE.match(v):
-                raise InvalidGraphError(f"bad vertex identifier {v!r}")
-            if v in seen_v:
-                raise InvalidGraphError(f"duplicate vertex id {v!r}")
-            seen_v.add(v)
-        seen_e: set[str] = set()
-        for e in self.edges:
-            if not _IDENT_RE.match(e.eid):
-                raise InvalidGraphError(f"bad edge identifier {e.eid!r}")
-            if e.eid in seen_e:
-                raise InvalidGraphError(f"duplicate edge id {e.eid!r}")
-            seen_e.add(e.eid)
-            for v in (e.v0, e.v1):
-                if v not in seen_v:
-                    raise InvalidGraphError(f"edge {e.eid!r} uses undeclared vertex {v!r}")
-            if e.i0 == 0 or e.i1 == 0:
-                raise InvalidGraphError(f"edge {e.eid!r} has a zero index")
-            if not isinstance(e.i0, int) or not isinstance(e.i1, int):
-                raise InvalidGraphError(f"edge {e.eid!r} has non-integer indices")
-        if not self._is_connected():
-            raise InvalidGraphError("graph is not connected")
-
-    def _is_connected(self) -> bool:
-        if len(self.vertices) == 1:
-            return True
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for e in self.edges:
-            adj[e.v0].add(e.v1)
-            adj[e.v1].add(e.v0)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
 
     @cached_property
     def _edges_by_id(self) -> dict[str, Edge]:
@@ -189,6 +148,9 @@ class EdgeIndexedGraph:
 
     def has_vertex(self, v: str) -> bool:
         return v in self._ends_by_vertex
+
+    def has_edge(self, eid: str) -> bool:
+        return eid in self._edges_by_id
 
     def ends(self) -> Iterator[End]:
         for e in self.edges:
@@ -214,9 +176,46 @@ class EdgeIndexedGraph:
         return max((max(abs(e.i0), abs(e.i1)) for e in self.edges), default=0)
 
 
+def _check(g: EdgeIndexedGraph) -> EdgeIndexedGraph:
+    """Return g if it meets every invariant, else raise InvalidGraphError."""
+    if not g.vertices:
+        raise InvalidGraphError("a graph needs at least one vertex")
+    adj: dict[str, set[str]] = {}
+    for v in g.vertices:
+        if not _IDENT_RE.match(v):
+            raise InvalidGraphError(f"bad vertex identifier {v!r}")
+        if v in adj:
+            raise InvalidGraphError(f"duplicate vertex id {v!r}")
+        adj[v] = set()
+    seen_e: set[str] = set()
+    for e in g.edges:
+        if not _IDENT_RE.match(e.eid):
+            raise InvalidGraphError(f"bad edge identifier {e.eid!r}")
+        if e.eid in seen_e:
+            raise InvalidGraphError(f"duplicate edge id {e.eid!r}")
+        seen_e.add(e.eid)
+        for v in (e.v0, e.v1):
+            if v not in adj:
+                raise InvalidGraphError(f"edge {e.eid!r} uses undeclared vertex {v!r}")
+        if e.i0 == 0 or e.i1 == 0:
+            raise InvalidGraphError(f"edge {e.eid!r} has a zero index")
+        if not isinstance(e.i0, int) or not isinstance(e.i1, int):
+            raise InvalidGraphError(f"edge {e.eid!r} has non-integer indices")
+        adj[e.v0].add(e.v1)
+        adj[e.v1].add(e.v0)
+    reached, stack = {g.vertices[0]}, [g.vertices[0]]
+    while stack:
+        new = adj[stack.pop()] - reached
+        reached |= new
+        stack += new
+    if len(reached) != len(adj):
+        raise InvalidGraphError("graph is not connected")
+    return g
+
+
 def graph_from_parts(vertices, edges) -> EdgeIndexedGraph:
-    """Build a graph from vertex ids and (eid, v0, v1, i0, i1) tuples."""
-    return EdgeIndexedGraph(tuple(vertices), tuple(Edge(*e) for e in edges))
+    """Build and check a graph from vertex ids and (eid, v0, v1, i0, i1) tuples."""
+    return _check(EdgeIndexedGraph(tuple(vertices), tuple(Edge(*e) for e in edges)))
 
 
 def betti_number(g: EdgeIndexedGraph) -> int:
@@ -299,7 +298,7 @@ def parse_graph(text: str) -> EdgeIndexedGraph:
         else:
             raise ParseError(f"unknown declaration {fields[0]!r}", lineno, col(fields[0]))
     try:
-        return EdgeIndexedGraph(tuple(vertices), tuple(edges))
+        return _check(EdgeIndexedGraph(tuple(vertices), tuple(edges)))
     except InvalidGraphError as exc:
         raise ParseError(str(exc)) from exc
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .bigint import index_str
-from .graphs import Edge, EdgeIndexedGraph, End
+from .bigint import index_str, parse_index
+from .graphs import _IDENT_RE, Edge, EdgeIndexedGraph, End
 
 __all__ = [
     "IllegalMoveError",
@@ -105,29 +105,25 @@ def divides(d: int, x: int) -> bool:
     return x % d == 0
 
 
+def _fresh_id(taken, base: str) -> str:
+    name, k = base, 2
+    while taken(name):
+        name, k = f"{base}{k}", k + 1
+    return name
+
+
 def fresh_vertex_id(g: EdgeIndexedGraph, base: str = "w") -> str:
-    if base not in g.vertices:
-        return base
-    k = 2
-    while f"{base}{k}" in g.vertices:
-        k += 1
-    return f"{base}{k}"
+    return _fresh_id(g.has_vertex, base)
 
 
 def fresh_edge_id(g: EdgeIndexedGraph, base: str = "x") -> str:
-    used = {e.eid for e in g.edges}
-    if base not in used:
-        return base
-    k = 2
-    while f"{base}{k}" in used:
-        k += 1
-    return f"{base}{k}"
+    return _fresh_id(g.has_edge, base)
 
 
 def _require_end(g: EdgeIndexedGraph, end: End) -> End:
     if end.side not in (0, 1):
         raise IllegalMoveError(f"end {end.edge}:{end.side} has a bad side")
-    if not any(e.eid == end.edge for e in g.edges):
+    if not g.has_edge(end.edge):
         raise IllegalMoveError(f"no edge {end.edge!r} in graph")
     return end
 
@@ -144,10 +140,9 @@ def apply_move(g: EdgeIndexedGraph, m: Move) -> EdgeIndexedGraph:
 
 
 def _apply_collapse(g: EdgeIndexedGraph, m: Collapse) -> EdgeIndexedGraph:
-    try:
-        e = g.edge(m.edge)
-    except ValueError:
-        raise IllegalMoveError(f"no edge {m.edge!r} in graph") from None
+    if not g.has_edge(m.edge):
+        raise IllegalMoveError(f"no edge {m.edge!r} in graph")
+    e = g.edge(m.edge)
     if e.is_loop:
         raise IllegalMoveError(f"cannot collapse loop {m.edge!r}")
     if m.survivor == e.v0:
@@ -159,7 +154,7 @@ def _apply_collapse(g: EdgeIndexedGraph, m: Collapse) -> EdgeIndexedGraph:
             f"survivor {m.survivor!r} is not an endpoint of edge {m.edge!r}")
     if abs(eps) != 1:
         raise IllegalMoveError(
-            f"edge {m.edge!r} has index {eps} at {dead!r}; collapse needs +1 or -1")
+            f"edge {m.edge!r} has index {index_str(eps)} at {dead!r}; collapse needs +1 or -1")
     new_edges = []
     for f in g.edges:
         if f.eid == e.eid:
@@ -174,11 +169,16 @@ def _apply_collapse(g: EdgeIndexedGraph, m: Collapse) -> EdgeIndexedGraph:
 def _apply_expansion(g: EdgeIndexedGraph, m: Expansion) -> EdgeIndexedGraph:
     if m.n == 0:
         raise IllegalMoveError("expansion factor must be nonzero")
+    if not isinstance(m.n, int):
+        raise IllegalMoveError(f"expansion factor {m.n!r} is not a nonzero integer")
+    for kind, name in (("vertex", m.new_vertex), ("edge", m.new_edge)):
+        if not _IDENT_RE.match(name):
+            raise IllegalMoveError(f"bad new {kind} identifier {name!r}")
     if not g.has_vertex(m.vertex):
         raise IllegalMoveError(f"no vertex {m.vertex!r} in graph")
     if g.has_vertex(m.new_vertex):
         raise IllegalMoveError(f"new vertex id {m.new_vertex!r} already in use")
-    if any(e.eid == m.new_edge for e in g.edges):
+    if g.has_edge(m.new_edge):
         raise IllegalMoveError(f"new edge id {m.new_edge!r} already in use")
     moved = set()
     for end in m.moved_ends:
@@ -189,7 +189,7 @@ def _apply_expansion(g: EdgeIndexedGraph, m: Expansion) -> EdgeIndexedGraph:
         idx = g.end_index(end)
         if not divides(m.n, idx):
             raise IllegalMoveError(
-                f"index {index_str(idx)} at end {end} is not divisible by {m.n}")
+                f"index {index_str(idx)} at end {end} is not divisible by {index_str(m.n)}")
         moved.add(end)
     new_edges = []
     for f in g.edges:
@@ -404,7 +404,7 @@ def format_move(m: Move) -> str:
         return f"slide {m.moving_end} along {m.along}"
     if isinstance(m, Expansion):
         ends = "".join(f" {end}" for end in m.moved_ends)
-        return f"expand {m.vertex} {m.n}{ends} as {m.new_vertex} {m.new_edge}"
+        return f"expand {m.vertex} {index_str(m.n)}{ends} as {m.new_vertex} {m.new_edge}"
     raise ValueError(f"unknown move {m!r}")
 
 
@@ -427,7 +427,7 @@ def parse_move(line: str, lineno: int | None = None) -> Move:
             raise ScriptError(
                 "want: expand VERTEX N [EDGE:SIDE ...] as NEWVERTEX NEWEDGE", lineno)
         try:
-            n = int(fields[2])
+            n = parse_index(fields[2])
         except ValueError:
             raise ScriptError(f"bad integer {fields[2]!r}", lineno) from None
         moved = tuple(_parse_end(tok, lineno) for tok in fields[3:-3])

@@ -12,6 +12,16 @@ X_TEXT = "vertex A\nvertex B\nedge l A A 30 5\nedge t A B 20 7\n"
 Y_TEXT = "vertex A\nvertex B\nedge l B B 42 7\nedge t B A 63 5\n"
 
 
+def assert_valid(g: EdgeIndexedGraph) -> None:
+    """Assert that g meets every graph invariant.
+
+    The constructor trusts its caller, so graphs the engine builds are
+    checked by rebuilding them through the validating entry.
+    """
+    parts = [(e.eid, e.v0, e.v1, e.i0, e.i1) for e in g.edges]
+    assert graph_from_parts(g.vertices, parts) == g
+
+
 @st.composite
 def indices(draw, min_abs: int = 1, max_abs: int = 9) -> int:
     sign = draw(st.sampled_from((1, -1)))

@@ -28,7 +28,7 @@ from gbsdeform import (
 from gbsdeform.cli import main
 from gbsdeform.counterexample import ExampleParams, verify_slide_ladder
 
-from strategies import X_TEXT, Y_TEXT, scramble
+from strategies import X_TEXT, Y_TEXT, assert_valid, scramble
 
 P = ExampleParams(2, 3, 5, 7)
 
@@ -197,6 +197,7 @@ def test_acceptance_6_move_invariant_suite(capsys):
         h = apply_move(g, move)
         assert betti_number(h) == betti_number(g)
         assert _connected(h)
+        assert_valid(h)
         assert all(e.i0 != 0 and e.i1 != 0 for e in h.edges)
         back = apply_move(h, invert_move(g, move))
         assert canonical_certificate(back) == canonical_certificate(g)

@@ -87,6 +87,29 @@ def test_apply_illegal_script(capsys, tmp_path, x_file):
     assert "error:" in err
 
 
+def test_apply_script_with_bad_new_id(capsys, tmp_path, x_file):
+    script = tmp_path / "moves.txt"
+    script.write_text("expand A 2 as 9bad d\n")
+    code, _, err = run(capsys, "apply", x_file, "--script", str(script))
+    assert code == 65
+    assert "bad new vertex identifier '9bad'" in err
+
+
+def test_equiv_path_with_a_factor_past_the_int_str_digit_limit(capsys, tmp_path):
+    point = tmp_path / "A.gbs"
+    point.write_text("vertex A\n")
+    big = tmp_path / "G.gbs"
+    big.write_text(f"vertex A\nvertex B\nedge e A B {'7' * 4400} 1\n")
+    path_file = tmp_path / "path.txt"
+    code, out, err = run(capsys, "equiv", str(point), str(big), "--script", str(path_file))
+    assert (code, err) == (0, "")
+    assert out.startswith("verdict: equivalent\npath_length: 1\nexpand A 7777")
+    code, out, _ = run(capsys, "apply", str(point), "--script", str(path_file))
+    assert code == 0
+    assert canonical_certificate(parse_graph(out)) == canonical_certificate(
+        parse_graph(big.read_text()))
+
+
 def test_equiv_deform_path_replays_through_apply(capsys, tmp_path, x_file, y_file):
     path_file = tmp_path / "path.txt"
     code, out, _ = run(capsys, "equiv", "--moves", "deform", "--depth", "4",

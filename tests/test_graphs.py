@@ -2,18 +2,18 @@ import pytest
 from hypothesis import given
 
 from gbsdeform import (
-    EdgeIndexedGraph,
     InvalidGraphError,
     ParseError,
     SignFlip,
     apply_sign_flips,
     betti_number,
     dot_export,
+    graph_from_parts,
     parse_graph,
     serialize_graph,
 )
 
-from strategies import X_TEXT, connected_graphs, scramble, sign_flips
+from strategies import X_TEXT, assert_valid, connected_graphs, scramble, sign_flips
 
 
 def test_parse_example_graph():
@@ -62,7 +62,23 @@ def test_parse_rejects_disconnected():
 
 def test_constructor_rejects_empty():
     with pytest.raises(InvalidGraphError):
-        EdgeIndexedGraph((), ())
+        graph_from_parts((), ())
+
+
+@pytest.mark.parametrize("vertices,edges,match", [
+    ((), (), "at least one vertex"),
+    (("9bad",), (), "bad vertex identifier '9bad'"),
+    (("A",), (("e-1", "A", "A", 2, 3),), "bad edge identifier 'e-1'"),
+    (("A", "A"), (), "duplicate vertex id 'A'"),
+    (("A",), (("e", "A", "A", 2, 3), ("e", "A", "A", 2, 3)), "duplicate edge id 'e'"),
+    (("A",), (("e", "A", "B", 2, 3),), "edge 'e' uses undeclared vertex 'B'"),
+    (("A",), (("e", "A", "A", 0, 3),), "edge 'e' has a zero index"),
+    (("A",), (("e", "A", "A", 2.0, 3),), "edge 'e' has non-integer indices"),
+    (("A", "B", "C"), (("e", "A", "B", 2, 3),), "graph is not connected"),
+])
+def test_graph_from_parts_rejects_malformed_input(vertices, edges, match):
+    with pytest.raises(InvalidGraphError, match=match):
+        graph_from_parts(vertices, edges)
 
 
 def test_betti_numbers():
@@ -105,6 +121,7 @@ def test_serialize_parse_round_trip(g):
 def test_sign_flip_involution_and_invariants(case):
     g, s = case
     once = apply_sign_flips(g, s)
+    assert_valid(once)
     assert apply_sign_flips(once, s) == g
     assert betti_number(once) == betti_number(g)
     assert all(e.i0 != 0 and e.i1 != 0 for e in once.edges)

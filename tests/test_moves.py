@@ -27,7 +27,7 @@ from gbsdeform import (
 )
 from gbsdeform.counterexample import ExampleParams, example_graph
 
-from strategies import X_TEXT, Y_TEXT, connected_graphs
+from strategies import X_TEXT, Y_TEXT, assert_valid, connected_graphs
 
 P = ExampleParams(2, 3, 5, 7)
 BOUNDS = ExpansionBounds(max_n=10, max_subset_size=3)
@@ -99,6 +99,9 @@ def test_collapse_negative_unit_end():
     (Slide(End("l", 0), End("t", 0)), "does not divide"),
     (Slide(End("t", 0), End("zz", 0)), "no edge"),
     (Slide(End("t", 2), End("l", 0)), "bad side"),
+    (Expansion("A", 2, (), "9bad", "d"), "bad new vertex identifier '9bad'"),
+    (Expansion("A", 2, (), "Q", "d-1"), "bad new edge identifier 'd-1'"),
+    (Expansion("A", 2.0, (), "Q", "d"), "nonzero"),
 ])
 def test_illegal_moves_are_rejected(x, move, match):
     with pytest.raises(IllegalMoveError, match=match):
@@ -261,12 +264,14 @@ def test_move_conservation_and_round_trip(g):
         return
     move = moves[rng.randrange(len(moves))]
     h = apply_move(g, move)
+    assert_valid(h)
     assert betti_number(h) == betti_number(g)
     assert all(e.i0 != 0 and e.i1 != 0 for e in h.edges)
     if isinstance(move, Slide):
         assert len(h.vertices) == len(g.vertices)
         assert len(h.edges) == len(g.edges)
     back = apply_move(h, invert_move(g, move))
+    assert_valid(back)
     assert is_isomorphic(back, g)
 
 
@@ -327,6 +332,13 @@ def test_script_round_trip():
         "collapse u into B\n"
         "expand B -3 as Q d\n"
     )
+    assert parse_script(text) == moves
+
+
+def test_script_round_trip_past_the_int_str_digit_limit():
+    moves = (Expansion("A", 10 ** 5000, (End("t", 0),), "C", "u"),)
+    text = format_script(moves)
+    assert text == "expand A 1" + "0" * 5000 + " t:0 as C u\n"
     assert parse_script(text) == moves
 
 

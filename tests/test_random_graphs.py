@@ -11,6 +11,8 @@ from gbsdeform import (
 )
 from gbsdeform.moves import divides
 
+from strategies import assert_valid
+
 
 def test_generator_is_reproducible():
     spec = RandomGraphSpec(num_vertices=4, num_edges=5, index_range=(2, 9))
@@ -22,6 +24,7 @@ def test_generator_respects_spec():
     spec = RandomGraphSpec(num_vertices=4, num_edges=6, index_range=(2, 9))
     for seed in range(30):
         g = random_graph(spec, seed)
+        assert_valid(g)
         assert len(g.vertices) == 4 and len(g.edges) == 6
         assert betti_number(g) == 3
         for e in g.edges:
@@ -63,6 +66,8 @@ def test_rigidity_trials_pass_and_replay():
         trial = rigidity_trial(spec, num_moves=8, seed=seed,
                                bounds=ExpansionBounds(max_n=9))
         assert trial.passed, (seed, trial.start, trial.moves)
+        for g in (trial.start, trial.scrambled, trial.reduced):   # reduced: reduce_graph's output
+            assert_valid(g)
         again = rigidity_trial(spec, num_moves=8, seed=seed,
                                bounds=ExpansionBounds(max_n=9))
         assert again.moves == trial.moves
