@@ -36,16 +36,15 @@ walked in the exhaustive walk's order, (tuples they determine, vertex,
 -sign), and a cut drops only leaves strictly above another leaf, so the
 first minimal leaf, with the rank order and signs that ``graph_isomorphism``
 hands to path stitching, is the exhaustive walk's.  ``brute_force_isomorphic``
-is the independent oracle.  Only certificate bytes are cached, since searches
-read nothing else; ``graph_isomorphism`` rebuilds the two forms it compares.
-``DEFAULT_SIZE_CAP`` is the single vertex cap on canonicalization.
+is the independent oracle.  Nothing in this module is cached: a caller that
+meets the same graph twice keeps its own memo (the searches in ``explore``
+do).  ``DEFAULT_SIZE_CAP`` is the single vertex cap on canonicalization.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations, product
 
 from .bigint import index_str
@@ -245,19 +244,14 @@ def canonical_form(g: EdgeIndexedGraph) -> CanonicalForm:
                          alpha=alpha, tuples=tuples, edge_slots=slots)
 
 
-@lru_cache(maxsize=1 << 16)
-def _certificate(g: EdgeIndexedGraph) -> bytes:
-    return canonical_form(g).cert
-
-
 def canonical_certificate(g: EdgeIndexedGraph) -> bytes:
     """Certificate bytes; equal exactly on relabel-and-sign-flip classes."""
-    return _certificate(g)
+    return canonical_form(g).cert
 
 
 def is_isomorphic(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph) -> bool:
     """Equivalence up to relabeling and sign flips, via certificates."""
-    return canonical_certificate(g1) == canonical_certificate(g2)
+    return canonical_form(g1).cert == canonical_form(g2).cert
 
 
 def graph_isomorphism(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph) -> Isomorphism | None:

@@ -27,16 +27,9 @@ from .explore import (
     dump_visited,
     explore_class,
 )
-from .graphs import (
-    GraphError,
-    dot_export,
-    parse_graph,
-    serialize_graph,
-)
+from .graphs import dot_export, parse_graph, serialize_graph
 from .moves import (
     ExpansionBounds,
-    IllegalMoveError,
-    ScriptError,
     analyze,
     apply_move,
     enumerate_collapses,
@@ -46,7 +39,7 @@ from .moves import (
     parse_script,
     reduce_graph,
 )
-from .random_graphs import GenerationError, RandomGraphSpec, random_graph
+from .random_graphs import RandomGraphSpec, random_graph
 
 EX_TRUE = 0
 EX_FALSE = 1
@@ -72,13 +65,16 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _load_graph(path: str):
+def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError as exc:
         raise _DataError(f"cannot read {path}: {exc}") from exc
-    return parse_graph(text)
+
+
+def _load_graph(path: str):
+    return parse_graph(_read(path))
 
 
 def _write(path: str, text: str) -> None:
@@ -199,12 +195,7 @@ def _cmd_moves(args) -> int:
 
 def _cmd_apply(args) -> int:
     g = _load_graph(args.graph)
-    try:
-        with open(args.script, "r", encoding="utf-8") as handle:
-            moves = parse_script(handle.read())
-    except OSError as exc:
-        raise _DataError(f"cannot read {args.script}: {exc}") from exc
-    for move in moves:
+    for move in parse_script(_read(args.script)):
         g = apply_move(g, move)
     sys.stdout.write(serialize_graph(g))
     if args.emit_dot:
@@ -239,9 +230,9 @@ def _cmd_explore(args) -> int:
     report = explore_class(g, args.moves, _budget(args))
     print(f"members: {len(report.members)}")
     print(f"closed: {_bool(report.closed)}")
-    print(f"hit_index_cap: {_bool(report.hit_index_cap)}")
-    print(f"hit_node_cap: {_bool(report.hit_node_cap)}")
-    if report.hit_size_cap:
+    print(f"hit_index_cap: {_bool('index' in report.caps)}")
+    print(f"hit_node_cap: {_bool('node' in report.caps)}")
+    if "size" in report.caps:
         print("hit_size_cap: true")
     if args.dump_visited:
         _write(args.dump_visited, dump_visited(report))
@@ -323,16 +314,10 @@ def main(argv: list[str] | None = None) -> int:
         return EX_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except _DataError as exc:
+    except (_DataError, ValueError) as exc:  # every error class of the package is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return EX_DATA
-    except SizeCapError as exc:  # valid input the certificate cannot take
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_UNKNOWN
-    except (GraphError, IllegalMoveError, ScriptError,
-            GenerationError, LadderHypothesisError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_DATA
+        # valid input the certificate cannot take is unknown, not bad data
+        return EX_UNKNOWN if isinstance(exc, SizeCapError) else EX_DATA
 
 
 if __name__ == "__main__":

@@ -6,7 +6,10 @@ layer and is the only place the caps apply: the index bound and the
 certificate's vertex cap (``DEFAULT_SIZE_CAP``) drop a move result before
 its certificate is computed, the node bound drops a new certificate after,
 and ``_Side.caps`` names each cap that dropped one.  A side is *closed* when
-its frontier emptied and no cap fired; only then is it the whole class.
+its frontier emptied and no cap fired; only then is it the whole class.  Each
+search keeps one graph -> certificate memo, shared by both of its sides and
+freed when the search returns: it answers the move results that equal, label
+for label, a graph the search has already met.
 
 ``explore_class`` grows one side to an empty frontier or the depth bound and
 records the class adjacency from the pairs it yields.  ``decide_equivalence``
@@ -77,13 +80,17 @@ class Budget:
     expansion: ExpansionBounds = ExpansionBounds()
 
 
+def _check_move_class(move_class: str) -> None:
+    if move_class not in MOVE_CLASSES:
+        raise ValueError(f"unknown move class {move_class!r}")
+
+
 def neighbor_moves(g: EdgeIndexedGraph, move_class: str, bounds: ExpansionBounds) -> list[Move]:
+    _check_move_class(move_class)
     if move_class == "slide":
         return list(enumerate_slides(g))
-    if move_class == "deform":
-        return (list(enumerate_collapses(g)) + list(enumerate_slides(g))
-                + list(enumerate_expansions(g, bounds)))
-    raise ValueError(f"unknown move class {move_class!r}")
+    return (list(enumerate_collapses(g)) + list(enumerate_slides(g))
+            + list(enumerate_expansions(g, bounds)))
 
 
 @dataclass
@@ -93,16 +100,15 @@ class ExplorationReport:
     depths: dict[bytes, int]
     adjacency: dict[bytes, tuple[bytes, ...]]
     closed: bool
-    hit_index_cap: bool
-    hit_node_cap: bool
-    hit_size_cap: bool = False
+    caps: frozenset[str]            # "index", "size", "node": caps that dropped a result
 
 
 class _Side:
     """One breadth-first search from a root graph, keyed by certificate."""
 
-    def __init__(self, g: EdgeIndexedGraph):
-        self.root = canonical_certificate(g)
+    def __init__(self, g: EdgeIndexedGraph, memo: dict[EdgeIndexedGraph, bytes]):
+        self.memo = memo                # graph -> certificate, shared by the search's sides
+        self.root = memo.setdefault(g, canonical_certificate(g))
         # cert -> (graph as reached, depth, parent cert, move from parent)
         self.visited: dict[bytes, tuple[EdgeIndexedGraph, int, bytes | None, Move | None]] = {
             self.root: (g, 0, None, None)}
@@ -127,7 +133,9 @@ class _Side:
                 if len(h.vertices) > DEFAULT_SIZE_CAP:
                     self.caps.add("size")
                     continue
-                cert_h = canonical_certificate(h)
+                cert_h = self.memo.get(h)
+                if cert_h is None:
+                    cert_h = self.memo[h] = canonical_certificate(h)
                 is_new = cert_h not in self.visited
                 if is_new:
                     if len(self.visited) >= budget.max_nodes:
@@ -152,7 +160,8 @@ class _Side:
 
 def explore_class(g: EdgeIndexedGraph, move_class: str, budget: Budget) -> ExplorationReport:
     """BFS closure of g under one move class, deduplicated by certificate."""
-    side = _Side(g)
+    _check_move_class(move_class)
+    side = _Side(g, {})
     adjacency: dict[bytes, set[bytes]] = {side.root: set()}
     while side.frontier and side.depth < budget.max_depth:
         for parent, cert, _ in side.grow(move_class, budget):
@@ -164,9 +173,7 @@ def explore_class(g: EdgeIndexedGraph, move_class: str, budget: Budget) -> Explo
         depths={c: entry[1] for c, entry in side.visited.items()},
         adjacency={c: tuple(sorted(nb)) for c, nb in adjacency.items()},
         closed=side.closed,
-        hit_index_cap="index" in side.caps,
-        hit_node_cap="node" in side.caps,
-        hit_size_cap="size" in side.caps,
+        caps=frozenset(side.caps),
     )
 
 
@@ -216,8 +223,7 @@ def _stitch(fwd: _Side, bwd: _Side, cert: bytes) -> tuple[Move, ...]:
 def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
                        move_class: str, budget: Budget) -> Verdict:
     """Equivalent with a replayable path, Distinct with a reason, or Unknown."""
-    if move_class not in MOVE_CLASSES:
-        raise ValueError(f"unknown move class {move_class!r}")
+    _check_move_class(move_class)
     b1, b2 = betti_number(g1), betti_number(g2)
     if b1 != b2:
         return Verdict("distinct", reason=f"betti number differs ({b1} vs {b2})")
@@ -227,7 +233,8 @@ def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
         if len(g1.edges) != len(g2.edges):
             return Verdict("distinct", reason="edge count differs")
 
-    fwd, bwd = _Side(g1), _Side(g2)
+    memo: dict[EdgeIndexedGraph, bytes] = {}
+    fwd, bwd = _Side(g1, memo), _Side(g2, memo)
     if fwd.root == bwd.root:
         return Verdict("equivalent", path=())
 

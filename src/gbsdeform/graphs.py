@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_INT_RE = re.compile(r"-?[1-9][0-9]*\Z")
 
 
 class GraphError(ValueError):
@@ -66,7 +65,7 @@ class ParseError(GraphError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """One geometric edge: an unordered pair of ends with indices.
 
@@ -290,9 +289,10 @@ def parse_graph(text: str) -> EdgeIndexedGraph:
             for tok in fields[4:6]:
                 if tok == "0" or tok == "-0":
                     raise ParseError(f"zero index on edge {eid!r}", lineno, col(tok))
-                if not _INT_RE.match(tok):
-                    raise ParseError(f"bad integer {tok!r}", lineno, col(tok))
-                indices.append(parse_index(tok))
+                try:
+                    indices.append(parse_index(tok))
+                except ValueError:
+                    raise ParseError(f"bad integer {tok!r}", lineno, col(tok)) from None
             seen_e.add(eid)
             edges.append(Edge(eid, v0, v1, indices[0], indices[1]))
         else:

@@ -144,7 +144,7 @@ def test_isomorphism_witness_maps_structure():
 @settings(max_examples=50, deadline=None)
 @given(connected_graphs(max_vertices=5), st.integers(0, 1000))
 def test_cached_certificate_is_the_form_certificate(g, seed):
-    # The cache holds bytes only; they must be what a fresh form computes.
+    # Nothing is cached: the certificate is always the one a fresh form computes.
     assert canonical_form(g).cert == canonical_certificate(g)
     assert is_isomorphic(g, scramble(g, seed))
 

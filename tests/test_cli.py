@@ -95,6 +95,15 @@ def test_apply_script_with_bad_new_id(capsys, tmp_path, x_file):
     assert "bad new vertex identifier '9bad'" in err
 
 
+def test_apply_script_factor_outside_the_integer_grammar(capsys, tmp_path, x_file):
+    # Move scripts read integers as .gbs files do; this one used to apply as 10.
+    script = tmp_path / "moves.txt"
+    script.write_text("expand A 1_0 t:0 as w x\n")
+    code, _, err = run(capsys, "apply", x_file, "--script", str(script))
+    assert code == 65
+    assert "line 1: bad integer '1_0'" in err
+
+
 def test_equiv_path_with_a_factor_past_the_int_str_digit_limit(capsys, tmp_path):
     point = tmp_path / "A.gbs"
     point.write_text("vertex A\n")

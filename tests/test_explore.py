@@ -1,8 +1,11 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 
 from gbsdeform import (
     Budget,
+    EdgeIndexedGraph,
     ExpansionBounds,
     apply_move,
     canonical_certificate,
@@ -13,7 +16,7 @@ from gbsdeform import (
     parse_graph,
 )
 from gbsdeform.canonical import DEFAULT_SIZE_CAP
-from gbsdeform.counterexample import ExampleParams, example_graph
+from gbsdeform.counterexample import ExampleParams, example_graph, verify_slide_ladder
 from gbsdeform.explore import adjacency_dot, dump_visited
 
 from strategies import connected_graphs, scramble
@@ -66,7 +69,7 @@ def test_point_deform_class_is_closed():
 
 def test_index_cap_marks_report_open(x):
     report = explore_class(x, "slide", Budget(max_depth=6, max_abs_index=100))
-    assert report.hit_index_cap
+    assert "index" in report.caps
     assert not report.closed
     assert len(report.members) == 1
 
@@ -74,7 +77,7 @@ def test_index_cap_marks_report_open(x):
 def test_node_cap_marks_report_open(x):
     report = explore_class(x, "deform", Budget(max_depth=2, max_nodes=5,
                                                expansion=ExpansionBounds(max_n=10)))
-    assert report.hit_node_cap
+    assert "node" in report.caps
     assert not report.closed
     assert len(report.members) == 5
 
@@ -90,9 +93,9 @@ def test_size_cap_marks_report_open():
     # cap; they are dropped like any capped graph instead of raising.
     report = explore_class(_path(DEFAULT_SIZE_CAP, 2), "deform",
                            Budget(max_depth=1, max_abs_index=100))
-    assert report.hit_size_cap
+    assert "size" in report.caps
     assert not report.closed
-    assert not report.hit_index_cap and not report.hit_node_cap
+    assert "index" not in report.caps and "node" not in report.caps
     assert all(len(g.vertices) <= DEFAULT_SIZE_CAP for g in report.members.values())
 
 
@@ -111,6 +114,31 @@ def test_deform_equivalence_of_the_example_pair(x, y):
     for move in verdict.path:
         g = apply_move(g, move)
     assert is_isomorphic(g, y)
+
+
+@pytest.mark.parametrize("search", [
+    lambda g: explore_class(g, "bogus", Budget(max_depth=0)),
+    lambda g: decide_equivalence(g, g, "bogus", Budget(max_depth=0)),
+], ids=["explore_class", "decide_equivalence"])
+def test_unknown_move_class_is_rejected_up_front(x, search):
+    with pytest.raises(ValueError, match="unknown move class 'bogus'"):
+        search(x)
+
+
+def test_no_graph_outlives_a_search(x, y):
+    # Each search keeps its certificate memo to itself; once its results are
+    # dropped, none of the graphs it built is reachable.
+    def live_graphs():
+        gc.collect()
+        return sum(isinstance(obj, EdgeIndexedGraph) for obj in gc.get_objects())
+
+    before = live_graphs()
+    verdict = decide_equivalence(x, y, "deform", Budget(max_depth=2, max_abs_index=100))
+    report = explore_class(x, "deform", Budget(max_depth=1))
+    ladder = verify_slide_ladder(P, 20)
+    assert verdict.kind == "unknown" and len(report.members) > 1 and ladder.ok
+    del verdict, report, ladder
+    assert live_graphs() <= before
 
 
 def test_betti_refuter(x):

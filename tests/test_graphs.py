@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 
 from gbsdeform import (
+    Edge,
     InvalidGraphError,
     ParseError,
     SignFlip,
@@ -23,6 +24,13 @@ def test_parse_example_graph():
     assert (l.v0, l.v1, l.i0, l.i1) == ("A", "A", 30, 5)
     t = g.edge("t")
     assert (t.v0, t.v1, t.i0, t.i1) == ("A", "B", 20, 7)
+
+
+def test_edge_has_slots_and_no_dict():
+    e = Edge("e", "A", "B", 2, 3)
+    assert not hasattr(e, "__dict__")
+    with pytest.raises(AttributeError):
+        e.i0 = 5
 
 
 def test_parse_single_vertex():

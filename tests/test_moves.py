@@ -348,6 +348,10 @@ def test_script_round_trip_past_the_int_str_digit_limit():
     ("slide t:2 along l:1", "bad end"),
     ("expand A x as Q d", "bad integer"),
     ("wiggle A", "unknown move kind"),
+    ("expand A 1_0 t:0 as Q d", "bad integer"),
+    ("expand A +2 as Q d", "bad integer"),
+    ("expand A 002 as Q d", "bad integer"),
+    ("expand A \u0662 as Q d", "bad integer"),
 ])
 def test_script_errors(line, match):
     with pytest.raises(ScriptError, match=match):
