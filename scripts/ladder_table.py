@@ -20,6 +20,8 @@ def main() -> None:
     ap.add_argument("--max-param", type=int, default=4,
                     help="sweep m, n over 2..max-param, r, s fixed small primes")
     args = ap.parse_args()
+    if args.depth < 0:
+        ap.error("--depth must be at least 0")
 
     for m, n in itertools.permutations(range(2, args.max_param + 1), 2):
         for r, s in ((5, 7), (7, 5)):

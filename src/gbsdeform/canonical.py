@@ -75,8 +75,8 @@ def _sgn(x: int) -> int:
     return 1 if x > 0 else -1
 
 
-def _loop_slot(a: int, b: int) -> tuple[tuple[int, int], int, int]:
-    """Canonical (pair, first side, sign) for a loop with raw indices (a, b).
+def _loop_slot(a: int, b: int) -> tuple[tuple[int, int], int]:
+    """Canonical (pair, first side) for a loop with raw indices (a, b).
 
     Minimizes over the free pair sign; within a pair the entries are ordered
     by (absolute value, sign).  ``first side`` records which physical side
@@ -85,8 +85,8 @@ def _loop_slot(a: int, b: int) -> tuple[tuple[int, int], int, int]:
     def slot(s: int):
         va, vb = s * a, s * b
         if (abs(va), va > 0) <= (abs(vb), vb > 0):
-            return ((va, vb), 0, s)
-        return ((vb, va), 1, s)
+            return ((va, vb), 0)
+        return ((vb, va), 1)
 
     return min(slot(1), slot(-1), key=lambda cand: cand[0])
 
@@ -227,7 +227,7 @@ def canonical_form(g: EdgeIndexedGraph) -> CanonicalForm:
     for e in g.edges:
         if e.is_loop:
             a = rank[e.v0]
-            pair, first, _ = _loop_slot(e.i0, e.i1)
+            pair, first = _loop_slot(e.i0, e.i1)
             slots[e.eid] = ((a, a, pair[0], pair[1]), first)
         else:
             r0, r1 = rank[e.v0], rank[e.v1]

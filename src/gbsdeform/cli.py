@@ -21,6 +21,7 @@ from .counterexample import (
     verify_slide_ladder,
 )
 from .explore import (
+    MOVE_CLASSES,
     Budget,
     adjacency_dot,
     decide_equivalence,
@@ -39,7 +40,7 @@ from .moves import (
     parse_script,
     reduce_graph,
 )
-from .random_graphs import RandomGraphSpec, random_graph
+from .random_graphs import REQUIREMENTS, RandomGraphSpec, random_graph
 
 EX_TRUE = 0
 EX_FALSE = 1
@@ -128,13 +129,13 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("equiv", help="decide equivalence under a move class")
     sub.add_argument("graph")
     sub.add_argument("other")
-    sub.add_argument("--moves", choices=("slide", "deform"), default="deform")
+    sub.add_argument("--moves", choices=MOVE_CLASSES, default="deform")
     _add_budget_flags(sub)
     sub.add_argument("--script", help="write the connecting path here")
 
     sub = subs.add_parser("explore", help="enumerate a move class around a graph")
     sub.add_argument("graph")
-    sub.add_argument("--moves", choices=("slide", "deform"), default="slide")
+    sub.add_argument("--moves", choices=MOVE_CLASSES, default="slide")
     _add_budget_flags(sub)
     sub.add_argument("--dump-visited", help="write one line per member here")
     sub.add_argument("--emit-dot", help="write the class adjacency as DOT")
@@ -149,8 +150,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--edges", type=int, required=True)
     sub.add_argument("--min-index", type=int, default=2)
     sub.add_argument("--max-index", type=int, default=9)
-    sub.add_argument("--require", choices=("none", "reduced", "strongly_slide_free"),
-                     default="none")
+    sub.add_argument("--require", choices=REQUIREMENTS, default="none")
     sub.add_argument("--seed", type=int, default=0)
 
     sub = subs.add_parser("paper-example",
@@ -222,7 +222,7 @@ def _cmd_equiv(args) -> int:
             print(format_move(move))
         if args.script:
             _write(args.script, format_script(verdict.path))
-    return verdict.exit_code
+    return {"equivalent": EX_TRUE, "distinct": EX_FALSE, "unknown": EX_UNKNOWN}[verdict.kind]
 
 
 def _cmd_explore(args) -> int:
@@ -266,6 +266,10 @@ def _cmd_random(args) -> int:
 
 def _cmd_paper_example(args) -> int:
     p = ExampleParams(m=args.m, n=args.n, r=args.r, s=args.s)
+    try:  # before any output, so that a negative depth prints nothing
+        ladder = verify_slide_ladder(p, args.ladder_depth)
+    except LadderHypothesisError as exc:
+        ladder = exc
     report = replay_deformation(p)
     print(f"moves: {len(report.moves)}")
     for move in report.moves:
@@ -278,10 +282,8 @@ def _cmd_paper_example(args) -> int:
         _write(args.emit_x, serialize_graph(example_graph("X", p)))
     if args.emit_y:
         _write(args.emit_y, serialize_graph(example_graph("Y", p)))
-    try:
-        ladder = verify_slide_ladder(p, args.ladder_depth)
-    except LadderHypothesisError as exc:
-        print(f"ladder: skipped ({exc})")
+    if isinstance(ladder, LadderHypothesisError):
+        print(f"ladder: skipped ({ladder})")
     else:
         print(f"ladder_depth: {ladder.depth}")
         for k, level in enumerate(ladder.levels):

@@ -115,7 +115,6 @@ def deformation_moves(p: ExampleParams) -> tuple[Move, ...]:
 
 @dataclass
 class DeformationReport:
-    params: ExampleParams
     moves: tuple[Move, ...]
     graphs: tuple[EdgeIndexedGraph, ...]
     index_tuples: tuple[tuple[int, ...], ...]
@@ -136,7 +135,6 @@ def replay_deformation(p: ExampleParams) -> DeformationReport:
         graphs.append(g)
     target = example_graph("Y", p)
     return DeformationReport(
-        params=p,
         moves=moves,
         graphs=tuple(graphs),
         index_tuples=tuple(index_tuple(h) for h in graphs),
@@ -180,7 +178,6 @@ def index_tuple(g: EdgeIndexedGraph) -> tuple[int, ...]:
 class LadderLevel:
     index: int
     move_count: int
-    neighbor_certs: tuple[bytes, ...]
 
 
 @dataclass
@@ -192,7 +189,6 @@ class LadderCertificate:
     and Y; the unbounded statement needs the induction, not a computation.
     """
 
-    params: ExampleParams
     depth: int
     levels: tuple[LadderLevel, ...]
     shape_ok: bool
@@ -204,12 +200,14 @@ class LadderCertificate:
 
 
 def verify_slide_ladder(p: ExampleParams, depth: int) -> LadderCertificate:
-    """Check the ladder shape for levels 0..depth.
+    """Check the ladder shape for levels 0..depth, where depth >= 0.
 
     Level k must admit exactly one slide (k = 0) or exactly two, and the
     slide results must be canon-equal to levels k-1 and k+1 built from the
     index formula.
     """
+    if depth < 0:
+        raise ValueError(f"ladder depth must be at least 0, got {depth}")
     if not p.m_n_incomparable:
         raise LadderHypothesisError(
             f"need m and n to not divide each other, got m={p.m}, n={p.n}")
@@ -228,14 +226,9 @@ def verify_slide_ladder(p: ExampleParams, depth: int) -> LadderCertificate:
         want_count = 1 if k == 0 else 2
         if found != expected or len(slides) != want_count:
             shape_ok = False
-        levels.append(LadderLevel(
-            index=free_edge_index(p, k),
-            move_count=len(slides),
-            neighbor_certs=tuple(found),
-        ))
+        levels.append(LadderLevel(index=g.edge("t").i0, move_count=len(slides)))
     y_absent = all(certs[k] != y_cert for k in range(depth + 1))
     return LadderCertificate(
-        params=p,
         depth=depth,
         levels=tuple(levels),
         shape_ok=shape_ok,

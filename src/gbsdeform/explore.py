@@ -95,7 +95,6 @@ def neighbor_moves(g: EdgeIndexedGraph, move_class: str, bounds: ExpansionBounds
 
 @dataclass
 class ExplorationReport:
-    move_class: str
     members: dict[bytes, EdgeIndexedGraph]
     depths: dict[bytes, int]
     adjacency: dict[bytes, tuple[bytes, ...]]
@@ -168,7 +167,6 @@ def explore_class(g: EdgeIndexedGraph, move_class: str, budget: Budget) -> Explo
             adjacency.setdefault(cert, set()).add(parent)
             adjacency[parent].add(cert)
     return ExplorationReport(
-        move_class=move_class,
         members={c: entry[0] for c, entry in side.visited.items()},
         depths={c: entry[1] for c, entry in side.visited.items()},
         adjacency={c: tuple(sorted(nb)) for c, nb in adjacency.items()},
@@ -182,10 +180,6 @@ class Verdict:
     kind: str                       # equivalent | distinct | unknown
     path: tuple[Move, ...] | None = None
     reason: str | None = None
-
-    @property
-    def exit_code(self) -> int:
-        return {"equivalent": 0, "distinct": 1, "unknown": 2}[self.kind]
 
 
 def transport_move(m: Move, iso: Isomorphism, target: EdgeIndexedGraph) -> Move:
@@ -270,19 +264,20 @@ def dump_visited(report: ExplorationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def adjacency_dot(report: ExplorationReport, name: str = "classgraph") -> str:
-    """The class adjacency graph in DOT form, nodes named by short cert hash."""
+def adjacency_dot(report: ExplorationReport) -> str:
+    """The class adjacency graph in DOT form: node ``n<i>`` is the i-th member,
+    labeled with the first 12 hex digits of the SHA-256 of its certificate."""
+    import hashlib  # here, not at the top: it loads OpenSSL, 3.5 MB in every process
     short = {cert: f"n{i}" for i, cert in enumerate(report.members)}
-    lines = [f"graph {name} {{"]
+    lines = ["graph classgraph {"]
     for cert in report.members:
-        lines.append(f'  {short[cert]} [label="{cert.hex()[:12]}"];')
+        lines.append(f'  {short[cert]} [label="{hashlib.sha256(cert).hexdigest()[:12]}"];')
     seen = set()
     for cert, nbrs in report.adjacency.items():
         for nb in nbrs:
-            if nb in report.members:
-                key = tuple(sorted((short[cert], short[nb])))
-                if key not in seen:
-                    seen.add(key)
-                    lines.append(f"  {key[0]} -- {key[1]};")
+            key = tuple(sorted((short[cert], short[nb])))
+            if key not in seen:
+                seen.add(key)
+                lines.append(f"  {key[0]} -- {key[1]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -241,62 +241,63 @@ def apply_sign_flips(g: EdgeIndexedGraph, s: SignFlip) -> EdgeIndexedGraph:
     return EdgeIndexedGraph(g.vertices, tuple(new_edges))
 
 
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, text before any '#') for each line that is not blank."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0]
+        if line.strip():
+            yield lineno, line
+
+
 def parse_graph(text: str) -> EdgeIndexedGraph:
     """Parse the .gbs text format.
 
     Grammar, per line: blank, comment ('#' to end of line), ``vertex IDENT``,
     or ``edge IDENT IDENT IDENT INT INT`` (edge id, endpoint0, endpoint1,
     index0, index1).  Integers are nonzero decimals without leading zeros.
-    Errors carry the offending line number.
+    Errors carry the offending line number and, for a bad field, its column.
     """
     vertices: list[str] = []
     edges: list[Edge] = []
     seen_v: set[str] = set()
     seen_e: set[str] = set()
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-
-        def col(token: str) -> int:
-            found = raw.find(token)
-            return found + 1 if found >= 0 else 1
-
+    for lineno, line in _content_lines(text):
         fields = line.split()
+        cols = [m.start() + 1 for m in re.finditer(r"\S+", line)]
         if fields[0] == "vertex":
             if len(fields) != 2:
                 raise ParseError("vertex declaration needs exactly one identifier", lineno)
             name = fields[1]
             if not _IDENT_RE.match(name):
-                raise ParseError(f"bad identifier {name!r}", lineno, col(name))
+                raise ParseError(f"bad identifier {name!r}", lineno, cols[1])
             if name in seen_v:
-                raise ParseError(f"duplicate vertex id {name!r}", lineno, col(name))
+                raise ParseError(f"duplicate vertex id {name!r}", lineno, cols[1])
             seen_v.add(name)
             vertices.append(name)
         elif fields[0] == "edge":
             if len(fields) != 6:
                 raise ParseError("edge declaration needs id, two endpoints and two indices", lineno)
             eid, v0, v1 = fields[1:4]
-            for name in (eid, v0, v1):
-                if not _IDENT_RE.match(name):
-                    raise ParseError(f"bad identifier {name!r}", lineno, col(name))
+            for i in (1, 2, 3):
+                if not _IDENT_RE.match(fields[i]):
+                    raise ParseError(f"bad identifier {fields[i]!r}", lineno, cols[i])
             if eid in seen_e:
-                raise ParseError(f"duplicate edge id {eid!r}", lineno, col(eid))
-            for v in (v0, v1):
-                if v not in seen_v:
-                    raise ParseError(f"undeclared vertex {v!r}", lineno, col(v))
+                raise ParseError(f"duplicate edge id {eid!r}", lineno, cols[1])
+            for i in (2, 3):
+                if fields[i] not in seen_v:
+                    raise ParseError(f"undeclared vertex {fields[i]!r}", lineno, cols[i])
             indices = []
-            for tok in fields[4:6]:
-                if tok == "0" or tok == "-0":
-                    raise ParseError(f"zero index on edge {eid!r}", lineno, col(tok))
+            for i in (4, 5):
+                if fields[i] in ("0", "-0"):
+                    raise ParseError(f"zero index on edge {eid!r}", lineno, cols[i])
                 try:
-                    indices.append(parse_index(tok))
+                    indices.append(parse_index(fields[i]))
                 except ValueError:
-                    raise ParseError(f"bad integer {tok!r}", lineno, col(tok)) from None
+                    raise ParseError(f"bad integer {fields[i]!r}", lineno, cols[i]) from None
             seen_e.add(eid)
             edges.append(Edge(eid, v0, v1, indices[0], indices[1]))
         else:
-            raise ParseError(f"unknown declaration {fields[0]!r}", lineno, col(fields[0]))
+            raise ParseError(f"unknown declaration {fields[0]!r}", lineno, cols[0])
     try:
         return _check(EdgeIndexedGraph(tuple(vertices), tuple(edges)))
     except InvalidGraphError as exc:
@@ -310,9 +311,9 @@ def serialize_graph(g: EdgeIndexedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dot_export(g: EdgeIndexedGraph, name: str = "G") -> str:
+def dot_export(g: EdgeIndexedGraph) -> str:
     """Graphviz export: one node per vertex, edges labeled "index0|index1"."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     lines += [f'  "{v}";' for v in g.vertices]
     lines += [f'  "{e.v0}" -- "{e.v1}" [label="{index_str(e.i0)}|{index_str(e.i1)}"];'
               for e in g.edges]

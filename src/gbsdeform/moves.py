@@ -20,7 +20,7 @@ from itertools import combinations
 from math import gcd
 
 from .bigint import index_str, parse_index
-from .graphs import _IDENT_RE, Edge, EdgeIndexedGraph, End
+from .graphs import _IDENT_RE, Edge, EdgeIndexedGraph, End, _content_lines
 
 __all__ = [
     "IllegalMoveError",
@@ -112,12 +112,12 @@ def _fresh_id(taken, base: str) -> str:
     return name
 
 
-def fresh_vertex_id(g: EdgeIndexedGraph, base: str = "w") -> str:
-    return _fresh_id(g.has_vertex, base)
+def fresh_vertex_id(g: EdgeIndexedGraph) -> str:
+    return _fresh_id(g.has_vertex, "w")
 
 
-def fresh_edge_id(g: EdgeIndexedGraph, base: str = "x") -> str:
-    return _fresh_id(g.has_edge, base)
+def fresh_edge_id(g: EdgeIndexedGraph) -> str:
+    return _fresh_id(g.has_edge, "x")
 
 
 def _require_end(g: EdgeIndexedGraph, end: End) -> End:
@@ -441,9 +441,4 @@ def format_script(moves) -> str:
 
 
 def parse_script(text: str) -> tuple[Move, ...]:
-    moves = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            moves.append(parse_move(line, lineno))
-    return tuple(moves)
+    return tuple(parse_move(line, lineno) for lineno, line in _content_lines(text))

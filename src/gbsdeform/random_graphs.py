@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 REQUIREMENTS = ("none", "reduced", "strongly_slide_free")
+MAX_RETRIES = 5000                      # samples drawn before GenerationError
 
 
 class GenerationError(ValueError):
@@ -48,7 +49,6 @@ class RandomGraphSpec:
     num_edges: int
     index_range: tuple[int, int] = (2, 9)   # absolute values; signs are random
     require: str = "none"
-    max_retries: int = 5000
 
     def __post_init__(self) -> None:
         if self.num_vertices < 1:
@@ -94,12 +94,13 @@ def _satisfies(g: EdgeIndexedGraph, require: str) -> bool:
 
 
 def random_graph_from_rng(spec: RandomGraphSpec, rng: random.Random) -> EdgeIndexedGraph:
-    for _ in range(spec.max_retries):
+    """Rejection-sample until the requirement holds, at most MAX_RETRIES tries."""
+    for _ in range(MAX_RETRIES):
         g = _sample(spec, rng)
         if _satisfies(g, spec.require):
             return g
     raise GenerationError(
-        f"no graph satisfying {spec.require!r} found in {spec.max_retries} tries")
+        f"no graph satisfying {spec.require!r} found in {MAX_RETRIES} tries")
 
 
 def random_graph(spec: RandomGraphSpec, seed: int) -> EdgeIndexedGraph:
@@ -130,7 +131,6 @@ class RigidityTrial:
     and reducing reproduces it exactly.
     """
 
-    seed: int
     passed: bool
     start: EdgeIndexedGraph
     moves: tuple[Move, ...]
@@ -154,7 +154,6 @@ def rigidity_trial(spec: RandomGraphSpec, num_moves: int, seed: int,
         applied.append(move)
     reduced, _ = reduce_graph(g)
     return RigidityTrial(
-        seed=seed,
         passed=is_isomorphic(reduced, start),
         start=start,
         moves=tuple(applied),

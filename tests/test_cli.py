@@ -194,7 +194,7 @@ def test_explore_deform_output_is_pinned(capsys, tmp_path, x_file):
         "a69bbe8997b82d0801dbf3829f280407a65263fb5084035f2b137a8df0ce7000")
     assert dot_bytes.count(b"\n") == 251
     assert hashlib.sha256(dot_bytes).hexdigest() == (
-        "3d8a7c66099ebd49073875ed23ebd4135df82a74e147d6adc04cb30916a6fb6e")
+        "1c2539b8527973996b5e304c76f1f94c220f95106289441fda8df393e2576154")
 
 
 def test_explore_closed_class(capsys, tmp_path):
@@ -276,6 +276,16 @@ def test_paper_example_skips_ladder_without_hypotheses(capsys):
     assert code == 0
     assert "endpoint_matches: true" in out
     assert "ladder: skipped" in out
+
+
+def test_paper_example_rejects_a_negative_ladder_depth(capsys, tmp_path):
+    x_out = tmp_path / "x.gbs"
+    code, out, err = run(capsys, "paper-example", "--m", "2", "--n", "3", "--r", "5",
+                         "--s", "7", "--ladder-depth", "-3", "--emit-x", str(x_out))
+    assert code == 65
+    assert out == ""
+    assert err == "error: ladder depth must be at least 0, got -3\n"
+    assert not x_out.exists()
 
 
 def test_usage_errors(capsys):

@@ -110,6 +110,12 @@ def test_ladder_certificate_past_the_int_str_digit_limit():
     assert cert.levels[-1].index == free_edge_index(p, 5600)
 
 
+def test_negative_ladder_depth_is_an_error_not_a_skip():
+    with pytest.raises(ValueError, match="ladder depth must be at least 0, got -3") as info:
+        verify_slide_ladder(P, -3)
+    assert not isinstance(info.value, LadderHypothesisError)
+
+
 def test_ladder_hypotheses_enforced():
     with pytest.raises(LadderHypothesisError):
         verify_slide_ladder(ExampleParams(2, 4, 5, 7), 3)

@@ -1,4 +1,6 @@
+import functools
 import gc
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,14 @@ from strategies import connected_graphs, scramble
 P = ExampleParams(2, 3, 5, 7)
 DEFORM_BUDGET = Budget(max_depth=4, max_nodes=100_000, max_abs_index=100,
                        expansion=ExpansionBounds(max_n=10, max_subset_size=3))
+
+
+@functools.cache
+def example_pair_deform_verdict():
+    """The X -> Y deform search under DEFORM_BUDGET, run once for the tests
+    that share it; a Verdict holds moves, not graphs."""
+    return decide_equivalence(example_graph("X", P), example_graph("Y", P), "deform",
+                              DEFORM_BUDGET)
 
 
 @pytest.fixture
@@ -99,6 +109,15 @@ def test_size_cap_marks_report_open():
     assert all(len(g.vertices) <= DEFAULT_SIZE_CAP for g in report.members.values())
 
 
+def test_class_graph_labels_are_distinct(x):
+    # The deform class of `explore --depth 2 --max-n 5 --max-index 100`.
+    report = explore_class(x, "deform", Budget(max_depth=2, max_abs_index=100,
+                                               expansion=ExpansionBounds(max_n=5)))
+    labels = re.findall(r'\[label="([0-9a-f]{12})"\]', adjacency_dot(report))
+    assert len(labels) == len(report.members) == 104
+    assert len(set(labels)) == 104
+
+
 def test_size_cap_leaves_equivalence_open():
     verdict = decide_equivalence(_path(DEFAULT_SIZE_CAP, 2), _path(DEFAULT_SIZE_CAP, 3),
                                  "deform", Budget(max_depth=2, max_abs_index=100))
@@ -107,7 +126,7 @@ def test_size_cap_leaves_equivalence_open():
 
 
 def test_deform_equivalence_of_the_example_pair(x, y):
-    verdict = decide_equivalence(x, y, "deform", DEFORM_BUDGET)
+    verdict = example_pair_deform_verdict()
     assert verdict.kind == "equivalent"
     assert len(verdict.path) <= 4
     g = x
@@ -200,7 +219,7 @@ def test_slide_verdict_deterministic(x, y):
 
 
 def test_budget_monotonicity(x, y):
-    small = decide_equivalence(x, y, "deform", DEFORM_BUDGET)
+    small = example_pair_deform_verdict()
     bigger = decide_equivalence(
         x, y, "deform",
         Budget(max_depth=5, max_nodes=200_000, max_abs_index=150,

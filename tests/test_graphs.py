@@ -63,6 +63,18 @@ def test_parse_errors_are_distinct(text, match, line):
     assert info.value.line == line
 
 
+@pytest.mark.parametrize("text,line,column", [
+    ("vertex A\nedge e10 A A 0 1", 2, 14),
+    ("vertex AB\nedge AB AB B 2 3", 2, 12),
+    ("vertex ex\nvertex ex", 2, 8),
+])
+def test_parse_error_column_is_the_field_position(text, line, column):
+    # Each token also occurs inside an earlier one on its line.
+    with pytest.raises(ParseError) as info:
+        parse_graph(text)
+    assert (info.value.line, info.value.column) == (line, column)
+
+
 def test_parse_rejects_disconnected():
     with pytest.raises(ParseError, match="not connected"):
         parse_graph("vertex A\nvertex B")

@@ -53,7 +53,7 @@ def test_generator_impossible_specs():
         RandomGraphSpec(num_vertices=3, num_edges=1)
     # all-unit indices can never be strongly slide-free with two ends about
     spec = RandomGraphSpec(num_vertices=2, num_edges=2, index_range=(1, 1),
-                           require="strongly_slide_free", max_retries=50)
+                           require="strongly_slide_free")
     with pytest.raises(GenerationError, match="retries|tries"):
         random_graph(spec, 0)
 

@@ -26,6 +26,13 @@ def test_ladder_table_prints_indices_past_the_int_str_limit():
     assert all(": ok  indices: " in row for row in rows)
 
 
+def test_ladder_table_rejects_a_negative_depth():
+    proc = run_script("ladder_table.py", "--depth", "-1")
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr
+    assert "--depth must be at least 0" in proc.stderr
+
+
 def test_rigidity_sweep_passes_its_trials():
     proc = run_script("rigidity_sweep.py", "--trials", "5")
     assert proc.returncode == 0, proc.stderr
