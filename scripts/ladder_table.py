@@ -9,12 +9,13 @@ reported as skipped.
 
 import argparse
 import itertools
+import sys
 
 from gbsdeform import ExampleParams, LadderHypothesisError, verify_slide_ladder
 from gbsdeform.bigint import index_str
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--depth", type=int, default=8)
     ap.add_argument("--max-param", type=int, default=4,
@@ -22,7 +23,10 @@ def main() -> None:
     args = ap.parse_args()
     if args.depth < 0:
         ap.error("--depth must be at least 0")
+    if args.max_param < 3:
+        ap.error("--max-param must be at least 3")
 
+    failed = False
     for m, n in itertools.permutations(range(2, args.max_param + 1), 2):
         for r, s in ((5, 7), (7, 5)):
             p = ExampleParams(m, n, r, s)
@@ -33,9 +37,11 @@ def main() -> None:
                 print(f"{tag}: skipped ({exc})")
                 continue
             status = "ok" if cert.ok else "FAILED"
+            failed |= not cert.ok
             indices = " ".join(index_str(level.index) for level in cert.levels)
             print(f"{tag}: {status}  indices: {indices}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

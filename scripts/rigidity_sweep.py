@@ -7,12 +7,13 @@ and sign flips.  Any failure prints a full replayable witness.
 """
 
 import argparse
+import sys
 import time
 
 from gbsdeform import ExpansionBounds, RandomGraphSpec, format_move, rigidity_trial
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=100)
     ap.add_argument("--seed", type=int, default=0, help="base seed")
@@ -20,6 +21,8 @@ def main() -> None:
     ap.add_argument("--max-vertices", type=int, default=5)
     ap.add_argument("--max-n", type=int, default=9)
     args = ap.parse_args()
+    if args.trials < 1:
+        ap.error("--trials must be at least 1")
     if args.max_vertices < 2:
         ap.error("--max-vertices must be at least 2")
 
@@ -41,7 +44,8 @@ def main() -> None:
                 print("  ", format_move(move))
     elapsed = time.perf_counter() - start
     print(f"{passed}/{args.trials} trials passed in {elapsed:.2f}s")
+    return 0 if passed == args.trials else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

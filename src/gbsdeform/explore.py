@@ -15,8 +15,16 @@ for label, a graph the search has already met.
 records the class adjacency from the pairs it yields.  ``decide_equivalence``
 applies invariant refuters, then grows two sides, smaller frontier first,
 until a new certificate is one the other side reached within the depth
-bound.  ``unknown`` names what bound it: the caps of both sides, and
-``depth`` while a frontier remains.  The move classes:
+bound.  A side's last layer first takes only the moves whose results can
+have the other root's vertex count; the rest wait in ``_Side.deferred`` and
+run only if the search ends with no meeting.  This keeps every verdict,
+reason and path: a result at the depth bound can meet only the other root;
+the other side never meets such a result, as its root is never new to it;
+which caps fire and whether the frontier empties do not depend on the
+order of a layer's moves; and a move waits only while the node cap cannot
+fire, so a result equal to the root is kept or dropped as in order.
+``unknown`` names what bound it: the caps of both sides, and ``depth``
+while a frontier remains.  The move classes:
 
   slide   - slide moves only; enumeration is complete, so a closed side
             decides distinctness on its own.
@@ -114,37 +122,64 @@ class _Side:
         self.frontier: list[bytes] = [self.root]
         self.depth = 0
         self.caps: set[str] = set()     # "index", "size", "node": caps that dropped a result
+        self.deferred: list[tuple] = []  # the last layer's moves that wait, as steps
 
     @property
     def closed(self) -> bool:
         return not self.frontier and not self.caps
 
-    def grow(self, move_class: str, budget: Budget) -> Iterator[tuple[bytes, bytes, bool]]:
-        """One layer: yield (parent, cert, is_new) per uncapped result, then advance."""
-        nxt: list[bytes] = []
-        for cert_u in self.frontier:
+    def steps(self, frontier: list[bytes], move_class: str, budget: Budget) -> Iterator[tuple]:
+        """The layer's moves in order, as steps (parent cert, parent, its depth, move)."""
+        for cert_u in frontier:
             gu, depth_u, _, _ = self.visited[cert_u]
             for move in neighbor_moves(gu, move_class, budget.expansion):
-                h = apply_move(gu, move)
-                if h.max_abs_index() > budget.max_abs_index:
-                    self.caps.add("index")
+                yield cert_u, gu, depth_u, move
+
+    def defer(self, steps: Iterator[tuple], size: int, room: int) -> Iterator[tuple]:
+        """The steps, but among the first ``room`` those whose results cannot have
+        ``size`` vertices wait in ``deferred``; past them the node cap could fire,
+        so the waiting steps run first and the rest follow in order."""
+        for step in steps:
+            room -= 1
+            if room >= 0 and len(step[1].vertices) + step[3].vertex_shift != size:
+                self.deferred.append(step)
+                continue
+            if room < 0 and self.deferred:
+                yield from self.deferred
+                self.deferred = []
+            yield step
+
+    def grow(self, move_class: str, budget: Budget,
+             size: int | None = None) -> Iterator[tuple[bytes, bytes, bool]]:
+        """One layer: advance, then yield (parent, cert, is_new) per uncapped result.
+        Given a vertex count, ``defer`` runs first the moves whose results can have
+        it; if any wait, a second call runs them."""
+        if self.deferred:
+            steps, self.deferred, nxt = self.deferred, [], self.frontier
+        else:
+            steps, nxt = self.steps(self.frontier, move_class, budget), []
+            self.frontier, self.depth = nxt, self.depth + 1
+        if size is not None:
+            steps = self.defer(steps, size, budget.max_nodes - len(self.visited))
+        for cert_u, gu, depth_u, move in steps:
+            h = apply_move(gu, move)
+            if h.max_abs_index() > budget.max_abs_index:
+                self.caps.add("index")
+                continue
+            if len(h.vertices) > DEFAULT_SIZE_CAP:
+                self.caps.add("size")
+                continue
+            cert_h = self.memo.get(h)
+            if cert_h is None:
+                cert_h = self.memo[h] = canonical_certificate(h)
+            is_new = cert_h not in self.visited
+            if is_new:
+                if len(self.visited) >= budget.max_nodes:
+                    self.caps.add("node")
                     continue
-                if len(h.vertices) > DEFAULT_SIZE_CAP:
-                    self.caps.add("size")
-                    continue
-                cert_h = self.memo.get(h)
-                if cert_h is None:
-                    cert_h = self.memo[h] = canonical_certificate(h)
-                is_new = cert_h not in self.visited
-                if is_new:
-                    if len(self.visited) >= budget.max_nodes:
-                        self.caps.add("node")
-                        continue
-                    self.visited[cert_h] = (h, depth_u + 1, cert_u, move)
-                    nxt.append(cert_h)
-                yield cert_u, cert_h, is_new
-        self.frontier = nxt
-        self.depth += 1
+                self.visited[cert_h] = (h, depth_u + 1, cert_u, move)
+                nxt.append(cert_h)
+            yield cert_u, cert_h, is_new
 
     def chain(self, cert: bytes) -> list[tuple[EdgeIndexedGraph, Move, EdgeIndexedGraph]]:
         """(graph before, move, graph after) steps from the root to cert."""
@@ -238,10 +273,15 @@ def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
             break
         side = min(expandable, key=lambda s: (len(s.frontier), s is bwd))
         other = bwd if side is fwd else fwd
-        for _, cert, is_new in side.grow(move_class, budget):
+        last = side.depth == budget.max_depth - 1
+        size = len(other.visited[other.root][0].vertices) if last else None
+        for _, cert, is_new in side.grow(move_class, budget, size):
             if (is_new and cert in other.visited
                     and side.visited[cert][1] + other.visited[cert][1] <= budget.max_depth):
                 return Verdict("equivalent", path=_stitch(fwd, bwd, cert))
+    for side in (fwd, bwd):             # no meeting: the waiting moves run
+        for _ in side.grow(move_class, budget) if side.deferred else ():
+            pass
 
     if move_class == "slide":
         if fwd.closed or bwd.closed:

@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from typing import ClassVar
 
 from .bigint import index_str, parse_index
 from .graphs import _IDENT_RE, Edge, EdgeIndexedGraph, End, _content_lines
@@ -63,12 +64,14 @@ class ScriptError(ValueError):
 
 @dataclass(frozen=True)
 class Collapse:
+    vertex_shift: ClassVar[int] = -1    # change in vertex count: the absorbed vertex goes
     edge: str
     survivor: str
 
 
 @dataclass(frozen=True)
 class Expansion:
+    vertex_shift: ClassVar[int] = 1     # change in vertex count: new_vertex comes
     vertex: str
     n: int
     moved_ends: tuple[End, ...]
@@ -82,6 +85,7 @@ class Expansion:
 
 @dataclass(frozen=True)
 class Slide:
+    vertex_shift: ClassVar[int] = 0
     moving_end: End
     along: End
 

@@ -1,5 +1,6 @@
-import functools
 import gc
+import hashlib
+import random
 import re
 
 import pytest
@@ -8,32 +9,30 @@ from hypothesis import given, settings
 from gbsdeform import (
     Budget,
     EdgeIndexedGraph,
+    End,
+    Expansion,
     ExpansionBounds,
     apply_move,
+    betti_number,
     canonical_certificate,
     decide_equivalence,
     explore_class,
+    format_script,
     graph_from_parts,
     is_isomorphic,
+    neighbor_moves,
     parse_graph,
 )
+from gbsdeform import explore
 from gbsdeform.canonical import DEFAULT_SIZE_CAP
 from gbsdeform.counterexample import ExampleParams, example_graph, verify_slide_ladder
 from gbsdeform.explore import adjacency_dot, dump_visited
 
-from strategies import connected_graphs, scramble
+from strategies import X_TEXT, Y_TEXT, connected_graphs, scramble
 
 P = ExampleParams(2, 3, 5, 7)
 DEFORM_BUDGET = Budget(max_depth=4, max_nodes=100_000, max_abs_index=100,
                        expansion=ExpansionBounds(max_n=10, max_subset_size=3))
-
-
-@functools.cache
-def example_pair_deform_verdict():
-    """The X -> Y deform search under DEFORM_BUDGET, run once for the tests
-    that share it; a Verdict holds moves, not graphs."""
-    return decide_equivalence(example_graph("X", P), example_graph("Y", P), "deform",
-                              DEFORM_BUDGET)
 
 
 @pytest.fixture
@@ -126,7 +125,7 @@ def test_size_cap_leaves_equivalence_open():
 
 
 def test_deform_equivalence_of_the_example_pair(x, y):
-    verdict = example_pair_deform_verdict()
+    verdict = decide_equivalence(x, y, "deform", DEFORM_BUDGET)
     assert verdict.kind == "equivalent"
     assert len(verdict.path) <= 4
     g = x
@@ -197,8 +196,6 @@ def test_slide_distinct_by_exhaustion(x):
 
 
 def test_deform_distinct_needs_both_sides_closed():
-    from gbsdeform import End, Expansion
-
     unit_loop = parse_graph("vertex A\nedge e A A 1 1")
     minus_loop = parse_graph("vertex A\nedge e A A 1 -1")
     verdict = decide_equivalence(unit_loop, minus_loop, "deform", Budget(max_depth=3))
@@ -219,7 +216,7 @@ def test_slide_verdict_deterministic(x, y):
 
 
 def test_budget_monotonicity(x, y):
-    small = example_pair_deform_verdict()
+    small = decide_equivalence(x, y, "deform", DEFORM_BUDGET)
     bigger = decide_equivalence(
         x, y, "deform",
         Budget(max_depth=5, max_nodes=200_000, max_abs_index=150,
@@ -259,3 +256,182 @@ def test_dump_and_dot_outputs(x):
     dot = adjacency_dot(report)
     assert dot.startswith("graph classgraph {")
     assert dot.count(" -- ") == 2
+
+
+# A side's last layer can meet only the other side's root.  The tests below
+# cover each way that layer can end: a meeting, a meeting the node cap may
+# drop, and no meeting, after which the layer still counts for the reason.
+
+def test_backward_side_meets_the_forward_root_in_its_last_layer(x):
+    # No expansion with a factor up to 3 reaches y from x, but y collapses
+    # onto x, so only the backward side finds the one-move path.
+    y = apply_move(x, Expansion(vertex="A", n=5, moved_ends=(End("l", 1),),
+                                new_vertex="Q", new_edge="d"))
+    verdict = decide_equivalence(x, y, "deform",
+                                 Budget(max_depth=1, expansion=ExpansionBounds(max_n=3)))
+    assert verdict.kind == "equivalent"
+    assert len(verdict.path) == 1 and isinstance(verdict.path[0], Expansion)
+    g = x
+    for move in verdict.path:
+        g = apply_move(g, move)
+    assert canonical_certificate(g) == canonical_certificate(y)
+
+
+NODE_CAP_BUDGET = Budget(max_depth=2, max_nodes=4, max_abs_index=100,
+                         expansion=ExpansionBounds(max_n=3, max_subset_size=2))
+
+
+@pytest.mark.parametrize("g1, g2, budget, kind, reason, script", [
+    # The third of x's moves reaches the root, late enough for a node cap of
+    # 3 to drop it, but the first result is past the index cap and adds no
+    # node: the layer keeps the meeting.  x's own index 30 is past the cap
+    # too, so the backward side cannot meet.
+    (X_TEXT, "vertex A\nvertex B\nvertex Q\nedge d A Q 3 1\nedge l Q A 10 5\n"
+     "edge t A B 20 7",
+     Budget(max_depth=1, max_nodes=3, max_abs_index=25,
+            expansion=ExpansionBounds(max_n=3, max_subset_size=2)),
+     "equivalent", None, "expand A 3 l:0 as w x\n"),
+    # The forward side's last layer drops the root at the node cap; the
+    # backward side's first layer then meets the forward side's first.
+    ("vertex v0\nedge e1 v0 v0 -3 -5",
+     "vertex u0\nvertex u1\nvertex u2\n"
+     "edge f0 u0 u1 1 -1\nedge f1 u2 u0 -3 -1\nedge f2 u1 u2 1 -5",
+     NODE_CAP_BUDGET, "equivalent", None,
+     "expand v0 3 e1:0 as w x\nexpand w -1 e1:0 as w2 x2\n"),
+    # The backward side's last layer drops the forward root at the node cap.
+    ("vertex v0\nvertex v1\nedge e1 v0 v1 -2 -6\nedge e2 v0 v1 4 -2",
+     "vertex u0\nvertex u1\nvertex u2\nvertex u3\n"
+     "edge f0 u0 u2 2 -1\nedge f1 u2 u1 -2 2\nedge f2 u2 u3 -1 -2\nedge f3 u1 u3 3 1",
+     NODE_CAP_BUDGET, "unknown", "budget exhausted (node cap)", None),
+    # On each side the collapses, whose results have a vertex fewer than the
+    # other root, come first and help fill the node cap before the slide that
+    # reaches that root, so both meetings are dropped: the moves that wait
+    # must run before that slide.
+    ("vertex v0\nvertex v1\nvertex v2\nedge e1 v0 v1 1 1\nedge e2 v1 v2 1 3\nedge e3 v1 v1 2 2",
+     "vertex u0\nvertex u1\nvertex u2\nedge f0 u2 u1 -2 -6\nedge f1 u1 u2 -3 -1\n"
+     "edge f2 u0 u2 1 1",
+     Budget(max_depth=1, max_nodes=4, max_abs_index=100,
+            expansion=ExpansionBounds(max_n=3, max_subset_size=2)),
+     "unknown", "budget exhausted (depth, node cap)", None),
+], ids=["kept", "dropped-then-met", "dropped", "filled-by-other-sizes"])
+def test_a_last_layer_meeting_near_the_node_cap_is_decided_in_full(g1, g2, budget, kind,
+                                                                   reason, script):
+    verdict = decide_equivalence(parse_graph(g1), parse_graph(g2), "deform", budget)
+    assert (verdict.kind, verdict.reason) == (kind, reason)
+    assert (None if verdict.path is None else format_script(verdict.path)) == script
+
+
+@pytest.mark.parametrize("g1, g2, move_class, max_abs_index, reason", [
+    ("vertex A\nedge e A A 1 1", "vertex A\nedge e A A 1 -1", "deform", 10**6,
+     "deformation class exhausted within bounds"),
+    ("vertex A\nvertex B\nedge l A A 30 5\nedge t A B 21 7", X_TEXT, "slide", 10**6,
+     "slide class exhausted"),
+    (X_TEXT, Y_TEXT, "slide", 10**6, "budget exhausted (depth)"),
+    # No move of the path can reach one vertex, so all of them wait; their
+    # results are new, or past the index cap.
+    ("vertex v0\nvertex v1\nvertex v2\nedge e1 v0 v1 -1 -1\nedge e2 v1 v2 1 1", "vertex u0",
+     "deform", 10**6, "budget exhausted (depth)"),
+    ("vertex v0\nvertex v1\nvertex v2\nedge e1 v0 v1 5 1\nedge e2 v1 v2 -5 1\n"
+     "edge e3 v0 v2 3 5", "vertex u0\nedge f0 u0 u0 3 -125",
+     "deform", 100, "budget exhausted (depth, index cap)"),
+], ids=["deform-closed", "slide-closed", "depth", "waiting-depth", "waiting-index-cap"])
+def test_a_last_layer_with_no_meeting_still_decides_the_reason(g1, g2, move_class,
+                                                              max_abs_index, reason):
+    verdict = decide_equivalence(parse_graph(g1), parse_graph(g2), move_class,
+                                 Budget(max_depth=1, max_abs_index=max_abs_index))
+    assert verdict.kind == ("unknown" if reason.startswith("budget") else "distinct")
+    assert verdict.reason == reason
+
+
+@pytest.mark.parametrize("g1, g2, move_class", [
+    ("vertex A\nvertex B\nvertex C\nedge a A B 2 4\nedge b B C 2 4\nedge c A C 2 2\n"
+     "edge l A A 2 4",
+     "vertex A\nvertex B\nvertex C\nedge a A B 2 4\nedge b B C 2 4\nedge c A C 2 2\n"
+     "edge l A A 2 8", "slide"),
+    (X_TEXT, "vertex A\nvertex B\nedge l A A 30 5\nedge t A B 21 7", "deform"),
+], ids=["slide", "deform"])
+def test_a_search_with_no_meeting_applies_each_move_once(monkeypatch, g1, g2, move_class):
+    # Both last layers defer the moves that cannot reach the other root and
+    # run them once the search has failed, each move enumerated and applied once.
+    enumerated, applied = [], []
+
+    def recorded(fn, calls):
+        def wrapper(g, *args):
+            calls.append((g, args[0]))
+            return fn(g, *args)
+        return wrapper
+
+    monkeypatch.setattr(explore, "neighbor_moves", recorded(neighbor_moves, enumerated))
+    monkeypatch.setattr(explore, "apply_move", recorded(apply_move, applied))
+    verdict = decide_equivalence(parse_graph(g1), parse_graph(g2), move_class,
+                                 Budget(max_depth=2))
+    assert verdict.reason == "budget exhausted (depth)"
+    assert applied and len(set(applied)) == len(applied)
+    assert len(set(enumerated)) == len(enumerated)
+
+
+# A fixed corpus of decide_equivalence pairs: random graphs with 1-3 vertices,
+# the second either drawn with the first's Betti number or the first moved by
+# up to three random moves and relabeled.  The digest was taken from the
+# search that grows every layer in order, so deferring part of a last layer
+# must leave every verdict, reason and path as it was.
+DIFFERENTIAL_PAIRS = 400
+DIFFERENTIAL_SHA256 = "eff1cd5ae94a3911662bfe348860d6ff4e067676608c7b0deca9bf885b514e83"
+DIFFERENTIAL_BUDGETS = (
+    Budget(max_depth=2, max_nodes=4, max_abs_index=100,
+           expansion=ExpansionBounds(max_n=3, max_subset_size=2)),
+    Budget(max_depth=3, max_nodes=60, max_abs_index=60,
+           expansion=ExpansionBounds(max_n=3, max_subset_size=1)),
+    Budget(max_depth=2, max_nodes=400, max_abs_index=200,
+           expansion=ExpansionBounds(max_n=4, max_subset_size=2)),
+    Budget(max_depth=1, max_nodes=400, max_abs_index=200,
+           expansion=ExpansionBounds(max_n=2, max_subset_size=2)),
+    Budget(max_depth=4, max_nodes=40, max_abs_index=10**6,
+           expansion=ExpansionBounds(max_n=2, max_subset_size=1)),
+)
+
+
+def _random_small_graph(rng, n=None, extra=None):
+    n = rng.randint(1, 3) if n is None else n
+    verts = [f"v{i}" for i in range(n)]
+    hi = rng.choice((1, 3, 6))
+
+    def index():
+        return rng.choice((1, -1)) * rng.randint(1, hi)
+
+    edges = [(f"e{i}", verts[rng.randrange(i)], verts[i], index(), index())
+             for i in range(1, n)]
+    for _ in range(rng.randint(0, 1) if extra is None else extra):
+        edges.append((f"e{len(edges) + 1}", rng.choice(verts), rng.choice(verts),
+                       index(), index()))
+    return graph_from_parts(verts, edges)
+
+
+def differential_corpus():
+    """(g1, g2, move class, budget) for each seed of the corpus."""
+    for seed in range(DIFFERENTIAL_PAIRS):
+        rng = random.Random(seed)
+        move_class = ("slide", "deform")[seed % 2]
+        budget = DIFFERENTIAL_BUDGETS[seed // 2 % len(DIFFERENTIAL_BUDGETS)]
+        g1 = _random_small_graph(rng)
+        if rng.random() < 0.35:
+            g2 = _random_small_graph(rng, len(g1.vertices), betti_number(g1))
+        else:
+            g2 = g1
+            for _ in range(rng.randint(1, 3)):
+                moves = neighbor_moves(g2, move_class,
+                                       ExpansionBounds(max_n=3, max_subset_size=2))
+                if moves:
+                    g2 = apply_move(g2, rng.choice(moves))
+            g2 = scramble(g2, seed)
+        yield g1, g2, move_class, budget
+
+
+def test_verdicts_reasons_and_paths_match_the_pinned_corpus():
+    lines = []
+    for g1, g2, move_class, budget in differential_corpus():
+        v = decide_equivalence(g1, g2, move_class, budget)
+        path = None if v.path is None else format_script(v.path)
+        lines.append(f"{v.kind} | {v.reason} | {path}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == DIFFERENTIAL_SHA256

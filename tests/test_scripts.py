@@ -1,12 +1,18 @@
 """Smoke tests for the command-line scripts under ``scripts/``.
 
 Each script runs in its own interpreter, importing the package from this
-checkout through the ``PYTHONPATH`` that ``conftest.py`` sets.
+checkout through the ``PYTHONPATH`` that ``conftest.py`` sets; the tests of a
+failing exit status load the script and run its ``main`` in this process,
+with one result forced to fail.
 """
 
+import dataclasses
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -14,6 +20,14 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 def run_script(name, *args, python_flags=()):
     return subprocess.run([sys.executable, *python_flags, str(SCRIPTS / name), *args],
                           capture_output=True, text=True, timeout=120)
+
+
+def load_script(name):
+    """The script as a module, for running ``main`` in this process."""
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_ladder_table_prints_indices_past_the_int_str_limit():
@@ -33,6 +47,24 @@ def test_ladder_table_rejects_a_negative_depth():
     assert "--depth must be at least 0" in proc.stderr
 
 
+@pytest.mark.parametrize("max_param", ["1", "2"])
+def test_ladder_table_rejects_a_sweep_with_no_rows(max_param):
+    proc = run_script("ladder_table.py", "--max-param", max_param)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--max-param must be at least 3" in proc.stderr
+
+
+def test_ladder_table_exits_1_on_a_failed_row(monkeypatch, capsys):
+    script = load_script("ladder_table.py")
+    real = script.verify_slide_ladder
+    monkeypatch.setattr(script, "verify_slide_ladder",
+                        lambda p, depth: dataclasses.replace(real(p, depth), y_absent=False))
+    monkeypatch.setattr(sys, "argv", ["ladder_table.py", "--depth", "2", "--max-param", "3"])
+    assert script.main() == 1
+    assert ": FAILED  indices: " in capsys.readouterr().out
+
+
 def test_rigidity_sweep_passes_its_trials():
     proc = run_script("rigidity_sweep.py", "--trials", "5")
     assert proc.returncode == 0, proc.stderr
@@ -44,3 +76,22 @@ def test_rigidity_sweep_rejects_too_few_vertices():
     assert proc.returncode == 2
     assert "usage:" in proc.stderr
     assert "--max-vertices must be at least 2" in proc.stderr
+
+
+def test_rigidity_sweep_rejects_zero_trials():
+    proc = run_script("rigidity_sweep.py", "--trials", "0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--trials must be at least 1" in proc.stderr
+
+
+def test_rigidity_sweep_exits_1_on_a_failed_trial(monkeypatch, capsys):
+    script = load_script("rigidity_sweep.py")
+    real = script.rigidity_trial
+    monkeypatch.setattr(script, "rigidity_trial",
+                        lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs),
+                                                                    passed=False))
+    monkeypatch.setattr(sys, "argv", ["rigidity_sweep.py", "--trials", "2"])
+    assert script.main() == 1
+    out = capsys.readouterr().out
+    assert "FAIL seed=0" in out and "0/2 trials passed" in out
