@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations, product
 
 from .bigint import index_str
@@ -93,14 +94,24 @@ def _loop_slot(a: int, b: int) -> tuple[tuple[int, int], int]:
 
 @dataclass(eq=False)
 class CanonicalForm:
-    """Certificate plus the assignment that realizes it."""
+    """Minimal encoding plus the assignment that realizes it.  ``cert`` spells
+    ``key`` in ASCII, so keys are equal exactly when certificates are; the
+    text is made only when ``cert`` is first read."""
 
-    cert: bytes
     order: tuple[str, ...]              # rank -> vertex
     rank: dict[str, int]                # vertex -> rank
     alpha: tuple[int, ...]              # rank -> vertex sign
     tuples: tuple[tuple[int, int, int, int], ...]   # sorted encoding
     edge_slots: dict[str, tuple[tuple[int, int, int, int], int]]  # eid -> (tuple, first side)
+
+    @property
+    def key(self) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
+        return len(self.order), self.tuples
+
+    @cached_property
+    def cert(self) -> bytes:
+        body = ";".join(f"{a},{b},{index_str(x)},{index_str(y)}" for (a, b, x, y) in self.tuples)
+        return f"v{len(self.order)}:{body}".encode("ascii")
 
 
 @dataclass(eq=False)
@@ -239,9 +250,7 @@ def canonical_form(g: EdgeIndexedGraph) -> CanonicalForm:
             slots[e.eid] = (tup, first)
     tuples = tuple(sorted(t for t, _ in slots.values()))
     assert list(tuples) == flat
-    body = ";".join(f"{a},{b},{index_str(x)},{index_str(y)}" for (a, b, x, y) in tuples)
-    return CanonicalForm(cert=f"v{len(order)}:{body}".encode("ascii"), order=order, rank=rank,
-                         alpha=alpha, tuples=tuples, edge_slots=slots)
+    return CanonicalForm(order=order, rank=rank, alpha=alpha, tuples=tuples, edge_slots=slots)
 
 
 def canonical_certificate(g: EdgeIndexedGraph) -> bytes:

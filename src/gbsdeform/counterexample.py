@@ -12,7 +12,8 @@ X and Y are joined by a four-move deformation (expand, slide, slide,
 collapse), replayed and checked here.  When neither of m, n divides the
 other, the slide class of X is a ray X_0, X_1, ... whose free-edge index at
 level k is r*m^(k+2)*n^k, and Y appears nowhere on it; ``verify_slide_ladder``
-certifies that shape level by level up to a chosen depth.
+certifies that shape level by level up to a chosen depth.  It compares graphs
+by their canonical encodings as integers, so no index becomes decimal text.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .canonical import canonical_certificate, is_isomorphic
+from .canonical import canonical_form, is_isomorphic
 from .graphs import EdgeIndexedGraph, End, graph_from_parts
 from .moves import (
     Collapse,
@@ -60,7 +61,10 @@ class ExampleParams:
 
     def __post_init__(self) -> None:
         for name in ("m", "n", "r", "s"):
-            if getattr(self, name) == 0:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"parameter {name} must be an int, got {type(value).__name__}")
+            if value == 0:
                 raise ValueError(f"parameter {name} must be nonzero")
 
     @property
@@ -75,8 +79,16 @@ class ExampleParams:
 
 
 def free_edge_index(p: ExampleParams, k: int) -> int:
-    """Index of the non-loop edge at the loop vertex on ladder level k."""
+    """Index of the non-loop edge at the loop vertex on ladder level k >= 0."""
+    if k < 0:
+        raise ValueError(f"ladder level must be at least 0, got k={k}")
     return p.r * p.m ** (k + 2) * p.n ** k
+
+
+def _level(p: ExampleParams, index: int) -> EdgeIndexedGraph:
+    """The ladder level whose free edge has ``index`` at the loop vertex."""
+    return graph_from_parts(("A", "B"), (("l", "A", "A", p.m * p.n * p.r, p.r),
+                                         ("t", "A", "B", index, p.s)))
 
 
 def example_graph(which: str, p: ExampleParams, k: int = 0) -> EdgeIndexedGraph:
@@ -84,10 +96,7 @@ def example_graph(which: str, p: ExampleParams, k: int = 0) -> EdgeIndexedGraph:
     if which == "X":
         which, k = "Xk", 0
     if which == "Xk":
-        return graph_from_parts(
-            ("A", "B"),
-            (("l", "A", "A", p.m * p.n * p.r, p.r),
-             ("t", "A", "B", free_edge_index(p, k), p.s)))
+        return _level(p, free_edge_index(p, k))
     if which == "Y":
         return graph_from_parts(
             ("A", "B"),
@@ -203,31 +212,35 @@ def verify_slide_ladder(p: ExampleParams, depth: int) -> LadderCertificate:
     """Check the ladder shape for levels 0..depth, where depth >= 0.
 
     Level k must admit exactly one slide (k = 0) or exactly two, and the
-    slide results must be canon-equal to levels k-1 and k+1 built from the
-    index formula.
+    slide results must be canon-equal to levels k-1 and k+1, each level's
+    index being the last one's times m*n.  Levels, slide results and Y are
+    compared by ``CanonicalForm.key``, the integers that the certificate
+    bytes spell, so no index becomes text; only levels k-1, k, k+1 are held.
     """
     if depth < 0:
         raise ValueError(f"ladder depth must be at least 0, got {depth}")
     if not p.m_n_incomparable:
         raise LadderHypothesisError(
             f"need m and n to not divide each other, got m={p.m}, n={p.n}")
-    ladder = [example_graph("Xk", p, k) for k in range(depth + 2)]
-    certs = [canonical_certificate(g) for g in ladder]
-    known = dict(zip(ladder, certs))    # reused by slide results equal to a level, label for label
-    y_cert = canonical_certificate(example_graph("Y", p))
+    y_key = canonical_form(example_graph("Y", p)).key
+    g = _level(p, free_edge_index(p, 0))
+    window = [(g, canonical_form(g).key)]   # levels k-1 (once k >= 1), k and k+1
     levels = []
-    shape_ok = True
-    for k in range(depth + 1):
-        g = ladder[k]
+    shape_ok = y_absent = True
+    for _ in range(depth + 1):
+        g, key = window[-1]
+        nxt = _level(p, g.edge("t").i0 * p.m * p.n)
+        window.append((nxt, canonical_form(nxt).key))
+        known = dict(window)    # reused by slide results equal to a level, label for label
         slides = enumerate_slides(g)
-        found = sorted(known.get(h) or canonical_certificate(h)
+        found = sorted(known.get(h) or canonical_form(h).key
                        for h in (apply_move(g, mv) for mv in slides))
-        expected = sorted({certs[1]} if k == 0 else {certs[k - 1], certs[k + 1]})
-        want_count = 1 if k == 0 else 2
-        if found != expected or len(slides) != want_count:
+        neighbours = window[:-2] + window[-1:]
+        if found != sorted({nk for _, nk in neighbours}) or len(slides) != len(neighbours):
             shape_ok = False
+        y_absent = y_absent and key != y_key
         levels.append(LadderLevel(index=g.edge("t").i0, move_count=len(slides)))
-    y_absent = all(certs[k] != y_cert for k in range(depth + 1))
+        del window[:-2]
     return LadderCertificate(
         depth=depth,
         levels=tuple(levels),

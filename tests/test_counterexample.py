@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -7,7 +9,12 @@ from gbsdeform import (
     Expansion,
     Slide,
     analyze,
+    apply_move,
+    canonical,
     canonical_certificate,
+    canonical_form,
+    counterexample,
+    enumerate_slides,
     is_isomorphic,
     parse_graph,
 )
@@ -31,6 +38,10 @@ nonzero = st.integers(-6, 6).filter(lambda v: v != 0)
 def test_params_validation_and_flags():
     with pytest.raises(ValueError, match="nonzero"):
         ExampleParams(0, 3, 5, 7)
+    with pytest.raises(TypeError, match="parameter r must be an int, got float"):
+        ExampleParams(2, 3, 5.0, 7)
+    with pytest.raises(TypeError, match="parameter m must be an int, got bool"):
+        ExampleParams(True, 3, 5, 7)
     assert P.m_n_incomparable and P.r_s_nontrivial
     assert not ExampleParams(2, 4, 5, 7).m_n_incomparable
     assert not ExampleParams(2, 3, 1, 7).r_s_nontrivial
@@ -49,6 +60,10 @@ def test_example_graphs_instantiate_the_diagrams():
 def test_free_edge_index_formula():
     values = [free_edge_index(P, k) for k in range(7)]
     assert values == [20, 120, 720, 4320, 25920, 155520, 933120]
+    with pytest.raises(ValueError, match="got k=-1"):
+        free_edge_index(P, -1)
+    with pytest.raises(ValueError, match="got k=-2"):
+        example_graph("Xk", P, -2)
 
 
 def test_deformation_script_shape_and_tuples():
@@ -121,9 +136,11 @@ def test_ladder_hypotheses_enforced():
         verify_slide_ladder(ExampleParams(2, 4, 5, 7), 3)
 
 
+LADDER_MN = [(2, 3), (3, 2), (2, 5), (4, 6), (-2, 3), (5, -3)]
+
+
 @settings(max_examples=15, deadline=None)
-@given(st.sampled_from([(2, 3), (3, 2), (2, 5), (4, 6), (-2, 3), (5, -3)]),
-       st.integers(2, 5), st.integers(2, 5))
+@given(st.sampled_from(LADDER_MN), st.integers(2, 5), st.integers(2, 5))
 def test_ladder_holds_across_parameters(mn, r, s):
     m, n = mn
     cert = verify_slide_ladder(ExampleParams(m, n, r, s), 5)
@@ -146,3 +163,52 @@ def test_ladder_certs_are_distinct_levels():
     y_cert = canonical_certificate(example_graph("Y", P))
     assert y_cert not in byte_certs
     assert cert.y_absent
+
+
+@pytest.mark.parametrize("mn", LADDER_MN)
+def test_ladder_keys_are_equal_exactly_when_certificates_are(mn):
+    # Levels 0..31, Y and every slide result of levels 0..30, for each r, s
+    # of test_ladder_holds_across_parameters.  Keys and bytes pair one to one
+    # exactly when, for every two graphs, equal keys go with equal bytes.
+    for r, s in itertools.product(range(2, 6), repeat=2):
+        p = ExampleParams(*mn, r, s)
+        levels = [example_graph("Xk", p, k) for k in range(32)]
+        graphs = levels + [example_graph("Y", p)]
+        graphs += [apply_move(g, mv) for g in levels[:31] for mv in enumerate_slides(g)]
+        keys = [canonical_form(g).key for g in graphs]
+        certs = [canonical_certificate(g) for g in graphs]
+        assert len(set(keys)) == len(set(certs)) == len(set(zip(keys, certs)))
+        assert len(set(keys)) == 33
+
+
+@pytest.mark.parametrize("wrong", [0, 3, 6])
+def test_ladder_shape_check_fires_on_a_wrong_slide(monkeypatch, wrong):
+    real = counterexample.apply_move
+
+    def slide(g, mv):
+        # Level `wrong` slides onto itself instead of onto its neighbours.
+        return g if g.edge("t").i0 == free_edge_index(P, wrong) else real(g, mv)
+
+    monkeypatch.setattr(counterexample, "apply_move", slide)
+    cert = verify_slide_ladder(P, 6)
+    assert not cert.shape_ok and cert.y_absent
+
+
+@pytest.mark.parametrize("level, absent", [(0, False), (6, False), (7, True)])
+def test_ladder_y_check_covers_levels_0_to_depth(monkeypatch, level, absent):
+    real = counterexample.example_graph
+
+    def graph(which, p, k=0):
+        return real("Xk", p, level) if which == "Y" else real(which, p, k)
+
+    monkeypatch.setattr(counterexample, "example_graph", graph)
+    cert = verify_slide_ladder(P, 6)
+    assert cert.shape_ok and cert.y_absent == absent
+
+
+def test_ladder_writes_no_index_as_text(monkeypatch):
+    def text(x):
+        raise AssertionError("an index was written as text")
+
+    monkeypatch.setattr(canonical, "index_str", text)
+    assert verify_slide_ladder(P, 50).ok
