@@ -259,8 +259,8 @@ def canonical_certificate(g: EdgeIndexedGraph) -> bytes:
 
 
 def is_isomorphic(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph) -> bool:
-    """Equivalence up to relabeling and sign flips, via certificates."""
-    return canonical_form(g1).cert == canonical_form(g2).cert
+    """Equivalence up to relabeling and sign flips, via canonical keys."""
+    return canonical_form(g1).key == canonical_form(g2).key
 
 
 def graph_isomorphism(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph) -> Isomorphism | None:
@@ -272,7 +272,7 @@ def graph_isomorphism(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph) -> Isomorphism
     """
     f1 = canonical_form(g1)
     f2 = canonical_form(g2)
-    if f1.cert != f2.cert:
+    if f1.key != f2.key:
         return None
     vertex_map = {v: f2.order[f1.rank[v]] for v in g1.vertices}
     groups1: dict[tuple, list[str]] = {}

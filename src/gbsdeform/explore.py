@@ -1,8 +1,8 @@
 """Bounded search over move graphs with canonical deduplication.
 
 One engine, ``_Side``, runs every search: a breadth-first enumeration under
-one move class, keyed by canonical certificate.  ``_Side.grow`` expands one
-layer and is the only place the caps apply: the index bound and the
+one move class, keyed by canonical certificate.  ``_Side.grow`` applies a
+layer's steps and is the only place the caps apply: the index bound and the
 certificate's vertex cap (``DEFAULT_SIZE_CAP``) drop a move result before
 its certificate is computed, the node bound drops a new certificate after,
 and ``_Side.caps`` names each cap that dropped one.  A side is *closed* when
@@ -15,14 +15,7 @@ for label, a graph the search has already met.
 records the class adjacency from the pairs it yields.  ``decide_equivalence``
 applies invariant refuters, then grows two sides, smaller frontier first,
 until a new certificate is one the other side reached within the depth
-bound.  A side's last layer first takes only the moves whose results can
-have the other root's vertex count; the rest wait in ``_Side.deferred`` and
-run only if the search ends with no meeting.  This keeps every verdict,
-reason and path: a result at the depth bound can meet only the other root;
-the other side never meets such a result, as its root is never new to it;
-which caps fire and whether the frontier empties do not depend on the
-order of a layer's moves; and a move waits only while the node cap cannot
-fire, so a result equal to the root is kept or dropped as in order.
+bound, each side's last layer in the order ``_meet_first`` gives.
 ``unknown`` names what bound it: the caps of both sides, and ``depth``
 while a frontier remains.  The move classes:
 
@@ -44,7 +37,7 @@ an explicit isomorphism of the meeting graphs.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .canonical import DEFAULT_SIZE_CAP, Isomorphism, canonical_certificate, graph_isomorphism
@@ -122,46 +115,21 @@ class _Side:
         self.frontier: list[bytes] = [self.root]
         self.depth = 0
         self.caps: set[str] = set()     # "index", "size", "node": caps that dropped a result
-        self.deferred: list[tuple] = []  # the last layer's moves that wait, as steps
 
     @property
     def closed(self) -> bool:
         return not self.frontier and not self.caps
 
-    def steps(self, frontier: list[bytes], move_class: str, budget: Budget) -> Iterator[tuple]:
-        """The layer's moves in order, as steps (parent cert, parent, its depth, move)."""
-        for cert_u in frontier:
-            gu, depth_u, _, _ = self.visited[cert_u]
-            for move in neighbor_moves(gu, move_class, budget.expansion):
-                yield cert_u, gu, depth_u, move
+    def advance(self, move_class: str, budget: Budget) -> Iterator[tuple]:
+        """Start the next layer; its steps (parent cert, parent, move), lazily."""
+        frontier, self.frontier, self.depth = self.frontier, [], self.depth + 1
+        parents = ((cert_u, self.visited[cert_u][0]) for cert_u in frontier)
+        return ((cert_u, gu, move) for cert_u, gu in parents
+                for move in neighbor_moves(gu, move_class, budget.expansion))
 
-    def defer(self, steps: Iterator[tuple], size: int, room: int) -> Iterator[tuple]:
-        """The steps, but among the first ``room`` those whose results cannot have
-        ``size`` vertices wait in ``deferred``; past them the node cap could fire,
-        so the waiting steps run first and the rest follow in order."""
-        for step in steps:
-            room -= 1
-            if room >= 0 and len(step[1].vertices) + step[3].vertex_shift != size:
-                self.deferred.append(step)
-                continue
-            if room < 0 and self.deferred:
-                yield from self.deferred
-                self.deferred = []
-            yield step
-
-    def grow(self, move_class: str, budget: Budget,
-             size: int | None = None) -> Iterator[tuple[bytes, bytes, bool]]:
-        """One layer: advance, then yield (parent, cert, is_new) per uncapped result.
-        Given a vertex count, ``defer`` runs first the moves whose results can have
-        it; if any wait, a second call runs them."""
-        if self.deferred:
-            steps, self.deferred, nxt = self.deferred, [], self.frontier
-        else:
-            steps, nxt = self.steps(self.frontier, move_class, budget), []
-            self.frontier, self.depth = nxt, self.depth + 1
-        if size is not None:
-            steps = self.defer(steps, size, budget.max_nodes - len(self.visited))
-        for cert_u, gu, depth_u, move in steps:
+    def grow(self, steps: Iterable[tuple], budget: Budget) -> Iterator[tuple[bytes, bytes, bool]]:
+        """Apply steps at ``depth``; yield (parent, cert, is_new) per uncapped result."""
+        for cert_u, gu, move in steps:
             h = apply_move(gu, move)
             if h.max_abs_index() > budget.max_abs_index:
                 self.caps.add("index")
@@ -177,8 +145,8 @@ class _Side:
                 if len(self.visited) >= budget.max_nodes:
                     self.caps.add("node")
                     continue
-                self.visited[cert_h] = (h, depth_u + 1, cert_u, move)
-                nxt.append(cert_h)
+                self.visited[cert_h] = (h, self.depth, cert_u, move)
+                self.frontier.append(cert_h)
             yield cert_u, cert_h, is_new
 
     def chain(self, cert: bytes) -> list[tuple[EdgeIndexedGraph, Move, EdgeIndexedGraph]]:
@@ -198,7 +166,7 @@ def explore_class(g: EdgeIndexedGraph, move_class: str, budget: Budget) -> Explo
     side = _Side(g, {})
     adjacency: dict[bytes, set[bytes]] = {side.root: set()}
     while side.frontier and side.depth < budget.max_depth:
-        for parent, cert, _ in side.grow(move_class, budget):
+        for parent, cert, _ in side.grow(side.advance(move_class, budget), budget):
             adjacency.setdefault(cert, set()).add(parent)
             adjacency[parent].add(cert)
     return ExplorationReport(
@@ -249,9 +217,34 @@ def _stitch(fwd: _Side, bwd: _Side, cert: bytes) -> tuple[Move, ...]:
     return tuple(path)
 
 
+def _meet_first(steps: Iterable[tuple], size: int, room: int,
+                waiting: list[tuple]) -> Iterator[tuple]:
+    """A side's last layer in ``decide_equivalence``: among the first ``room``
+    steps, those whose results cannot have ``size`` vertices, the other root's
+    count, wait in ``waiting``; past them the node cap could fire, so the
+    waiting steps run first and the rest follow in order.  Steps still waiting
+    run only once the search ends with no meeting.  This keeps every verdict,
+    reason and path: a result at the depth bound can meet only the other root;
+    the other side never meets such a result, as its root is never new to it;
+    which caps fire and whether the frontier empties do not depend on the
+    order of a layer's moves; and a move waits only while the node cap cannot
+    fire, so a result equal to the root is kept or dropped as in order."""
+    for step in steps:
+        room -= 1
+        if room >= 0 and len(step[1].vertices) + step[2].vertex_shift != size:
+            waiting.append(step)
+            continue
+        if room < 0 and waiting:
+            yield from waiting
+            waiting.clear()
+        yield step
+
+
 def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
                        move_class: str, budget: Budget) -> Verdict:
-    """Equivalent with a replayable path, Distinct with a reason, or Unknown."""
+    """Equivalent with a replayable path, Distinct with a reason, or Unknown.
+    When both classes close with no meeting within the depth bound but share a
+    class, the path runs through it and can be longer than that bound."""
     _check_move_class(move_class)
     b1, b2 = betti_number(g1), betti_number(g2)
     if b1 != b2:
@@ -267,28 +260,31 @@ def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
     if fwd.root == bwd.root:
         return Verdict("equivalent", path=())
 
-    while True:
-        expandable = [s for s in (fwd, bwd) if s.frontier and s.depth < budget.max_depth]
-        if not expandable:
-            break
+    waiting: dict[_Side, list[tuple]] = {fwd: [], bwd: []}
+    while expandable := [s for s in (fwd, bwd) if s.frontier and s.depth < budget.max_depth]:
         side = min(expandable, key=lambda s: (len(s.frontier), s is bwd))
         other = bwd if side is fwd else fwd
-        last = side.depth == budget.max_depth - 1
-        size = len(other.visited[other.root][0].vertices) if last else None
-        for _, cert, is_new in side.grow(move_class, budget, size):
+        steps = side.advance(move_class, budget)
+        if side.depth == budget.max_depth:
+            steps = _meet_first(steps, len(other.visited[other.root][0].vertices),
+                                budget.max_nodes - len(side.visited), waiting[side])
+        for _, cert, is_new in side.grow(steps, budget):
             if (is_new and cert in other.visited
                     and side.visited[cert][1] + other.visited[cert][1] <= budget.max_depth):
                 return Verdict("equivalent", path=_stitch(fwd, bwd, cert))
     for side in (fwd, bwd):             # no meeting: the waiting moves run
-        for _ in side.grow(move_class, budget) if side.deferred else ():
+        for _ in side.grow(waiting[side], budget):
             pass
 
     if move_class == "slide":
         if fwd.closed or bwd.closed:
             return Verdict("distinct", reason="slide class exhausted")
-    else:
-        if fwd.closed and bwd.closed:
-            return Verdict("distinct", reason="deformation class exhausted within bounds")
+    elif fwd.closed and bwd.closed:
+        shared = fwd.visited.keys() & bwd.visited.keys()
+        if shared:
+            cert = min(shared, key=lambda c: (fwd.visited[c][1] + bwd.visited[c][1], c))
+            return Verdict("equivalent", path=_stitch(fwd, bwd, cert))
+        return Verdict("distinct", reason="deformation class exhausted within bounds")
     bounds = [f"{cap} cap" for cap in fwd.caps | bwd.caps]
     if fwd.frontier or bwd.frontier:
         bounds.append("depth")

@@ -307,7 +307,7 @@ def enumerate_expansions(g: EdgeIndexedGraph, bounds: ExpansionBounds) -> list[E
                 d = 0
                 for end in combo:
                     d = gcd(d, abs(g.end_index(end)))
-                for n in range(2, bounds.max_n + 1):
+                for n in range(2, min(bounds.max_n, d) + 1):
                     if d % n == 0:
                         out.append(Expansion(vertex=v, n=n, moved_ends=combo,
                                              new_vertex=new_v, new_edge=new_e))

@@ -145,6 +145,35 @@ def test_equiv_stitched_path_is_pinned(capsys, tmp_path, x_file):
                    "expand A 2 t:0 as w x\nexpand B 7 t:1 as w2 x2\n")
 
 
+def test_equiv_path_through_a_shared_class_can_exceed_the_depth(capsys, tmp_path):
+    # Both deformation classes close; they share a class only at depths 2 and 2.
+    p1, p2 = tmp_path / "P1.gbs", tmp_path / "P2.gbs"
+    p1.write_text("vertex v0\nvertex v1\nvertex v2\nedge e1 v0 v1 1 11\nedge e2 v1 v2 1 11\n")
+    p2.write_text("vertex v0\nvertex v1\nvertex v2\nedge e1 v0 v1 1 -1\nedge e2 v1 v2 -1 13\n")
+    path_file = tmp_path / "path.txt"
+    code, out, _ = run(capsys, "equiv", "--moves", "deform", "--depth", "3", str(p1), str(p2),
+                       "--script", str(path_file))
+    assert code == 0
+    assert out == ("verdict: equivalent\npath_length: 4\ncollapse e1 into v1\n"
+                   "collapse e2 into v2\nexpand v2 13 as w x\nexpand w -1 x:1 as w2 x2\n")
+    code, out, _ = run(capsys, "apply", str(p1), "--script", str(path_file))
+    assert code == 0
+    assert canonical_certificate(parse_graph(out)) == canonical_certificate(
+        parse_graph(p2.read_text()))
+
+
+def test_equiv_expansion_factors_stop_at_the_subset_gcd(x_file, y_file):
+    # Factors above every end's gcd divide nothing, so a factor bound of
+    # 10**12 enumerates what 60 does, and as fast.
+    def equiv(max_n):
+        return subprocess.run(
+            [sys.executable, "-m", "gbsdeform.cli", "equiv", "--moves", "deform",
+             "--depth", "1", "--max-n", max_n, x_file, y_file],
+            capture_output=True, text=True, timeout=60)
+
+    assert equiv("1000000000000").stdout == equiv("60").stdout
+
+
 def test_equiv_slide_unknown(capsys, x_file, y_file):
     code, out, _ = run(capsys, "equiv", "--moves", "slide", "--depth", "10",
                        "--max-index", "1000000000000", x_file, y_file)

@@ -15,6 +15,7 @@ from gbsdeform import (
     canonical_form,
     counterexample,
     enumerate_slides,
+    graph_isomorphism,
     is_isomorphic,
     parse_graph,
 )
@@ -28,7 +29,7 @@ from gbsdeform.counterexample import (
     verify_slide_ladder,
 )
 
-from strategies import X_TEXT, Y_TEXT
+from strategies import X_TEXT, Y_TEXT, scramble
 
 P = ExampleParams(2, 3, 5, 7)
 
@@ -212,3 +213,17 @@ def test_ladder_writes_no_index_as_text(monkeypatch):
 
     monkeypatch.setattr(canonical, "index_str", text)
     assert verify_slide_ladder(P, 50).ok
+
+
+def test_class_equality_writes_no_index_as_text(monkeypatch):
+    # Level-5600 indices have thousands of digits; equality compares keys.
+    g = example_graph("Xk", P, 5600)
+    h = scramble(g, 3)
+    other = example_graph("Xk", P, 5599)
+
+    def text(x):
+        raise AssertionError("an index was written as text")
+
+    monkeypatch.setattr(canonical, "index_str", text)
+    assert is_isomorphic(g, h) and not is_isomorphic(g, other)
+    assert graph_isomorphism(g, h) is not None and graph_isomorphism(g, other) is None

@@ -343,6 +343,24 @@ def test_a_last_layer_with_no_meeting_still_decides_the_reason(g1, g2, move_clas
     assert verdict.reason == reason
 
 
+P1_TEXT = "vertex v0\nvertex v1\nvertex v2\nedge e1 v0 v1 1 11\nedge e2 v1 v2 1 11\n"
+P2_TEXT = "vertex v0\nvertex v1\nvertex v2\nedge e1 v0 v1 1 -1\nedge e2 v1 v2 -1 13\n"
+
+
+def test_closed_classes_that_share_a_class_past_the_depth_bound_are_equivalent():
+    # Both sides close with a shared class at depths 2 and 2, so no meeting
+    # counts at depth 3; the path goes through that class and has 4 moves.
+    g1, g2 = parse_graph(P1_TEXT), parse_graph(P2_TEXT)
+    verdict = decide_equivalence(g1, g2, "deform", Budget(max_depth=3))
+    assert verdict.kind == "equivalent"
+    assert format_script(verdict.path) == ("collapse e1 into v1\ncollapse e2 into v2\n"
+                                           "expand v2 13 as w x\nexpand w -1 x:1 as w2 x2\n")
+    g = g1
+    for move in verdict.path:
+        g = apply_move(g, move)
+    assert canonical_certificate(g) == canonical_certificate(g2)
+
+
 @pytest.mark.parametrize("g1, g2, move_class", [
     ("vertex A\nvertex B\nvertex C\nedge a A B 2 4\nedge b B C 2 4\nedge c A C 2 2\n"
      "edge l A A 2 4",
@@ -435,3 +453,22 @@ def test_verdicts_reasons_and_paths_match_the_pinned_corpus():
         lines.append(f"{v.kind} | {v.reason} | {path}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == DIFFERENTIAL_SHA256
+
+
+# explore_class on the first graph of each corpus pair, under the pair's
+# move class and budget: every member's certificate, depth and neighbours,
+# and whether the class closed and which caps fired.  The digest was taken
+# from the search whose layers could defer moves.
+EXPLORE_SHA256 = "1bb93b9735009978c4734a7f5a3d67c0b9ab15b9da7b11d1b22a2c287a6cbd5d"
+
+
+def test_explore_class_matches_the_pinned_corpus():
+    lines = []
+    for g1, _, move_class, budget in differential_corpus():
+        report = explore_class(g1, move_class, budget)
+        for cert in report.members:
+            neighbours = " ".join(nb.hex() for nb in report.adjacency[cert])
+            lines.append(f"{cert.hex()} {report.depths[cert]} {neighbours}")
+        lines.append(f"{report.closed} {sorted(report.caps)}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == EXPLORE_SHA256
