@@ -25,6 +25,8 @@ def main() -> int:
         ap.error("--trials must be at least 1")
     if args.max_vertices < 2:
         ap.error("--max-vertices must be at least 2")
+    if args.moves < 0:
+        ap.error("--moves must be at least 0")
 
     bounds = ExpansionBounds(max_n=args.max_n)
     passed = 0

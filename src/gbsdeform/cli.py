@@ -20,14 +20,7 @@ from .counterexample import (
     replay_deformation,
     verify_slide_ladder,
 )
-from .explore import (
-    MOVE_CLASSES,
-    Budget,
-    adjacency_dot,
-    decide_equivalence,
-    dump_visited,
-    explore_class,
-)
+from .explore import MOVE_CLASSES, Budget, ExplorationReport, decide_equivalence, explore_class
 from .graphs import dot_export, parse_graph, serialize_graph
 from .moves import (
     ExpansionBounds,
@@ -86,15 +79,26 @@ def _write(path: str, text: str) -> None:
         raise _DataError(f"cannot write {path}: {exc}") from exc
 
 
+def _count(text: str) -> int:
+    """A budget flag's value: an integer that is at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
     default = Budget()
-    sub.add_argument("--depth", type=int, default=default.max_depth, help="search depth bound")
-    sub.add_argument("--max-nodes", type=int, default=default.max_nodes)
-    sub.add_argument("--max-index", type=int, default=default.max_abs_index,
+    sub.add_argument("--depth", type=_count, default=default.max_depth, help="search depth bound")
+    sub.add_argument("--max-nodes", type=_count, default=default.max_nodes)
+    sub.add_argument("--max-index", type=_count, default=default.max_abs_index,
                      help="drop generated graphs with a larger absolute index")
-    sub.add_argument("--max-n", type=int, default=default.expansion.max_n,
+    sub.add_argument("--max-n", type=_count, default=default.expansion.max_n,
                      help="largest expansion factor enumerated")
-    sub.add_argument("--max-subset", type=int, default=default.expansion.max_subset_size,
+    sub.add_argument("--max-subset", type=_count, default=default.expansion.max_subset_size,
                      help="largest moved-end subset enumerated")
 
 
@@ -223,6 +227,34 @@ def _cmd_equiv(args) -> int:
         if args.script:
             _write(args.script, format_script(verdict.path))
     return {"equivalent": EX_TRUE, "distinct": EX_FALSE, "unknown": EX_UNKNOWN}[verdict.kind]
+
+
+def dump_visited(report: ExplorationReport) -> str:
+    """One line per member: hex certificate, then the graph on one line."""
+    lines = []
+    for cert, graph in report.members.items():
+        flat = serialize_graph(graph).strip().replace("\n", "; ")
+        lines.append(f"{cert.hex()} {flat}")
+    return "\n".join(lines) + "\n"
+
+
+def adjacency_dot(report: ExplorationReport) -> str:
+    """The class adjacency graph in DOT form: node ``n<i>`` is the i-th member,
+    labeled with the first 12 hex digits of the SHA-256 of its certificate."""
+    import hashlib  # here, not at the top: it loads OpenSSL, 3.5 MB in every process
+    short = {cert: f"n{i}" for i, cert in enumerate(report.members)}
+    lines = ["graph classgraph {"]
+    for cert in report.members:
+        lines.append(f'  {short[cert]} [label="{hashlib.sha256(cert).hexdigest()[:12]}"];')
+    seen = set()
+    for cert, nbrs in report.adjacency.items():
+        for nb in nbrs:
+            key = tuple(sorted((short[cert], short[nb])))
+            if key not in seen:
+                seen.add(key)
+                lines.append(f"  {key[0]} -- {key[1]};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_explore(args) -> int:

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .canonical import canonical_form, is_isomorphic
-from .graphs import EdgeIndexedGraph, End, graph_from_parts
+from .graphs import Edge, EdgeIndexedGraph, End
 from .moves import (
     Collapse,
     Expansion,
@@ -86,9 +86,12 @@ def free_edge_index(p: ExampleParams, k: int) -> int:
 
 
 def _level(p: ExampleParams, index: int) -> EdgeIndexedGraph:
-    """The ladder level whose free edge has ``index`` at the loop vertex."""
-    return graph_from_parts(("A", "B"), (("l", "A", "A", p.m * p.n * p.r, p.r),
-                                         ("t", "A", "B", index, p.s)))
+    """The ladder level whose free edge has ``index`` at the loop vertex.
+
+    ``ExampleParams`` checks the parameters, so this graph and Y are built
+    unchecked: nonzero parameters and index make every invariant hold."""
+    return EdgeIndexedGraph(("A", "B"), (Edge("l", "A", "A", p.m * p.n * p.r, p.r),
+                                         Edge("t", "A", "B", index, p.s)))
 
 
 def example_graph(which: str, p: ExampleParams, k: int = 0) -> EdgeIndexedGraph:
@@ -98,10 +101,8 @@ def example_graph(which: str, p: ExampleParams, k: int = 0) -> EdgeIndexedGraph:
     if which == "Xk":
         return _level(p, free_edge_index(p, k))
     if which == "Y":
-        return graph_from_parts(
-            ("A", "B"),
-            (("l", "B", "B", p.m * p.n * p.s, p.s),
-             ("t", "B", "A", p.s * p.n * p.n, p.r)))
+        return EdgeIndexedGraph(("A", "B"), (Edge("l", "B", "B", p.m * p.n * p.s, p.s),
+                                             Edge("t", "B", "A", p.s * p.n * p.n, p.r)))
     raise ValueError(f"unknown example graph {which!r}")
 
 

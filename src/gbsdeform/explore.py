@@ -1,23 +1,24 @@
 """Bounded search over move graphs with canonical deduplication.
 
-One engine, ``_Side``, runs every search: a breadth-first enumeration under
-one move class, keyed by canonical certificate.  ``_Side.grow`` applies a
-layer's steps and is the only place the caps apply: the index bound and the
-certificate's vertex cap (``DEFAULT_SIZE_CAP``) drop a move result before
-its certificate is computed, the node bound drops a new certificate after,
-and ``_Side.caps`` names each cap that dropped one.  A side is *closed* when
-its frontier emptied and no cap fired; only then is it the whole class.  Each
-search keeps one graph -> certificate memo, shared by both of its sides and
-freed when the search returns: it answers the move results that equal, label
-for label, a graph the search has already met.
+One engine, ``_Side``, runs every search: a breadth-first enumeration from a
+root graph under the move class and ``Budget`` it is built with, keyed by
+canonical certificate.  ``_Side.growing`` is the one test that a next layer
+is due, and ``_Side.grow`` the only place the caps apply: the index bound and
+the certificate's vertex cap (``DEFAULT_SIZE_CAP``) drop a move result before
+its certificate is computed, the node bound drops a new certificate once
+``_Side.room`` is spent, and ``_Side.caps`` names each cap that dropped one.
+A side is *closed* when its frontier emptied and no cap fired; only then is
+it the whole class.  Each search keeps one graph -> certificate memo, shared
+by both of its sides and freed when the search returns: it answers the move
+results that equal, label for label, a graph the search has already met.
 
-``explore_class`` grows one side to an empty frontier or the depth bound and
-records the class adjacency from the pairs it yields.  ``decide_equivalence``
-applies invariant refuters, then grows two sides, smaller frontier first,
-until a new certificate is one the other side reached within the depth
-bound, each side's last layer in the order ``_meet_first`` gives.
-``unknown`` names what bound it: the caps of both sides, and ``depth``
-while a frontier remains.  The move classes:
+``explore_class`` grows one side while it is growing and records the class
+adjacency from the pairs it yields.  ``decide_equivalence`` applies invariant
+refuters, then grows two sides, smaller frontier first, until a new
+certificate is one the other side reached within the depth bound, each
+side's last layer in the order ``_meet_first`` gives.  ``unknown`` names what
+bound it: the caps of both sides, and ``depth`` while a frontier remains.
+The move classes:
 
   slide   - slide moves only; enumeration is complete, so a closed side
             decides distinctness on its own.
@@ -32,7 +33,7 @@ while a frontier remains.  The move classes:
 Paths returned by the decision replay from the first graph and end
 canon-equal to the second.  When the frontiers meet, the back half is
 rebuilt by inverting the second side's moves and transporting them across
-an explicit isomorphism of the meeting graphs.
+an explicit isomorphism of the meeting graphs (``moves.transport_move``).
 """
 
 from __future__ import annotations
@@ -40,21 +41,17 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .canonical import DEFAULT_SIZE_CAP, Isomorphism, canonical_certificate, graph_isomorphism
-from .graphs import EdgeIndexedGraph, betti_number, serialize_graph
+from .canonical import DEFAULT_SIZE_CAP, canonical_certificate, graph_isomorphism
+from .graphs import EdgeIndexedGraph, betti_number
 from .moves import (
-    Collapse,
-    Expansion,
     ExpansionBounds,
     Move,
-    Slide,
     apply_move,
     enumerate_collapses,
     enumerate_expansions,
     enumerate_slides,
-    fresh_edge_id,
-    fresh_vertex_id,
     invert_move,
+    transport_move,
 )
 
 __all__ = [
@@ -65,9 +62,6 @@ __all__ = [
     "neighbor_moves",
     "explore_class",
     "decide_equivalence",
-    "transport_move",
-    "dump_visited",
-    "adjacency_dot",
 ]
 
 MOVE_CLASSES = ("slide", "deform")
@@ -106,7 +100,9 @@ class ExplorationReport:
 class _Side:
     """One breadth-first search from a root graph, keyed by certificate."""
 
-    def __init__(self, g: EdgeIndexedGraph, memo: dict[EdgeIndexedGraph, bytes]):
+    def __init__(self, g: EdgeIndexedGraph, move_class: str, budget: Budget,
+                 memo: dict[EdgeIndexedGraph, bytes]):
+        self.move_class, self.budget = move_class, budget
         self.memo = memo                # graph -> certificate, shared by the search's sides
         self.root = memo.setdefault(g, canonical_certificate(g))
         # cert -> (graph as reached, depth, parent cert, move from parent)
@@ -120,18 +116,28 @@ class _Side:
     def closed(self) -> bool:
         return not self.frontier and not self.caps
 
-    def advance(self, move_class: str, budget: Budget) -> Iterator[tuple]:
+    @property
+    def growing(self) -> bool:
+        """A next layer is due: the frontier is not empty and the depth bound not reached."""
+        return bool(self.frontier) and self.depth < self.budget.max_depth
+
+    @property
+    def room(self) -> int:
+        """New certificates the node cap still admits."""
+        return self.budget.max_nodes - len(self.visited)
+
+    def advance(self) -> Iterator[tuple]:
         """Start the next layer; its steps (parent cert, parent, move), lazily."""
         frontier, self.frontier, self.depth = self.frontier, [], self.depth + 1
         parents = ((cert_u, self.visited[cert_u][0]) for cert_u in frontier)
         return ((cert_u, gu, move) for cert_u, gu in parents
-                for move in neighbor_moves(gu, move_class, budget.expansion))
+                for move in neighbor_moves(gu, self.move_class, self.budget.expansion))
 
-    def grow(self, steps: Iterable[tuple], budget: Budget) -> Iterator[tuple[bytes, bytes, bool]]:
+    def grow(self, steps: Iterable[tuple]) -> Iterator[tuple[bytes, bytes, bool]]:
         """Apply steps at ``depth``; yield (parent, cert, is_new) per uncapped result."""
         for cert_u, gu, move in steps:
             h = apply_move(gu, move)
-            if h.max_abs_index() > budget.max_abs_index:
+            if h.max_abs_index() > self.budget.max_abs_index:
                 self.caps.add("index")
                 continue
             if len(h.vertices) > DEFAULT_SIZE_CAP:
@@ -142,7 +148,7 @@ class _Side:
                 cert_h = self.memo[h] = canonical_certificate(h)
             is_new = cert_h not in self.visited
             if is_new:
-                if len(self.visited) >= budget.max_nodes:
+                if self.room <= 0:
                     self.caps.add("node")
                     continue
                 self.visited[cert_h] = (h, self.depth, cert_u, move)
@@ -163,10 +169,10 @@ class _Side:
 def explore_class(g: EdgeIndexedGraph, move_class: str, budget: Budget) -> ExplorationReport:
     """BFS closure of g under one move class, deduplicated by certificate."""
     _check_move_class(move_class)
-    side = _Side(g, {})
+    side = _Side(g, move_class, budget, {})
     adjacency: dict[bytes, set[bytes]] = {side.root: set()}
-    while side.frontier and side.depth < budget.max_depth:
-        for parent, cert, _ in side.grow(side.advance(move_class, budget), budget):
+    while side.growing:
+        for parent, cert, _ in side.grow(side.advance()):
             adjacency.setdefault(cert, set()).add(parent)
             adjacency[parent].add(cert)
     return ExplorationReport(
@@ -183,23 +189,6 @@ class Verdict:
     kind: str                       # equivalent | distinct | unknown
     path: tuple[Move, ...] | None = None
     reason: str | None = None
-
-
-def transport_move(m: Move, iso: Isomorphism, target: EdgeIndexedGraph) -> Move:
-    """Rewrite a move's identifiers through an isomorphism onto target."""
-    if isinstance(m, Collapse):
-        return Collapse(edge=iso.edge_map[m.edge], survivor=iso.vertex_map[m.survivor])
-    if isinstance(m, Slide):
-        return Slide(moving_end=iso.end_map[m.moving_end], along=iso.end_map[m.along])
-    if isinstance(m, Expansion):
-        return Expansion(
-            vertex=iso.vertex_map[m.vertex],
-            n=m.n,
-            moved_ends=tuple(iso.end_map[e] for e in m.moved_ends),
-            new_vertex=fresh_vertex_id(target),
-            new_edge=fresh_edge_id(target),
-        )
-    raise ValueError(f"unknown move {m!r}")
 
 
 def _stitch(fwd: _Side, bwd: _Side, cert: bytes) -> tuple[Move, ...]:
@@ -256,24 +245,24 @@ def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
             return Verdict("distinct", reason="edge count differs")
 
     memo: dict[EdgeIndexedGraph, bytes] = {}
-    fwd, bwd = _Side(g1, memo), _Side(g2, memo)
+    fwd, bwd = _Side(g1, move_class, budget, memo), _Side(g2, move_class, budget, memo)
     if fwd.root == bwd.root:
         return Verdict("equivalent", path=())
 
     waiting: dict[_Side, list[tuple]] = {fwd: [], bwd: []}
-    while expandable := [s for s in (fwd, bwd) if s.frontier and s.depth < budget.max_depth]:
+    while expandable := [s for s in (fwd, bwd) if s.growing]:
         side = min(expandable, key=lambda s: (len(s.frontier), s is bwd))
         other = bwd if side is fwd else fwd
-        steps = side.advance(move_class, budget)
+        steps = side.advance()
         if side.depth == budget.max_depth:
             steps = _meet_first(steps, len(other.visited[other.root][0].vertices),
-                                budget.max_nodes - len(side.visited), waiting[side])
-        for _, cert, is_new in side.grow(steps, budget):
+                                side.room, waiting[side])
+        for _, cert, is_new in side.grow(steps):
             if (is_new and cert in other.visited
                     and side.visited[cert][1] + other.visited[cert][1] <= budget.max_depth):
                 return Verdict("equivalent", path=_stitch(fwd, bwd, cert))
     for side in (fwd, bwd):             # no meeting: the waiting moves run
-        for _ in side.grow(waiting[side], budget):
+        for _ in side.grow(waiting[side]):
             pass
 
     if move_class == "slide":
@@ -289,31 +278,3 @@ def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
     if fwd.frontier or bwd.frontier:
         bounds.append("depth")
     return Verdict("unknown", reason=f"budget exhausted ({', '.join(sorted(bounds))})")
-
-
-def dump_visited(report: ExplorationReport) -> str:
-    """One line per member: hex certificate, then the graph on one line."""
-    lines = []
-    for cert, graph in report.members.items():
-        flat = serialize_graph(graph).strip().replace("\n", "; ")
-        lines.append(f"{cert.hex()} {flat}")
-    return "\n".join(lines) + "\n"
-
-
-def adjacency_dot(report: ExplorationReport) -> str:
-    """The class adjacency graph in DOT form: node ``n<i>`` is the i-th member,
-    labeled with the first 12 hex digits of the SHA-256 of its certificate."""
-    import hashlib  # here, not at the top: it loads OpenSSL, 3.5 MB in every process
-    short = {cert: f"n{i}" for i, cert in enumerate(report.members)}
-    lines = ["graph classgraph {"]
-    for cert in report.members:
-        lines.append(f'  {short[cert]} [label="{hashlib.sha256(cert).hexdigest()[:12]}"];')
-    seen = set()
-    for cert, nbrs in report.adjacency.items():
-        for nb in nbrs:
-            key = tuple(sorted((short[cert], short[nb])))
-            if key not in seen:
-                seen.add(key)
-                lines.append(f"  {key[0]} -- {key[1]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ slide carries an edge-end across an adjacent carrier edge when the carrier's
 near index divides the moving index.  All three preserve the first Betti
 number, connectivity and nonzero indices.
 
-Also here: the legality predicates derived from these moves (reduced,
+Also here: move inversion and transport, the legality predicates (reduced,
 minimal, strongly slide-free, the sufficient unfoldedness test, point/line
 geometry) and the one-move-per-line script format.
 """
@@ -17,10 +17,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
 from typing import ClassVar
 
 from .bigint import index_str, parse_index
+from .canonical import Isomorphism
 from .graphs import _IDENT_RE, Edge, EdgeIndexedGraph, End, _content_lines
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "PredicateReport",
     "apply_move",
     "invert_move",
+    "transport_move",
     "enumerate_collapses",
     "enumerate_slides",
     "enumerate_expansions",
@@ -258,6 +260,19 @@ def invert_move(g: EdgeIndexedGraph, m: Move) -> Move:
     return Slide(moving_end=m.moving_end, along=End(m.along.edge, 1 - m.along.side))
 
 
+def transport_move(m: Move, iso: Isomorphism, target: EdgeIndexedGraph) -> Move:
+    """Rewrite a move's identifiers through an isomorphism onto target."""
+    if isinstance(m, Collapse):
+        return Collapse(edge=iso.edge_map[m.edge], survivor=iso.vertex_map[m.survivor])
+    if isinstance(m, Slide):
+        return Slide(moving_end=iso.end_map[m.moving_end], along=iso.end_map[m.along])
+    if isinstance(m, Expansion):
+        return Expansion(vertex=iso.vertex_map[m.vertex], n=m.n,
+                         moved_ends=tuple(iso.end_map[e] for e in m.moved_ends),
+                         new_vertex=fresh_vertex_id(target), new_edge=fresh_edge_id(target))
+    raise ValueError(f"unknown move {m!r}")
+
+
 def enumerate_collapses(g: EdgeIndexedGraph) -> list[Collapse]:
     """All legal collapses, sorted by edge then survivor."""
     out = []
@@ -300,6 +315,7 @@ def enumerate_expansions(g: EdgeIndexedGraph, bounds: ExpansionBounds) -> list[E
     new_v = fresh_vertex_id(g)
     new_e = fresh_edge_id(g)
     out = []
+    factors: dict[int, list[int]] = {}     # subset gcd -> its factors
     for v in g.vertices:
         ends = g.ends_at(v)
         for size in range(1, min(len(ends), bounds.max_subset_size) + 1):
@@ -307,11 +323,26 @@ def enumerate_expansions(g: EdgeIndexedGraph, bounds: ExpansionBounds) -> list[E
                 d = 0
                 for end in combo:
                     d = gcd(d, abs(g.end_index(end)))
-                for n in range(2, min(bounds.max_n, d) + 1):
-                    if d % n == 0:
-                        out.append(Expansion(vertex=v, n=n, moved_ends=combo,
-                                             new_vertex=new_v, new_edge=new_e))
+                if d not in factors:
+                    factors[d] = _factors(d, bounds.max_n)
+                for n in factors[d]:
+                    out.append(Expansion(vertex=v, n=n, moved_ends=combo,
+                                         new_vertex=new_v, new_edge=new_e))
     return out
+
+
+def _factors(d: int, max_n: int) -> list[int]:
+    """The divisors 2..max_n of d >= 1, ascending.  Trial division stops at
+    isqrt(d): a divisor above it is d // i for a divisor i below it (d itself
+    pairs with 1)."""
+    root = isqrt(d)
+    low, high = [], [d] if root < d <= max_n else []
+    for i in range(2, min(max_n, root) + 1):
+        if d % i == 0:
+            low.append(i)
+            if root < (q := d // i) <= max_n:
+                high.append(q)
+    return low + high[::-1]
 
 
 @dataclass(frozen=True)

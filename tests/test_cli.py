@@ -257,6 +257,23 @@ def test_valid_input_past_the_size_cap_is_unknown_not_bad_input(capsys, tmp_path
     assert err == "error: graph has 13 vertices, cap is 12\n"
 
 
+@pytest.mark.parametrize("command", ["equiv", "explore"])
+@pytest.mark.parametrize("flag", ["--depth", "--max-nodes", "--max-index", "--max-n",
+                                  "--max-subset"])
+def test_negative_budget_flags_are_usage_errors(capsys, x_file, command, flag):
+    graphs = [x_file, x_file] if command == "equiv" else [x_file]
+    code, out, err = run(capsys, command, flag, "-1", *graphs)
+    assert code == 64
+    assert out == ""
+    assert err == f"error: argument {flag}: must be at least 0, got -1\n"
+
+
+def test_budget_flags_take_zero(capsys, x_file):
+    code, out, _ = run(capsys, "explore", "--depth", "0", "--max-n", "0", x_file)
+    assert code == 2
+    assert out.startswith("members: 1\n")
+
+
 def test_budget_flag_defaults_are_the_budget_defaults():
     assert _budget(build_parser().parse_args(["explore", "g.gbs"])) == Budget()
 

@@ -29,7 +29,7 @@ from gbsdeform.counterexample import (
     verify_slide_ladder,
 )
 
-from strategies import X_TEXT, Y_TEXT, scramble
+from strategies import X_TEXT, Y_TEXT, assert_valid, scramble
 
 P = ExampleParams(2, 3, 5, 7)
 
@@ -148,6 +148,15 @@ def test_ladder_holds_across_parameters(mn, r, s):
     assert cert.ok
     assert all(lv.index == free_edge_index(ExampleParams(m, n, r, s), k)
                for k, lv in enumerate(cert.levels))
+
+
+def test_example_graphs_meet_every_invariant():
+    # They are built unchecked from parameters that ExampleParams checked.
+    for mn, r, s in itertools.product(LADDER_MN, range(2, 6), range(2, 6)):
+        p = ExampleParams(*mn, r, s)
+        for g in [example_graph("X", p), example_graph("Y", p),
+                  *(example_graph("Xk", p, k) for k in (*range(6), 5600))]:
+            assert_valid(g)
 
 
 def test_index_tuple_reads_breadth_first():

@@ -26,7 +26,7 @@ from gbsdeform import (
 from gbsdeform import explore
 from gbsdeform.canonical import DEFAULT_SIZE_CAP
 from gbsdeform.counterexample import ExampleParams, example_graph, verify_slide_ladder
-from gbsdeform.explore import adjacency_dot, dump_visited
+from gbsdeform.cli import adjacency_dot, dump_visited
 
 from strategies import X_TEXT, Y_TEXT, connected_graphs, scramble
 

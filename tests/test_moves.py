@@ -1,7 +1,11 @@
 import random
+import subprocess
+import sys
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from gbsdeform import (
     Collapse,
@@ -14,20 +18,25 @@ from gbsdeform import (
     analyze,
     apply_move,
     betti_number,
+    canonical_certificate,
     enumerate_collapses,
     enumerate_expansions,
     enumerate_slides,
     format_script,
+    graph_from_parts,
+    graph_isomorphism,
     invert_move,
     is_isomorphic,
+    neighbor_moves,
     parse_graph,
     parse_move,
     parse_script,
     reduce_graph,
 )
 from gbsdeform.counterexample import ExampleParams, example_graph
+from gbsdeform.moves import transport_move
 
-from strategies import X_TEXT, Y_TEXT, assert_valid, connected_graphs
+from strategies import X_TEXT, Y_TEXT, assert_valid, connected_graphs, scramble
 
 P = ExampleParams(2, 3, 5, 7)
 BOUNDS = ExpansionBounds(max_n=10, max_subset_size=3)
@@ -184,6 +193,37 @@ def test_enumerate_expansions_factors(x):
     assert all(len(m.moved_ends) == 1 for m in small)
 
 
+def expansion_factors(d, max_n):
+    """The factors enumerated at A for a single end of index d there."""
+    g = graph_from_parts(("A", "B"), [("e", "A", "B", d, 1)])
+    return [m.n for m in enumerate_expansions(g, ExpansionBounds(max_n=max_n))
+            if m.vertex == "A"]
+
+
+def test_expansion_factors_match_trial_division_of_every_candidate():
+    # Squares, where a divisor is its own cofactor, and bounds on each side
+    # of the square root and of d.
+    for d in [*range(1, 130), 2 * 3 * 5 * 7 * 11, 97 * 97, 2**20, 10**6]:
+        root = isqrt(d)
+        for max_n in {-1, 0, 1, 2, 3, root - 1, root, root + 1, 2 * root, d - 1, d, d + 1}:
+            naive = [n for n in range(2, min(max_n, d) + 1) if d % n == 0]
+            assert expansion_factors(d, max_n) == naive, (d, max_n)
+
+
+def test_expansion_factors_of_a_large_index_under_a_large_bound_finish():
+    # Trial division of every candidate would take 10**12 steps; pairing each
+    # divisor with its cofactor stops at 10**6.
+    code = ("from gbsdeform import ExpansionBounds, enumerate_expansions, graph_from_parts\n"
+            "g = graph_from_parts(('A', 'B'), [('e', 'A', 'B', 10**12, 1)])\n"
+            "print(*(m.n for m in enumerate_expansions(g, ExpansionBounds(max_n=10**12))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    factors = [int(tok) for tok in proc.stdout.split()]
+    assert len(factors) == 168
+    assert factors == sorted(2**a * 5**b for a in range(13) for b in range(13))[1:]
+
+
 def test_enumerated_moves_all_apply(x, diagram4):
     for g in (x, diagram4):
         for move in (enumerate_slides(g) + enumerate_collapses(g)
@@ -273,6 +313,23 @@ def test_move_conservation_and_round_trip(g):
     back = apply_move(h, invert_move(g, move))
     assert_valid(back)
     assert is_isomorphic(back, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(max_vertices=4, max_extra_edges=2), st.integers(0, 2**32))
+def test_transported_moves_apply_across_an_isomorphism(g, seed):
+    # Each deform move of g, and its inverse (whose factor can be negative),
+    # carried onto a scrambled copy gives a result canon-equal to g's.
+    h = scramble(g, seed)
+    iso = graph_isomorphism(g, h)
+    for move in neighbor_moves(g, "deform", ExpansionBounds(max_n=6, max_subset_size=2)):
+        after_g = apply_move(g, move)
+        after_h = apply_move(h, transport_move(move, iso, h))
+        assert canonical_certificate(after_h) == canonical_certificate(after_g)
+        inverse = invert_move(g, move)
+        back = apply_move(after_h, transport_move(
+            inverse, graph_isomorphism(after_g, after_h), after_h))
+        assert canonical_certificate(back) == canonical_certificate(g)
 
 
 @settings(max_examples=40, deadline=None)

@@ -85,6 +85,13 @@ def test_rigidity_sweep_rejects_zero_trials():
     assert "--trials must be at least 1" in proc.stderr
 
 
+def test_rigidity_sweep_rejects_a_negative_move_count():
+    proc = run_script("rigidity_sweep.py", "--moves", "-3")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--moves must be at least 0" in proc.stderr
+
+
 def test_rigidity_sweep_exits_1_on_a_failed_trial(monkeypatch, capsys):
     script = load_script("rigidity_sweep.py")
     real = script.rigidity_trial
