@@ -27,6 +27,8 @@ def main() -> int:
         ap.error("--max-vertices must be at least 2")
     if args.moves < 0:
         ap.error("--moves must be at least 0")
+    if args.max_n < 0:
+        ap.error("--max-n must be at least 0")
 
     bounds = ExpansionBounds(max_n=args.max_n)
     passed = 0

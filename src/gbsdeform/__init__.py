@@ -8,76 +8,12 @@ two-vertex family whose members are deformation-equivalent but not
 slide-equivalent.
 """
 
-from .canonical import (
-    SizeCapError,
-    brute_force_isomorphic,
-    canonical_certificate,
-    canonical_form,
-    graph_isomorphism,
-    is_isomorphic,
-)
-from .counterexample import (
-    ExampleParams,
-    LadderCertificate,
-    LadderHypothesisError,
-    deformation_moves,
-    example_graph,
-    free_edge_index,
-    index_tuple,
-    replay_deformation,
-    verify_slide_ladder,
-)
-from .explore import (
-    Budget,
-    ExplorationReport,
-    Verdict,
-    decide_equivalence,
-    explore_class,
-    neighbor_moves,
-)
-from .graphs import (
-    Edge,
-    EdgeIndexedGraph,
-    End,
-    GraphError,
-    InvalidGraphError,
-    ParseError,
-    SignFlip,
-    apply_sign_flips,
-    betti_number,
-    dot_export,
-    graph_from_parts,
-    parse_graph,
-    serialize_graph,
-)
-from .moves import (
-    Collapse,
-    Expansion,
-    ExpansionBounds,
-    IllegalMoveError,
-    Move,
-    PredicateReport,
-    ScriptError,
-    Slide,
-    analyze,
-    apply_move,
-    enumerate_collapses,
-    enumerate_expansions,
-    enumerate_slides,
-    format_move,
-    format_script,
-    invert_move,
-    parse_move,
-    parse_script,
-    reduce_graph,
-)
-from .random_graphs import (
-    GenerationError,
-    RandomGraphSpec,
-    RigidityTrial,
-    random_graph,
-    random_legal_move,
-    rigidity_trial,
-)
+from .bigint import *
+from .graphs import *
+from .canonical import *
+from .moves import *
+from .explore import *
+from .counterexample import *
+from .random_graphs import *
 
 __version__ = "0.1.0"

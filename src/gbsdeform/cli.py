@@ -2,8 +2,9 @@
 
 Exit codes: 0 true/equivalent/pass, 1 false/distinct/fail, 2 unknown or
 inconclusive (also valid input past the certificate's vertex cap), 64 usage
-error, 65 bad input data.  Output is plain key: value text and move-script
-lines, byte-stable for fixed inputs, flags and seeds.
+error (a negative count flag included), 65 bad input data.  Output is plain
+key: value text and move-script lines, byte-stable for fixed inputs, flags
+and seeds.
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ class _UsageError(Exception):
     pass
 
 
-class _DataError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); remap to 64
         raise _UsageError(message)
@@ -64,7 +61,7 @@ def _read(path: str) -> str:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise _DataError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_graph(path: str):
@@ -76,11 +73,11 @@ def _write(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
-        raise _DataError(f"cannot write {path}: {exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def _count(text: str) -> int:
-    """A budget flag's value: an integer that is at least 0."""
+    """A count flag's value: an integer that is at least 0."""
     try:
         value = int(text)
     except ValueError:
@@ -117,20 +114,25 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("check", help="structural predicates for one graph")
+    sub.set_defaults(run=_cmd_check)
     sub.add_argument("graph")
 
     sub = subs.add_parser("moves", help="list legal collapses and slides")
+    sub.set_defaults(run=_cmd_moves)
     sub.add_argument("graph")
 
     sub = subs.add_parser("apply", help="run a move script against a graph")
+    sub.set_defaults(run=_cmd_apply)
     sub.add_argument("graph")
     sub.add_argument("--script", required=True, help="move script file")
     sub.add_argument("--emit-dot", help="write the result as DOT")
 
     sub = subs.add_parser("canon", help="print the canonical certificate")
+    sub.set_defaults(run=_cmd_canon)
     sub.add_argument("graph")
 
     sub = subs.add_parser("equiv", help="decide equivalence under a move class")
+    sub.set_defaults(run=_cmd_equiv)
     sub.add_argument("graph")
     sub.add_argument("other")
     sub.add_argument("--moves", choices=MOVE_CLASSES, default="deform")
@@ -138,6 +140,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--script", help="write the connecting path here")
 
     sub = subs.add_parser("explore", help="enumerate a move class around a graph")
+    sub.set_defaults(run=_cmd_explore)
     sub.add_argument("graph")
     sub.add_argument("--moves", choices=MOVE_CLASSES, default="slide")
     _add_budget_flags(sub)
@@ -145,26 +148,29 @@ def build_parser() -> _Parser:
     sub.add_argument("--emit-dot", help="write the class adjacency as DOT")
 
     sub = subs.add_parser("reduce", help="collapse until reduced")
+    sub.set_defaults(run=_cmd_reduce)
     sub.add_argument("graph")
     sub.add_argument("--script", help="write the collapse script here")
     sub.add_argument("--emit-dot", help="write the result as DOT")
 
     sub = subs.add_parser("random", help="generate a seeded random graph")
-    sub.add_argument("--vertices", type=int, required=True)
-    sub.add_argument("--edges", type=int, required=True)
-    sub.add_argument("--min-index", type=int, default=2)
-    sub.add_argument("--max-index", type=int, default=9)
+    sub.set_defaults(run=_cmd_random)
+    sub.add_argument("--vertices", type=_count, required=True)
+    sub.add_argument("--edges", type=_count, required=True)
+    sub.add_argument("--min-index", type=_count, default=2)
+    sub.add_argument("--max-index", type=_count, default=9)
     sub.add_argument("--require", choices=REQUIREMENTS, default="none")
     sub.add_argument("--seed", type=int, default=0)
 
     sub = subs.add_parser("paper-example",
                           help="build the X/Y family, replay the deformation, "
                                "certify the slide ladder")
+    sub.set_defaults(run=_cmd_paper_example)
     sub.add_argument("--m", type=int, required=True)
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--r", type=int, required=True)
     sub.add_argument("--s", type=int, required=True)
-    sub.add_argument("--ladder-depth", type=int, default=6)
+    sub.add_argument("--ladder-depth", type=_count, default=6)
     sub.add_argument("--emit-x", help="write X in .gbs form here")
     sub.add_argument("--emit-y", help="write Y in .gbs form here")
     return parser
@@ -298,10 +304,6 @@ def _cmd_random(args) -> int:
 
 def _cmd_paper_example(args) -> int:
     p = ExampleParams(m=args.m, n=args.n, r=args.r, s=args.s)
-    try:  # before any output, so that a negative depth prints nothing
-        ladder = verify_slide_ladder(p, args.ladder_depth)
-    except LadderHypothesisError as exc:
-        ladder = exc
     report = replay_deformation(p)
     print(f"moves: {len(report.moves)}")
     for move in report.moves:
@@ -314,8 +316,10 @@ def _cmd_paper_example(args) -> int:
         _write(args.emit_x, serialize_graph(example_graph("X", p)))
     if args.emit_y:
         _write(args.emit_y, serialize_graph(example_graph("Y", p)))
-    if isinstance(ladder, LadderHypothesisError):
-        print(f"ladder: skipped ({ladder})")
+    try:
+        ladder = verify_slide_ladder(p, args.ladder_depth)
+    except LadderHypothesisError as exc:
+        print(f"ladder: skipped ({exc})")
     else:
         print(f"ladder_depth: {ladder.depth}")
         for k, level in enumerate(ladder.levels):
@@ -326,19 +330,6 @@ def _cmd_paper_example(args) -> int:
     return EX_TRUE if ok else EX_FALSE
 
 
-_COMMANDS = {
-    "check": _cmd_check,
-    "moves": _cmd_moves,
-    "apply": _cmd_apply,
-    "canon": _cmd_canon,
-    "equiv": _cmd_equiv,
-    "explore": _cmd_explore,
-    "reduce": _cmd_reduce,
-    "random": _cmd_random,
-    "paper-example": _cmd_paper_example,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -347,8 +338,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
     try:
-        return _COMMANDS[args.command](args)
-    except (_DataError, ValueError) as exc:  # every error class of the package is a ValueError
+        return args.run(args)
+    except ValueError as exc:  # every error class of the package is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         # valid input the certificate cannot take is unknown, not bad data
         return EX_UNKNOWN if isinstance(exc, SizeCapError) else EX_DATA

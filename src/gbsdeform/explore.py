@@ -83,9 +83,8 @@ def _check_move_class(move_class: str) -> None:
 def neighbor_moves(g: EdgeIndexedGraph, move_class: str, bounds: ExpansionBounds) -> list[Move]:
     _check_move_class(move_class)
     if move_class == "slide":
-        return list(enumerate_slides(g))
-    return (list(enumerate_collapses(g)) + list(enumerate_slides(g))
-            + list(enumerate_expansions(g, bounds)))
+        return enumerate_slides(g)
+    return enumerate_collapses(g) + enumerate_slides(g) + enumerate_expansions(g, bounds)
 
 
 @dataclass

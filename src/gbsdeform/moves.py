@@ -145,7 +145,9 @@ def apply_move(g: EdgeIndexedGraph, m: Move) -> EdgeIndexedGraph:
     raise IllegalMoveError(f"unknown move {m!r}")
 
 
-def _apply_collapse(g: EdgeIndexedGraph, m: Collapse) -> EdgeIndexedGraph:
+def _collapse_parts(g: EdgeIndexedGraph, m: Collapse) -> tuple[str, int, int]:
+    """Check a collapse; return (absorbed vertex, survivor-side index,
+    absorbed-side index)."""
     if not g.has_edge(m.edge):
         raise IllegalMoveError(f"no edge {m.edge!r} in graph")
     e = g.edge(m.edge)
@@ -161,9 +163,14 @@ def _apply_collapse(g: EdgeIndexedGraph, m: Collapse) -> EdgeIndexedGraph:
     if abs(eps) != 1:
         raise IllegalMoveError(
             f"edge {m.edge!r} has index {index_str(eps)} at {dead!r}; collapse needs +1 or -1")
+    return dead, n_surv, eps
+
+
+def _apply_collapse(g: EdgeIndexedGraph, m: Collapse) -> EdgeIndexedGraph:
+    dead, n_surv, eps = _collapse_parts(g, m)
     new_edges = []
     for f in g.edges:
-        if f.eid == e.eid:
+        if f.eid == m.edge:
             continue
         v0, i0 = (m.survivor, n_surv * f.i0 * eps) if f.v0 == dead else (f.v0, f.i0)
         v1, i1 = (m.survivor, n_surv * f.i1 * eps) if f.v1 == dead else (f.v1, f.i1)
@@ -247,11 +254,7 @@ def invert_move(g: EdgeIndexedGraph, m: Move) -> Move:
     """
     apply_move(g, m)  # legality check; errors propagate
     if isinstance(m, Collapse):
-        e = g.edge(m.edge)
-        if m.survivor == e.v0:
-            dead, n_surv, eps = e.v1, e.i0, e.i1
-        else:
-            dead, n_surv, eps = e.v0, e.i1, e.i0
+        dead, n_surv, eps = _collapse_parts(g, m)
         moved = tuple(end for end in g.ends_at(dead) if end.edge != m.edge)
         return Expansion(vertex=m.survivor, n=n_surv * eps, moved_ends=moved,
                          new_vertex=dead, new_edge=m.edge)

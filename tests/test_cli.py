@@ -305,6 +305,15 @@ def test_random_unsatisfiable(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("flag", ["--vertices", "--edges", "--min-index", "--max-index"])
+def test_negative_random_counts_are_usage_errors(capsys, flag):
+    # argparse keeps a repeated flag's last value, so -2 replaces the 3 or 4
+    code, out, err = run(capsys, "random", "--vertices", "3", "--edges", "4", flag, "-2")
+    assert code == 64
+    assert out == ""
+    assert err == f"error: argument {flag}: must be at least 0, got -2\n"
+
+
 def test_paper_example_full_run(capsys):
     code, out, _ = run(capsys, "paper-example", "--m", "2", "--n", "3",
                        "--r", "5", "--s", "7", "--ladder-depth", "6")
@@ -328,9 +337,9 @@ def test_paper_example_rejects_a_negative_ladder_depth(capsys, tmp_path):
     x_out = tmp_path / "x.gbs"
     code, out, err = run(capsys, "paper-example", "--m", "2", "--n", "3", "--r", "5",
                          "--s", "7", "--ladder-depth", "-3", "--emit-x", str(x_out))
-    assert code == 65
+    assert code == 64
     assert out == ""
-    assert err == "error: ladder depth must be at least 0, got -3\n"
+    assert err == "error: argument --ladder-depth: must be at least 0, got -3\n"
     assert not x_out.exists()
 
 
