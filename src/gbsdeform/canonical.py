@@ -266,29 +266,24 @@ def is_isomorphic(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph) -> bool:
 def graph_isomorphism(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph) -> Isomorphism | None:
     """An explicit equivalence witness, or None when the graphs differ.
 
-    Edges sharing a canonical tuple are interchangeable, so they are paired
-    in identifier order; any such pairing differs from any other by an
-    automorphism composed with sign flips.
+    Edges sharing a canonical tuple are interchangeable, so each form's edges
+    are sorted by (tuple, identifier) and paired by position; any such
+    pairing differs from any other by an automorphism composed with sign
+    flips.  Equal keys give both forms the same multiset of tuples.
     """
     f1 = canonical_form(g1)
     f2 = canonical_form(g2)
     if f1.key != f2.key:
         return None
     vertex_map = {v: f2.order[f1.rank[v]] for v in g1.vertices}
-    groups1: dict[tuple, list[str]] = {}
-    groups2: dict[tuple, list[str]] = {}
-    for form, groups in ((f1, groups1), (f2, groups2)):
-        for eid, (tup, _) in form.edge_slots.items():
-            groups.setdefault(tup, []).append(eid)
     edge_map: dict[str, str] = {}
     end_map: dict[End, End] = {}
-    for tup, eids1 in groups1.items():
-        eids2 = groups2[tup]
-        for e1, e2 in zip(sorted(eids1), sorted(eids2)):
-            edge_map[e1] = e2
-            first1, first2 = f1.edge_slots[e1][1], f2.edge_slots[e2][1]
-            end_map[End(e1, first1)] = End(e2, first2)
-            end_map[End(e1, 1 - first1)] = End(e2, 1 - first2)
+    slots1, slots2 = (sorted((tup, eid, first) for eid, (tup, first) in f.edge_slots.items())
+                      for f in (f1, f2))
+    for (_, e1, first1), (_, e2, first2) in zip(slots1, slots2):
+        edge_map[e1] = e2
+        end_map[End(e1, first1)] = End(e2, first2)
+        end_map[End(e1, 1 - first1)] = End(e2, 1 - first2)
     return Isomorphism(vertex_map, edge_map, end_map)
 
 

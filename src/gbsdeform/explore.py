@@ -14,10 +14,10 @@ results that equal, label for label, a graph the search has already met.
 
 ``explore_class`` grows one side while it is growing and records the class
 adjacency from the pairs it yields.  ``decide_equivalence`` applies invariant
-refuters, then grows two sides, smaller frontier first, until a new
-certificate is one the other side reached within the depth bound, each
-side's last layer in the order ``_meet_first`` gives.  ``unknown`` names what
-bound it: the caps of both sides, and ``depth`` while a frontier remains.
+refuters, then grows two sides, smaller frontier first, until a side adds a
+certificate the other side reached within the depth bound, each side's last
+layer in the order ``_meet_first`` gives.  ``unknown`` names what bound it:
+the caps of both sides, and ``depth`` while a frontier remains.
 The move classes:
 
   slide   - slide moves only; enumeration is complete, so a closed side
@@ -132,8 +132,8 @@ class _Side:
         return ((cert_u, gu, move) for cert_u, gu in parents
                 for move in neighbor_moves(gu, self.move_class, self.budget.expansion))
 
-    def grow(self, steps: Iterable[tuple]) -> Iterator[tuple[bytes, bytes, bool]]:
-        """Apply steps at ``depth``; yield (parent, cert, is_new) per uncapped result."""
+    def grow(self, steps: Iterable[tuple]) -> Iterator[tuple[bytes, bytes]]:
+        """Apply steps at ``depth``; yield (parent, cert) per uncapped result."""
         for cert_u, gu, move in steps:
             h = apply_move(gu, move)
             if h.max_abs_index() > self.budget.max_abs_index:
@@ -145,14 +145,13 @@ class _Side:
             cert_h = self.memo.get(h)
             if cert_h is None:
                 cert_h = self.memo[h] = canonical_certificate(h)
-            is_new = cert_h not in self.visited
-            if is_new:
+            if cert_h not in self.visited:
                 if self.room <= 0:
                     self.caps.add("node")
                     continue
                 self.visited[cert_h] = (h, self.depth, cert_u, move)
                 self.frontier.append(cert_h)
-            yield cert_u, cert_h, is_new
+            yield cert_u, cert_h
 
     def chain(self, cert: bytes) -> list[tuple[EdgeIndexedGraph, Move, EdgeIndexedGraph]]:
         """(graph before, move, graph after) steps from the root to cert."""
@@ -171,7 +170,7 @@ def explore_class(g: EdgeIndexedGraph, move_class: str, budget: Budget) -> Explo
     side = _Side(g, move_class, budget, {})
     adjacency: dict[bytes, set[bytes]] = {side.root: set()}
     while side.growing:
-        for parent, cert, _ in side.grow(side.advance()):
+        for parent, cert in side.grow(side.advance()):
             adjacency.setdefault(cert, set()).add(parent)
             adjacency[parent].add(cert)
     return ExplorationReport(
@@ -212,11 +211,12 @@ def _meet_first(steps: Iterable[tuple], size: int, room: int,
     count, wait in ``waiting``; past them the node cap could fire, so the
     waiting steps run first and the rest follow in order.  Steps still waiting
     run only once the search ends with no meeting.  This keeps every verdict,
-    reason and path: a result at the depth bound can meet only the other root;
-    the other side never meets such a result, as its root is never new to it;
-    which caps fire and whether the frontier empties do not depend on the
-    order of a layer's moves; and a move waits only while the node cap cannot
-    fire, so a result equal to the root is kept or dropped as in order."""
+    reason and path: a result at the depth bound can meet only the other root,
+    and if this side holds that root within the bound, the two met when this
+    side added it; which caps fire and whether the frontier empties do not
+    depend on the order of a layer's moves; and a move waits only while the
+    node cap cannot fire, so a result equal to the root is kept or dropped as
+    in order."""
     for step in steps:
         room -= 1
         if room >= 0 and len(step[1].vertices) + step[2].vertex_shift != size:
@@ -240,8 +240,6 @@ def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
     if move_class == "slide":
         if len(g1.vertices) != len(g2.vertices):
             return Verdict("distinct", reason="vertex count differs")
-        if len(g1.edges) != len(g2.edges):
-            return Verdict("distinct", reason="edge count differs")
 
     memo: dict[EdgeIndexedGraph, bytes] = {}
     fwd, bwd = _Side(g1, move_class, budget, memo), _Side(g2, move_class, budget, memo)
@@ -256,8 +254,8 @@ def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
         if side.depth == budget.max_depth:
             steps = _meet_first(steps, len(other.visited[other.root][0].vertices),
                                 side.room, waiting[side])
-        for _, cert, is_new in side.grow(steps):
-            if (is_new and cert in other.visited
+        for _, cert in side.grow(steps):
+            if (cert in other.visited
                     and side.visited[cert][1] + other.visited[cert][1] <= budget.max_depth):
                 return Verdict("equivalent", path=_stitch(fwd, bwd, cert))
     for side in (fwd, bwd):             # no meeting: the waiting moves run

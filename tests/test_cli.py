@@ -4,7 +4,19 @@ import sys
 
 import pytest
 
-from gbsdeform import Budget, canonical_certificate, is_isomorphic, parse_graph
+from gbsdeform import (
+    Budget,
+    ExampleParams,
+    apply_move,
+    canonical_certificate,
+    dot_export,
+    example_graph,
+    is_isomorphic,
+    parse_graph,
+    parse_move,
+    reduce_graph,
+    serialize_graph,
+)
 from gbsdeform.cli import _budget, build_parser, main
 
 from strategies import X_TEXT, Y_TEXT
@@ -58,6 +70,16 @@ def test_moves_lists_legal_moves(capsys, x_file):
     assert "slide t:0 along l:1" in out
 
 
+def test_moves_lists_collapses(capsys, tmp_path):
+    g = tmp_path / "g.gbs"
+    g.write_text("vertex A\nvertex B\nvertex C\n"
+                 "edge l C A 3 5\nedge t C B 2 7\nedge u B C 21 1\n")
+    code, out, _ = run(capsys, "moves", str(g))
+    assert code == 0
+    assert out == ("collapses: 1\ncollapse u into B\nslides: 3\nslide l:0 along u:1\n"
+                   "slide t:0 along u:1\nslide u:0 along t:1\n")
+
+
 def test_canon_prints_stable_hex(capsys, x_file):
     code, out, _ = run(capsys, "canon", x_file)
     assert code == 0
@@ -77,6 +99,17 @@ def test_apply_script_round_trip(capsys, tmp_path, x_file):
     code, out, _ = run(capsys, "apply", x_file, "--script", str(script))
     assert code == 0
     assert "edge t A B 120 7" in out
+
+
+def test_apply_emits_the_printed_graph_as_dot(capsys, tmp_path, x_file):
+    script = tmp_path / "moves.txt"
+    script.write_text("slide t:0 along l:1\n")
+    dot = tmp_path / "g.dot"
+    code, out, _ = run(capsys, "apply", x_file, "--script", str(script), "--emit-dot", str(dot))
+    assert code == 0
+    result = apply_move(parse_graph(X_TEXT), parse_move("slide t:0 along l:1"))
+    assert out == serialize_graph(result)
+    assert dot.read_text() == dot_export(result)
 
 
 def test_apply_illegal_script(capsys, tmp_path, x_file):
@@ -274,6 +307,19 @@ def test_budget_flags_take_zero(capsys, x_file):
     assert out.startswith("members: 1\n")
 
 
+def test_non_integer_budget_flag_is_a_usage_error(capsys, x_file):
+    code, out, err = run(capsys, "equiv", "--depth", "x", x_file, x_file)
+    assert (code, out, err) == (64, "", "error: argument --depth: invalid int value: 'x'\n")
+
+
+def test_equiv_prints_its_verdict_before_an_unwritable_script_fails(capsys, tmp_path, x_file):
+    target = tmp_path / "absent" / "out.txt"
+    code, out, err = run(capsys, "equiv", x_file, x_file, "--script", str(target))
+    assert code == 65
+    assert out == "verdict: equivalent\npath_length: 0\n"
+    assert err.startswith(f"error: cannot write {target}: ")
+
+
 def test_budget_flag_defaults_are_the_budget_defaults():
     assert _budget(build_parser().parse_args(["explore", "g.gbs"])) == Budget()
 
@@ -287,6 +333,18 @@ def test_reduce_emits_graph_and_script(capsys, tmp_path):
     assert code == 0
     assert is_isomorphic(parse_graph(out), parse_graph(Y_TEXT))
     assert script.read_text() == "collapse u into B\n"
+
+
+def test_reduce_emits_the_printed_graph_as_dot(capsys, tmp_path):
+    text = "vertex A\nvertex B\nvertex C\nedge l C A 3 5\nedge t C B 2 7\nedge u B C 21 1\n"
+    g = tmp_path / "g.gbs"
+    g.write_text(text)
+    dot = tmp_path / "g.dot"
+    code, out, _ = run(capsys, "reduce", str(g), "--emit-dot", str(dot))
+    assert code == 0
+    reduced, _ = reduce_graph(parse_graph(text))
+    assert out == serialize_graph(reduced)
+    assert dot.read_text() == dot_export(reduced)
 
 
 def test_random_deterministic(capsys):
@@ -323,6 +381,16 @@ def test_paper_example_full_run(capsys):
     assert "level 6: index 933120 neighbors 2" in out
     assert "shape_ok: true" in out
     assert "y_absent: true" in out
+
+
+def test_paper_example_emits_the_pair(capsys, tmp_path):
+    fx, fy = tmp_path / "F", tmp_path / "G"
+    code, _, _ = run(capsys, "paper-example", "--m", "2", "--n", "3", "--r", "5", "--s", "7",
+                     "--emit-x", str(fx), "--emit-y", str(fy))
+    assert code == 0
+    p = ExampleParams(2, 3, 5, 7)
+    assert parse_graph(fx.read_text()) == example_graph("X", p)
+    assert parse_graph(fy.read_text()) == example_graph("Y", p)
 
 
 def test_paper_example_skips_ladder_without_hypotheses(capsys):

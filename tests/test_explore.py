@@ -172,6 +172,13 @@ def test_slide_count_refuter(x):
     assert verdict.kind == "distinct"
 
 
+def test_slide_vertex_count_refuter(x):
+    # Both graphs have Betti number 1, so the Betti refuter passes them on.
+    loop = parse_graph("vertex A\nedge l A A 2 3")
+    verdict = decide_equivalence(x, loop, "slide", Budget(max_depth=2))
+    assert (verdict.kind, verdict.reason) == ("distinct", "vertex count differs")
+
+
 def test_trivially_equivalent_pair(x):
     verdict = decide_equivalence(x, scramble(x, 5), "deform", DEFORM_BUDGET)
     assert verdict.kind == "equivalent"

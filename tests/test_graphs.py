@@ -56,6 +56,9 @@ def test_parse_comments_blank_lines_and_tabs():
     ("vertex 9bad", "bad identifier", 1),
     ("frob A", "unknown declaration", 1),
     ("vertex A\nedge e A A 1", "edge declaration", 2),
+    ("vertex", "vertex declaration needs exactly one identifier", 1),
+    ("vertex A B", "vertex declaration needs exactly one identifier", 1),
+    ("vertex A\nedge e A 9B 1 2", "line 2, column 10: bad identifier '9B'", 2),
 ])
 def test_parse_errors_are_distinct(text, match, line):
     with pytest.raises(ParseError, match=match) as info:
@@ -73,6 +76,12 @@ def test_parse_error_column_is_the_field_position(text, line, column):
     with pytest.raises(ParseError) as info:
         parse_graph(text)
     assert (info.value.line, info.value.column) == (line, column)
+
+
+def test_ends_at_rejects_an_unknown_vertex():
+    with pytest.raises(InvalidGraphError) as info:
+        parse_graph(X_TEXT).ends_at("Z")
+    assert str(info.value) == "no vertex 'Z' in graph"
 
 
 def test_parse_rejects_disconnected():

@@ -22,6 +22,7 @@ from gbsdeform import (
     enumerate_collapses,
     enumerate_expansions,
     enumerate_slides,
+    format_move,
     format_script,
     graph_from_parts,
     graph_isomorphism,
@@ -409,6 +410,8 @@ def test_script_round_trip_past_the_int_str_digit_limit():
     ("expand A +2 as Q d", "bad integer"),
     ("expand A 002 as Q d", "bad integer"),
     ("expand A \u0662 as Q d", "bad integer"),
+    ("expand A 2 as C", "want: expand VERTEX N"),
+    ("", "line 1: empty move"),
 ])
 def test_script_errors(line, match):
     with pytest.raises(ScriptError, match=match):
@@ -418,3 +421,17 @@ def test_script_errors(line, match):
 def test_parse_script_reports_line():
     with pytest.raises(ScriptError, match="line 3"):
         parse_script("collapse e into B\n\nslide bad\n")
+
+
+def test_a_non_move_is_an_unknown_move(x):
+    not_a_move = ("slide", "t:0", "l:1")
+    message = "unknown move ('slide', 't:0', 'l:1')"
+    with pytest.raises(IllegalMoveError) as info:
+        apply_move(x, not_a_move)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        transport_move(not_a_move, graph_isomorphism(x, x), x)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        format_move(not_a_move)
+    assert str(info.value) == message

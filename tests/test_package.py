@@ -1,4 +1,5 @@
-"""The package's public names, and the benchmark tracer's view of its layers."""
+"""The package's public names, what importing its CLI loads, and the benchmark
+tracer's view of its layers."""
 
 import importlib
 import subprocess
@@ -12,7 +13,8 @@ import gbsdeform
 
 from strategies import X_TEXT, Y_TEXT
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 MODULES = ("bigint", "graphs", "canonical", "moves", "explore", "counterexample",
            "random_graphs")
 
@@ -23,6 +25,24 @@ def test_package_exports_every_name_in_each_module_all(name):
     missing = [n for n in module.__all__
                if getattr(gbsdeform, n, None) is not getattr(module, n)]
     assert missing == []
+
+
+def test_the_cli_imports_only_the_standard_library_and_defers_heavy_modules():
+    # hashlib (OpenSSL) and decimal are imported where they are used, so a
+    # process that never needs them does not pay for them in memory.
+    code = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {str(ROOT / "src")!r})
+        before = set(sys.modules)
+        import gbsdeform.cli
+        loaded = {{name.partition(".")[0] for name in set(sys.modules) - before}}
+        print(sorted(loaded - set(sys.stdlib_module_names) - {{"gbsdeform"}}))
+        print(sorted({{"hashlib", "decimal"}} & set(sys.modules)))
+    """)
+    proc = subprocess.run([sys.executable, "-I", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n[]\n"
 
 
 # One operation per workload, each traced in its own interpreter: a tracer

@@ -58,6 +58,26 @@ def test_generator_impossible_specs():
         random_graph(spec, 0)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(num_vertices=0, num_edges=0), "need at least one vertex"),
+    (dict(num_vertices=2, num_edges=1, index_range=(0, 3)),
+     "index range must satisfy 1 <= lo <= hi"),
+    (dict(num_vertices=2, num_edges=1, require="bogus"), "unknown requirement 'bogus'"),
+])
+def test_spec_rejects_bad_fields(kwargs, message):
+    with pytest.raises(ValueError) as info:
+        RandomGraphSpec(**kwargs)
+    assert str(info.value) == message
+
+
+def test_rigidity_trial_on_a_point_stops_at_once():
+    # A point has no legal move, so the trial applies none and still passes.
+    trial = rigidity_trial(RandomGraphSpec(1, 0, require="strongly_slide_free"), 3, 0)
+    assert trial.passed
+    assert trial.moves == ()
+    assert trial.start == trial.scrambled == trial.reduced
+
+
 def test_rigidity_trials_pass_and_replay():
     for seed in range(30):
         nv = 2 + seed % 4
