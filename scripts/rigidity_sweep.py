@@ -3,14 +3,18 @@
 
 Each trial scrambles a strongly slide-free reduced graph with random legal
 moves, reduces the result, and checks it is the original up to relabeling
-and sign flips.  Any failure prints a full replayable witness.
+and sign flips.  Any failure prints a full replayable witness: the start
+graph as indented .gbs text, then the moves as an indented move script, each
+block readable by ``gbsdeform apply`` once dedented.
 """
 
 import argparse
 import sys
+import textwrap
 import time
 
-from gbsdeform import ExpansionBounds, RandomGraphSpec, format_move, rigidity_trial
+from gbsdeform import (ExpansionBounds, RandomGraphSpec, format_script, rigidity_trial,
+                       serialize_graph)
 
 
 def main() -> int:
@@ -43,9 +47,10 @@ def main() -> int:
             passed += 1
         else:
             print(f"FAIL seed={seed}")
-            print("  start:", trial.start)
-            for move in trial.moves:
-                print("  ", format_move(move))
+            print("  start:")
+            print(textwrap.indent(serialize_graph(trial.start), "    "), end="")
+            print("  moves:")
+            print(textwrap.indent(format_script(trial.moves), "    "), end="")
     elapsed = time.perf_counter() - start
     print(f"{passed}/{args.trials} trials passed in {elapsed:.2f}s")
     return 0 if passed == args.trials else 1

@@ -62,7 +62,7 @@ class ExampleParams:
     def __post_init__(self) -> None:
         for name in ("m", "n", "r", "s"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if type(value) is not int:
                 raise TypeError(f"parameter {name} must be an int, got {type(value).__name__}")
             if value == 0:
                 raise ValueError(f"parameter {name} must be nonzero")

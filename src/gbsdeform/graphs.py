@@ -42,7 +42,7 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 class GraphError(ValueError):
-    """Base class for graph construction and parsing errors."""
+    """Base class for graph construction errors and .gbs or move-script parse errors."""
 
 
 class InvalidGraphError(GraphError):
@@ -50,7 +50,7 @@ class InvalidGraphError(GraphError):
 
 
 class ParseError(GraphError):
-    """Text did not conform to the .gbs grammar.
+    """Text did not conform to the .gbs grammar or the move-script grammar.
 
     Carries 1-based line and column numbers when they apply.
     """
@@ -198,7 +198,7 @@ def _check(g: EdgeIndexedGraph) -> EdgeIndexedGraph:
                 raise InvalidGraphError(f"edge {e.eid!r} uses undeclared vertex {v!r}")
         if e.i0 == 0 or e.i1 == 0:
             raise InvalidGraphError(f"edge {e.eid!r} has a zero index")
-        if not isinstance(e.i0, int) or not isinstance(e.i1, int):
+        if type(e.i0) is not int or type(e.i1) is not int:
             raise InvalidGraphError(f"edge {e.eid!r} has non-integer indices")
         adj[e.v0].add(e.v1)
         adj[e.v1].add(e.v0)

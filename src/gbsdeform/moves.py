@@ -14,7 +14,6 @@ geometry) and the one-move-per-line script format.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, isqrt
@@ -22,7 +21,7 @@ from typing import ClassVar
 
 from .bigint import index_str, parse_index
 from .canonical import Isomorphism
-from .graphs import _IDENT_RE, Edge, EdgeIndexedGraph, End, _content_lines
+from .graphs import _IDENT_RE, Edge, EdgeIndexedGraph, End, ParseError, _content_lines
 
 __all__ = [
     "IllegalMoveError",
@@ -54,14 +53,8 @@ class IllegalMoveError(ValueError):
     """A move precondition failed; the message names the offending ids."""
 
 
-class ScriptError(ValueError):
+class ScriptError(ParseError):
     """A move script line did not parse."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -127,7 +120,7 @@ def fresh_edge_id(g: EdgeIndexedGraph) -> str:
 
 
 def _require_end(g: EdgeIndexedGraph, end: End) -> End:
-    if end.side not in (0, 1):
+    if type(end.side) is not int or end.side not in (0, 1):
         raise IllegalMoveError(f"end {end.edge}:{end.side} has a bad side")
     if not g.has_edge(end.edge):
         raise IllegalMoveError(f"no edge {end.edge!r} in graph")
@@ -182,7 +175,7 @@ def _apply_collapse(g: EdgeIndexedGraph, m: Collapse) -> EdgeIndexedGraph:
 def _apply_expansion(g: EdgeIndexedGraph, m: Expansion) -> EdgeIndexedGraph:
     if m.n == 0:
         raise IllegalMoveError("expansion factor must be nonzero")
-    if not isinstance(m.n, int):
+    if type(m.n) is not int:
         raise IllegalMoveError(f"expansion factor {m.n!r} is not a nonzero integer")
     for kind, name in (("vertex", m.new_vertex), ("edge", m.new_edge)):
         if not _IDENT_RE.match(name):
@@ -425,14 +418,11 @@ def reduce_graph(g: EdgeIndexedGraph) -> tuple[EdgeIndexedGraph, tuple[Collapse,
         script.append(cols[0])
 
 
-_END_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*):([01])\Z")
-
-
 def _parse_end(tok: str, lineno: int | None) -> End:
-    match = _END_RE.match(tok)
-    if not match:
+    edge, _, side = tok.partition(":")
+    if not _IDENT_RE.match(edge) or side not in ("0", "1"):
         raise ScriptError(f"bad end reference {tok!r} (want edge:side)", lineno)
-    return End(match.group(1), int(match.group(2)))
+    return End(edge, int(side))
 
 
 def format_move(m: Move) -> str:

@@ -72,3 +72,12 @@ def scramble(g: EdgeIndexedGraph, seed: int) -> EdgeIndexedGraph:
         [vmap[v] for v in h.vertices],
         [(emap[e.eid], vmap[e.v0], vmap[e.v1], e.i0, e.i1) for e in h.edges],
     )
+
+
+def scramble_with_end_swaps(g: EdgeIndexedGraph, seed: int) -> EdgeIndexedGraph:
+    """``scramble``, then read each edge from its other end with probability 1/2."""
+    h = scramble(g, seed)
+    rng = random.Random(f"end swaps {seed}")
+    return graph_from_parts(h.vertices, [
+        (e.eid, e.v1, e.v0, e.i1, e.i0) if rng.random() < 0.5 else (e.eid, e.v0, e.v1, e.i0, e.i1)
+        for e in h.edges])

@@ -1,11 +1,13 @@
+import random
 from collections import Counter
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbsdeform import (
+    End,
     SizeCapError,
     brute_force_isomorphic,
     canonical_certificate,
@@ -17,7 +19,7 @@ from gbsdeform import (
 )
 from gbsdeform.canonical import _loop_slot
 
-from strategies import X_TEXT, Y_TEXT, connected_graphs, scramble
+from strategies import X_TEXT, Y_TEXT, connected_graphs, scramble, scramble_with_end_swaps
 
 
 def loop(i0, i1):
@@ -217,3 +219,64 @@ def test_tie_heavy_cases_are_lex_min_and_pinned(g, order, alpha):
     _assert_lex_min_with_connected_prefixes(g)
     form = canonical_form(g)
     assert (form.order, form.alpha) == (order, alpha)
+
+
+# Class-equality where the search uses the certificate: 6-12 vertices, up to
+# the size cap, past the oracle's reach.  Tie-heavy index sets make sibling
+# dominance decide among many equal candidates.
+TIE_INDEX_SETS = [(2,), (2, -2), (2, 3), (1, 2, -2, 4)]
+
+
+def _random_tie_heavy_graph(seed):
+    rng = random.Random(seed)
+    n = rng.randint(6, 12)
+    pairs = [(rng.randrange(i), i) for i in range(1, n)]
+    pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3))]
+    values = TIE_INDEX_SETS[seed % len(TIE_INDEX_SETS)]
+    return graph_from_parts([f"v{i}" for i in range(n)],
+                            [(f"e{k}", f"v{a}", f"v{b}", rng.choice(values), rng.choice(values))
+                             for k, (a, b) in enumerate(pairs)])
+
+
+def _index_two_graph(n, pairs):
+    return graph_from_parts([f"v{i}" for i in range(n)],
+                            [(f"e{k}", f"v{a}", f"v{b}", 2, 2) for k, (a, b) in enumerate(pairs)])
+
+
+SYMMETRIC_FAMILIES = {
+    "C12": _index_two_graph(12, [(i, (i + 1) % 12) for i in range(12)]),
+    "Q3": _index_two_graph(8, [(a, b) for a, b in combinations(range(8), 2)
+                               if bin(a ^ b).count("1") == 1]),
+    "Petersen": _index_two_graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                                 + [(i, i + 5) for i in range(5)]
+                                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]),
+    "K4,4": _index_two_graph(8, [(a, b) for a in range(4) for b in range(4, 8)]),
+    "C10(1,3)": _index_two_graph(10, [(i, (i + d) % 10) for i in range(10) for d in (1, 3)]),
+    "K8-matching": _index_two_graph(8, [(a, b) for a, b in combinations(range(8), 2)
+                                        if b != a + 4]),
+}
+
+
+def _assert_scramble_is_class_equal(g, seed):
+    h = scramble_with_end_swaps(g, seed)
+    assert canonical_form(h).key == canonical_form(g).key
+    iso = graph_isomorphism(g, h)
+    assert iso is not None
+    assert sorted(iso.edge_map.values()) == sorted(e.eid for e in h.edges)
+    for e in g.edges:
+        images = [iso.end_map[End(e.eid, side)] for side in (0, 1)]
+        assert {image.edge for image in images} == {iso.edge_map[e.eid]}
+        assert {image.side for image in images} == {0, 1}
+        for side, image in enumerate(images):
+            assert h.end_vertex(image) == iso.vertex_map[e.endpoint(side)]
+            assert abs(h.end_index(image)) == abs(e.index(side))
+
+
+def test_certificate_is_class_equal_on_random_tie_heavy_graphs_up_to_the_cap():
+    for seed in range(200):
+        _assert_scramble_is_class_equal(_random_tie_heavy_graph(seed), seed)
+
+
+@pytest.mark.parametrize("name", SYMMETRIC_FAMILIES)
+def test_certificate_is_class_equal_on_symmetric_families(name):
+    _assert_scramble_is_class_equal(SYMMETRIC_FAMILIES[name], len(name))

@@ -104,6 +104,7 @@ def test_constructor_rejects_empty():
     (("A",), (("e", "A", "A", 0, 3),), "edge 'e' has a zero index"),
     (("A",), (("e", "A", "A", 2.0, 3),), "edge 'e' has non-integer indices"),
     (("A", "B", "C"), (("e", "A", "B", 2, 3),), "graph is not connected"),
+    (("A",), (("e", "A", "A", True, 2),), "edge 'e' has non-integer indices"),
 ])
 def test_graph_from_parts_rejects_malformed_input(vertices, edges, match):
     with pytest.raises(InvalidGraphError, match=match):

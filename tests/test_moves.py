@@ -13,6 +13,7 @@ from gbsdeform import (
     Expansion,
     ExpansionBounds,
     IllegalMoveError,
+    ParseError,
     ScriptError,
     Slide,
     analyze,
@@ -112,6 +113,8 @@ def test_collapse_negative_unit_end():
     (Expansion("A", 2, (), "9bad", "d"), "bad new vertex identifier '9bad'"),
     (Expansion("A", 2, (), "Q", "d-1"), "bad new edge identifier 'd-1'"),
     (Expansion("A", 2.0, (), "Q", "d"), "nonzero"),
+    (Expansion("A", True, (End("t", 0),), "Q", "d"), "nonzero"),
+    (Slide(End("t", False), End("l", 1)), "bad side"),
 ])
 def test_illegal_moves_are_rejected(x, move, match):
     with pytest.raises(IllegalMoveError, match=match):
@@ -412,6 +415,10 @@ def test_script_round_trip_past_the_int_str_digit_limit():
     ("expand A \u0662 as Q d", "bad integer"),
     ("expand A 2 as C", "want: expand VERTEX N"),
     ("", "line 1: empty move"),
+    ("slide 9t:0 along l:1", "bad end"),
+    ("slide t:01 along l:1", "bad end"),
+    ("slide a:b:0 along l:1", "bad end"),
+    ("slide :0 along l:1", "bad end"),
 ])
 def test_script_errors(line, match):
     with pytest.raises(ScriptError, match=match):
@@ -421,6 +428,12 @@ def test_script_errors(line, match):
 def test_parse_script_reports_line():
     with pytest.raises(ScriptError, match="line 3"):
         parse_script("collapse e into B\n\nslide bad\n")
+
+
+def test_a_script_error_is_a_parse_error_with_a_line_and_no_column():
+    with pytest.raises(ParseError) as info:
+        parse_script("collapse e into B\n\nslide bad\n")
+    assert (info.value.line, info.value.column) == (3, None)
 
 
 def test_a_non_move_is_an_unknown_move(x):

@@ -8,11 +8,15 @@ with one result forced to fail.
 
 import dataclasses
 import importlib.util
+import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
+
+from gbsdeform import parse_graph, parse_script
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -102,10 +106,23 @@ def test_rigidity_sweep_rejects_a_negative_expansion_bound():
 def test_rigidity_sweep_exits_1_on_a_failed_trial(monkeypatch, capsys):
     script = load_script("rigidity_sweep.py")
     real = script.rigidity_trial
-    monkeypatch.setattr(script, "rigidity_trial",
-                        lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs),
-                                                                    passed=False))
+    trials = []
+
+    def failing_trial(*args, **kwargs):
+        trials.append(dataclasses.replace(real(*args, **kwargs), passed=False))
+        return trials[-1]
+
+    monkeypatch.setattr(script, "rigidity_trial", failing_trial)
     monkeypatch.setattr(sys, "argv", ["rigidity_sweep.py", "--trials", "2"])
     assert script.main() == 1
     out = capsys.readouterr().out
     assert "FAIL seed=0" in out and "0/2 trials passed" in out
+    # Each witness block, dedented, reads back: the start graph as .gbs text
+    # and the moves as a move script.
+    witnesses = out.split("FAIL seed=")[1:]
+    assert len(witnesses) == len(trials) == 2
+    for witness, trial in zip(witnesses, trials):
+        _, start, moves = re.split(r"^  (?:start|moves):\n", witness, flags=re.M)
+        assert parse_graph(textwrap.dedent(start)) == trial.start
+        moves = "".join(line for line in moves.splitlines(True) if line.startswith("    "))
+        assert parse_script(textwrap.dedent(moves)) == trial.moves
