@@ -432,6 +432,15 @@ def _random_small_graph(rng, n=None, extra=None):
     return graph_from_parts(verts, edges)
 
 
+def _moved_copy(rng, g, move_class, seed):
+    """g moved by up to three random moves of the class, then relabeled."""
+    for _ in range(rng.randint(1, 3)):
+        moves = neighbor_moves(g, move_class, ExpansionBounds(max_n=3, max_subset_size=2))
+        if moves:
+            g = apply_move(g, rng.choice(moves))
+    return scramble(g, seed)
+
+
 def differential_corpus():
     """(g1, g2, move class, budget) for each seed of the corpus."""
     for seed in range(DIFFERENTIAL_PAIRS):
@@ -442,13 +451,7 @@ def differential_corpus():
         if rng.random() < 0.35:
             g2 = _random_small_graph(rng, len(g1.vertices), betti_number(g1))
         else:
-            g2 = g1
-            for _ in range(rng.randint(1, 3)):
-                moves = neighbor_moves(g2, move_class,
-                                       ExpansionBounds(max_n=3, max_subset_size=2))
-                if moves:
-                    g2 = apply_move(g2, rng.choice(moves))
-            g2 = scramble(g2, seed)
+            g2 = _moved_copy(rng, g1, move_class, seed)
         yield g1, g2, move_class, budget
 
 
@@ -460,6 +463,35 @@ def test_verdicts_reasons_and_paths_match_the_pinned_corpus():
         lines.append(f"{v.kind} | {v.reason} | {path}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == DIFFERENTIAL_SHA256
+
+
+# A corpus under tiny node caps, where the order of a side's last layer
+# decides whether the other root is admitted: random graphs with 1-3
+# vertices, each paired with itself moved by up to three random moves and
+# relabeled, over every combination of the budgets below.  The digest was
+# taken from the search that ordered the last layer outside ``_Side``.
+NODE_CAP_PAIRS = 3000
+NODE_CAP_SHA256 = "d5a961164e696cc359d41fd27cdd9ac6d43460414bb4e7138012604f0ee68740"
+NODE_CAP_BUDGETS = tuple(
+    Budget(max_depth=depth, max_nodes=nodes, max_abs_index=index,
+           expansion=ExpansionBounds(max_n=max_n, max_subset_size=subset))
+    for depth in (1, 2, 3) for nodes in (2, 3, 5, 8, 13, 40) for index in (60, 10**6)
+    for max_n, subset in ((2, 1), (3, 2)))
+
+
+def test_node_cap_verdicts_reasons_and_paths_match_the_pinned_corpus():
+    lines = []
+    for i in range(NODE_CAP_PAIRS):
+        seed = 10_000 + i
+        rng = random.Random(seed)
+        move_class = ("slide", "deform")[i % 2]
+        budget = NODE_CAP_BUDGETS[i // 2 % len(NODE_CAP_BUDGETS)]
+        g1 = _random_small_graph(rng)
+        v = decide_equivalence(g1, _moved_copy(rng, g1, move_class, seed), move_class, budget)
+        path = None if v.path is None else format_script(v.path)
+        lines.append(f"{i} {v.kind} | {v.reason} | {path}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == NODE_CAP_SHA256
 
 
 # explore_class on the first graph of each corpus pair, under the pair's
