@@ -2,8 +2,9 @@
 
 One engine, ``_Side``, runs every search: a breadth-first enumeration from a
 root graph under the move class and ``Budget`` it is built with, keyed by
-canonical certificate.  ``_Side.growing`` is the one test that a next layer
-is due, and ``_Side.grow`` the only place the caps apply: the index bound and
+canonical certificate.  Every cap is decided inside ``_Side``.
+``_Side.growing`` is the one test that a next layer is due, ``_Side.advance``
+orders a layer's steps, and ``_Side.grow`` applies them: the index bound and
 the certificate's vertex cap (``DEFAULT_SIZE_CAP``) drop a move result before
 its certificate is computed, the node bound drops a new certificate once
 ``_Side.room`` is spent, and ``_Side.caps`` names each cap that dropped one.
@@ -15,9 +16,10 @@ results that equal, label for label, a graph the search has already met.
 ``explore_class`` grows one side while it is growing and records the class
 adjacency from the pairs it yields.  ``decide_equivalence`` applies invariant
 refuters, then grows two sides, smaller frontier first, until a side adds a
-certificate the other side reached within the depth bound, each side's last
-layer in the order ``_meet_first`` gives.  ``unknown`` names what bound it:
-the caps of both sides, and ``depth`` while a frontier remains.
+certificate the other side reached within the depth bound; ``_Side.advance``
+runs first the steps of a side's last layer that can reach the other root.
+``unknown`` names what bound it: the caps of both sides, and ``depth`` while
+a frontier remains.
 The move classes:
 
   slide   - slide moves only; enumeration is complete, so a closed side
@@ -110,6 +112,7 @@ class _Side:
         self.frontier: list[bytes] = [self.root]
         self.depth = 0
         self.caps: set[str] = set()     # "index", "size", "node": caps that dropped a result
+        self.waiting: list[tuple] = []  # last-layer steps that cannot meet the other root
 
     @property
     def closed(self) -> bool:
@@ -125,12 +128,36 @@ class _Side:
         """New certificates the node cap still admits."""
         return self.budget.max_nodes - len(self.visited)
 
-    def advance(self) -> Iterator[tuple]:
-        """Start the next layer; its steps (parent cert, parent, move), lazily."""
+    def advance(self, size: int | None = None) -> Iterator[tuple]:
+        """The next layer's steps (parent cert, parent, move), lazily.
+
+        ``decide_equivalence`` gives ``size``, the other root's vertex count.
+        In the layer at the depth bound a step whose result cannot have
+        ``size`` vertices waits in ``waiting``; before a step that can, the
+        waiting steps run if they could fill the node room.  Steps still
+        waiting run only if the search ends with no meeting.  Every verdict,
+        reason and path stays: at the depth bound a step can meet only the
+        other root.  Run in order, the steps before a root-reaching step add
+        at most this layer's new certificates plus ``len(waiting)``, so while
+        ``len(waiting) < room`` the in-order run admits the root too; else the
+        waiting steps run first and the step finds the room it would find in
+        order.  Which caps fire, and whether the frontier empties, do not
+        depend on the order of a layer's steps.  The root's parent is its
+        first producer, and only steps that can reach the root, kept in order,
+        produce it."""
         frontier, self.frontier, self.depth = self.frontier, [], self.depth + 1
-        parents = ((cert_u, self.visited[cert_u][0]) for cert_u in frontier)
-        return ((cert_u, gu, move) for cert_u, gu in parents
-                for move in neighbor_moves(gu, self.move_class, self.budget.expansion))
+        if self.depth < self.budget.max_depth:
+            size = None
+        for cert_u in frontier:
+            gu = self.visited[cert_u][0]
+            for move in neighbor_moves(gu, self.move_class, self.budget.expansion):
+                if size is not None and len(gu.vertices) + move.vertex_shift != size:
+                    self.waiting.append((cert_u, gu, move))
+                    continue
+                if len(self.waiting) >= self.room:
+                    yield from self.waiting
+                    self.waiting.clear()
+                yield cert_u, gu, move
 
     def grow(self, steps: Iterable[tuple]) -> Iterator[tuple[bytes, bytes]]:
         """Apply steps at ``depth``; yield (parent, cert) per uncapped result."""
@@ -204,30 +231,6 @@ def _stitch(fwd: _Side, bwd: _Side, cert: bytes) -> tuple[Move, ...]:
     return tuple(path)
 
 
-def _meet_first(steps: Iterable[tuple], size: int, room: int,
-                waiting: list[tuple]) -> Iterator[tuple]:
-    """A side's last layer in ``decide_equivalence``: among the first ``room``
-    steps, those whose results cannot have ``size`` vertices, the other root's
-    count, wait in ``waiting``; past them the node cap could fire, so the
-    waiting steps run first and the rest follow in order.  Steps still waiting
-    run only once the search ends with no meeting.  This keeps every verdict,
-    reason and path: a result at the depth bound can meet only the other root,
-    and if this side holds that root within the bound, the two met when this
-    side added it; which caps fire and whether the frontier empties do not
-    depend on the order of a layer's moves; and a move waits only while the
-    node cap cannot fire, so a result equal to the root is kept or dropped as
-    in order."""
-    for step in steps:
-        room -= 1
-        if room >= 0 and len(step[1].vertices) + step[2].vertex_shift != size:
-            waiting.append(step)
-            continue
-        if room < 0 and waiting:
-            yield from waiting
-            waiting.clear()
-        yield step
-
-
 def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
                        move_class: str, budget: Budget) -> Verdict:
     """Equivalent with a replayable path, Distinct with a reason, or Unknown.
@@ -246,20 +249,15 @@ def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
     if fwd.root == bwd.root:
         return Verdict("equivalent", path=())
 
-    waiting: dict[_Side, list[tuple]] = {fwd: [], bwd: []}
     while expandable := [s for s in (fwd, bwd) if s.growing]:
         side = min(expandable, key=lambda s: (len(s.frontier), s is bwd))
         other = bwd if side is fwd else fwd
-        steps = side.advance()
-        if side.depth == budget.max_depth:
-            steps = _meet_first(steps, len(other.visited[other.root][0].vertices),
-                                side.room, waiting[side])
-        for _, cert in side.grow(steps):
+        for _, cert in side.grow(side.advance(len(other.visited[other.root][0].vertices))):
             if (cert in other.visited
                     and side.visited[cert][1] + other.visited[cert][1] <= budget.max_depth):
                 return Verdict("equivalent", path=_stitch(fwd, bwd, cert))
     for side in (fwd, bwd):             # no meeting: the waiting moves run
-        for _ in side.grow(waiting[side]):
+        for _ in side.grow(side.waiting):
             pass
 
     if move_class == "slide":

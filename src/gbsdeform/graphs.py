@@ -151,11 +151,6 @@ class EdgeIndexedGraph:
     def has_edge(self, eid: str) -> bool:
         return eid in self._edges_by_id
 
-    def ends(self) -> Iterator[End]:
-        for e in self.edges:
-            yield End(e.eid, 0)
-            yield End(e.eid, 1)
-
     def ends_at(self, v: str) -> tuple[End, ...]:
         try:
             return self._ends_by_vertex[v]

@@ -173,9 +173,7 @@ def _apply_collapse(g: EdgeIndexedGraph, m: Collapse) -> EdgeIndexedGraph:
 
 
 def _apply_expansion(g: EdgeIndexedGraph, m: Expansion) -> EdgeIndexedGraph:
-    if m.n == 0:
-        raise IllegalMoveError("expansion factor must be nonzero")
-    if type(m.n) is not int:
+    if type(m.n) is not int or m.n == 0:
         raise IllegalMoveError(f"expansion factor {m.n!r} is not a nonzero integer")
     for kind, name in (("vertex", m.new_vertex), ("edge", m.new_edge)):
         if not _IDENT_RE.match(name):
@@ -386,7 +384,7 @@ def analyze(g: EdgeIndexedGraph) -> PredicateReport:
                 for j, b in enumerate(idx):
                     if i != j and divides(b, a):
                         ssf = False
-    unfolded = all(abs(g.end_index(end)) >= 2 for end in g.ends())
+    unfolded = all(abs(e.i0) >= 2 and abs(e.i1) >= 2 for e in g.edges)
     geometry = _geometry(g)
     if not reduced:
         jsj, reason = "NOT_QUALIFIED", "not reduced"

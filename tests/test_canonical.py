@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from itertools import combinations, permutations, product
@@ -280,3 +281,18 @@ def test_certificate_is_class_equal_on_random_tie_heavy_graphs_up_to_the_cap():
 @pytest.mark.parametrize("name", SYMMETRIC_FAMILIES)
 def test_certificate_is_class_equal_on_symmetric_families(name):
     _assert_scramble_is_class_equal(SYMMETRIC_FAMILIES[name], len(name))
+
+
+# The encoding, rank order and vertex signs of every graph above, bit for
+# bit: graph_isomorphism and path stitching read the order and signs, so a
+# faster canonical search must reproduce them as well as the certificate.
+FORMS_SHA256 = "cda8acee39c3846acd088db2513ca6729c2d5681bfa2682430b1ef3df5bda8e7"
+
+
+def test_forms_of_the_symmetric_families_and_tie_heavy_graphs_are_pinned():
+    graphs = list(SYMMETRIC_FAMILIES.values()) + [_random_tie_heavy_graph(s) for s in range(200)]
+    lines = []
+    for g in graphs:
+        form = canonical_form(g)
+        lines.append(repr((form.tuples, form.order, form.alpha)))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == FORMS_SHA256
