@@ -13,8 +13,8 @@ import sys
 import textwrap
 import time
 
-from gbsdeform import (ExpansionBounds, RandomGraphSpec, format_script, rigidity_trial,
-                       serialize_graph)
+from gbsdeform import (DEFAULT_SIZE_CAP, ExpansionBounds, RandomGraphSpec, format_script,
+                       rigidity_trial, serialize_graph)
 
 
 def main() -> int:
@@ -29,6 +29,8 @@ def main() -> int:
         ap.error("--trials must be at least 1")
     if args.max_vertices < 2:
         ap.error("--max-vertices must be at least 2")
+    if args.max_vertices > DEFAULT_SIZE_CAP:
+        ap.error(f"--max-vertices must be at most {DEFAULT_SIZE_CAP}")
     if args.moves < 0:
         ap.error("--moves must be at least 0")
     if args.max_n < 0:

@@ -35,18 +35,19 @@ A staircase above the best complete encoding is cut too.  Survivors are
 walked in the exhaustive walk's order, (tuples they determine, vertex,
 -sign), and a cut drops only leaves strictly above another leaf, so the
 first minimal leaf, with the rank order and signs that ``graph_isomorphism``
-hands to path stitching, is the exhaustive walk's.  ``brute_force_isomorphic``
-is the independent oracle.  Nothing in this module is cached: a caller that
-meets the same graph twice keeps its own memo (the searches in ``explore``
-do).  ``DEFAULT_SIZE_CAP`` is the single vertex cap on canonicalization.
+hands to path stitching, is the exhaustive walk's.  A form keeps only that
+order, those signs and the encoding; ``graph_isomorphism`` re-encodes each
+edge from the order and signs, and checks that the result is the encoding.
+The exhaustive oracles live with the tests, in ``tests/oracles.py``.  Nothing
+in this module is cached: a caller that meets the same graph twice keeps its
+own memo (the searches in ``explore`` do).  ``DEFAULT_SIZE_CAP`` is the
+single vertex cap on canonicalization.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations, product
 
 from .bigint import index_str
 from .graphs import EdgeIndexedGraph, End
@@ -54,18 +55,15 @@ from .graphs import EdgeIndexedGraph, End
 __all__ = [
     "SizeCapError",
     "DEFAULT_SIZE_CAP",
-    "ORACLE_SIZE_CAP",
     "CanonicalForm",
     "Isomorphism",
     "canonical_form",
     "canonical_certificate",
     "is_isomorphic",
-    "brute_force_isomorphic",
     "graph_isomorphism",
 ]
 
 DEFAULT_SIZE_CAP = 12
-ORACLE_SIZE_CAP = 6
 
 
 class SizeCapError(ValueError):
@@ -99,10 +97,8 @@ class CanonicalForm:
     text is made only when ``cert`` is first read."""
 
     order: tuple[str, ...]              # rank -> vertex
-    rank: dict[str, int]                # vertex -> rank
     alpha: tuple[int, ...]              # rank -> vertex sign
     tuples: tuple[tuple[int, int, int, int], ...]   # sorted encoding
-    edge_slots: dict[str, tuple[tuple[int, int, int, int], int]]  # eid -> (tuple, first side)
 
     @property
     def key(self) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
@@ -226,31 +222,14 @@ def _search_min_encoding(g: EdgeIndexedGraph):
             rank[v] = -1
 
     dfs(0)
-    return best[0], tuple(names[i] for i in best[1]), best[2]
+    return tuple(best[0]), tuple(names[i] for i in best[1]), best[2]
 
 
 def canonical_form(g: EdgeIndexedGraph) -> CanonicalForm:
     if len(g.vertices) > DEFAULT_SIZE_CAP:
         raise SizeCapError(f"graph has {len(g.vertices)} vertices, cap is {DEFAULT_SIZE_CAP}")
-    flat, order, alpha = _search_min_encoding(g)
-    rank = {v: i for i, v in enumerate(order)}
-    slots: dict[str, tuple[tuple[int, int, int, int], int]] = {}
-    for e in g.edges:
-        if e.is_loop:
-            a = rank[e.v0]
-            pair, first = _loop_slot(e.i0, e.i1)
-            slots[e.eid] = ((a, a, pair[0], pair[1]), first)
-        else:
-            r0, r1 = rank[e.v0], rank[e.v1]
-            if r0 < r1:
-                a, b, x, y, first = r0, r1, e.i0, e.i1, 0
-            else:
-                a, b, x, y, first = r1, r0, e.i1, e.i0, 1
-            tup = (a, b, -abs(x), -y * _sgn(x) * alpha[a] * alpha[b])
-            slots[e.eid] = (tup, first)
-    tuples = tuple(sorted(t for t, _ in slots.values()))
-    assert list(tuples) == flat
-    return CanonicalForm(order=order, rank=rank, alpha=alpha, tuples=tuples, edge_slots=slots)
+    tuples, order, alpha = _search_min_encoding(g)
+    return CanonicalForm(order=order, alpha=alpha, tuples=tuples)
 
 
 def canonical_certificate(g: EdgeIndexedGraph) -> bytes:
@@ -261,6 +240,25 @@ def canonical_certificate(g: EdgeIndexedGraph) -> bytes:
 def is_isomorphic(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph) -> bool:
     """Equivalence up to relabeling and sign flips, via canonical keys."""
     return canonical_form(g1).key == canonical_form(g2).key
+
+
+def _edge_slots(g: EdgeIndexedGraph, form: CanonicalForm) -> list[tuple[tuple, str, int]]:
+    """(tuple, edge id, first side) of each edge under the form's assignment,
+    sorted; the tuples must be the form's encoding."""
+    rank = {v: i for i, v in enumerate(form.order)}
+    slots = []
+    for e in g.edges:
+        if e.is_loop:
+            a = rank[e.v0]
+            (x, y), first = _loop_slot(e.i0, e.i1)
+            slots.append(((a, a, x, y), e.eid, first))
+            continue
+        r0, r1 = rank[e.v0], rank[e.v1]
+        a, b, x, y, first = (r0, r1, e.i0, e.i1, 0) if r0 < r1 else (r1, r0, e.i1, e.i0, 1)
+        slots.append(((a, b, -abs(x), -y * _sgn(x) * form.alpha[a] * form.alpha[b]), e.eid, first))
+    slots.sort()
+    assert tuple(tup for tup, _, _ in slots) == form.tuples
+    return slots
 
 
 def graph_isomorphism(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph) -> Isomorphism | None:
@@ -275,44 +273,10 @@ def graph_isomorphism(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph) -> Isomorphism
     f2 = canonical_form(g2)
     if f1.key != f2.key:
         return None
-    vertex_map = {v: f2.order[f1.rank[v]] for v in g1.vertices}
     edge_map: dict[str, str] = {}
     end_map: dict[End, End] = {}
-    slots1, slots2 = (sorted((tup, eid, first) for eid, (tup, first) in f.edge_slots.items())
-                      for f in (f1, f2))
-    for (_, e1, first1), (_, e2, first2) in zip(slots1, slots2):
+    for (_, e1, first1), (_, e2, first2) in zip(_edge_slots(g1, f1), _edge_slots(g2, f2)):
         edge_map[e1] = e2
         end_map[End(e1, first1)] = End(e2, first2)
         end_map[End(e1, 1 - first1)] = End(e2, 1 - first2)
-    return Isomorphism(vertex_map, edge_map, end_map)
-
-
-def brute_force_isomorphic(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph) -> bool:
-    """Exhaustive equivalence test; the oracle for the canonical search.
-
-    Tries every vertex bijection composed with every vertex sign assignment.
-    Edge flips negate both entries of a single edge and touch nothing else,
-    so they are absorbed by comparing each edge descriptor up to pair sign.
-    """
-    if len(g1.vertices) > ORACLE_SIZE_CAP or len(g2.vertices) > ORACLE_SIZE_CAP:
-        raise SizeCapError(f"oracle vertex cap {ORACLE_SIZE_CAP} exceeded")
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
-        return False
-
-    def descriptor(v0, v1, i0, i1):
-        d = sorted(((v0, i0), (v1, i1)))
-        dneg = sorted(((v0, -i0), (v1, -i1)))
-        return tuple(min(d, dneg))
-
-    target = Counter(descriptor(e.v0, e.v1, e.i0, e.i1) for e in g2.edges)
-    verts1 = g1.vertices
-    for perm in permutations(g2.vertices):
-        phi = dict(zip(verts1, perm))
-        for signs in product((1, -1), repeat=len(verts1)):
-            alpha = dict(zip(verts1, signs))
-            got = Counter(
-                descriptor(phi[e.v0], phi[e.v1], alpha[e.v0] * e.i0, alpha[e.v1] * e.i1)
-                for e in g1.edges)
-            if got == target:
-                return True
-    return False
+    return Isomorphism(dict(zip(f1.order, f2.order)), edge_map, end_map)

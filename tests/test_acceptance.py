@@ -14,7 +14,6 @@ from gbsdeform import (
     analyze,
     apply_move,
     betti_number,
-    brute_force_isomorphic,
     canonical_certificate,
     enumerate_collapses,
     enumerate_expansions,
@@ -28,6 +27,7 @@ from gbsdeform import (
 from gbsdeform.cli import main
 from gbsdeform.counterexample import ExampleParams, verify_slide_ladder
 
+from oracles import brute_force_isomorphic
 from strategies import X_TEXT, Y_TEXT, assert_valid, scramble
 
 P = ExampleParams(2, 3, 5, 7)

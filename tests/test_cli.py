@@ -93,6 +93,23 @@ def test_canon_prints_stable_hex(capsys, x_file):
     assert proc.stdout.strip() == expected
 
 
+def test_module_entry_point_passes_the_exit_code_on(tmp_path, x_file):
+    # ``python -m gbsdeform.cli`` runs the module's __main__ guard, which
+    # must hand main's status to the interpreter: 0 with the certificate,
+    # and 65 for a file that cannot be read.
+    def canon(path):
+        return subprocess.run([sys.executable, "-m", "gbsdeform.cli", "canon", path],
+                              capture_output=True, text=True, timeout=60)
+
+    proc = canon(x_file)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"v2:0,0,-5,-30;0,1,-20,-7".hex() + "\n"
+    proc = canon(str(tmp_path / "missing.gbs"))
+    assert proc.returncode == 65
+    assert proc.stdout == ""
+    assert "cannot read" in proc.stderr
+
+
 def test_apply_script_round_trip(capsys, tmp_path, x_file):
     script = tmp_path / "moves.txt"
     script.write_text("slide t:0 along l:1\n")

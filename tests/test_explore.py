@@ -2,6 +2,8 @@ import gc
 import hashlib
 import random
 import re
+from dataclasses import replace
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from gbsdeform.canonical import DEFAULT_SIZE_CAP
 from gbsdeform.counterexample import ExampleParams, example_graph, verify_slide_ladder
 from gbsdeform.cli import adjacency_dot, dump_visited
 
+from oracles import least_meeting_sum
 from strategies import X_TEXT, Y_TEXT, connected_graphs, scramble
 
 P = ExampleParams(2, 3, 5, 7)
@@ -463,6 +466,25 @@ def test_verdicts_reasons_and_paths_match_the_pinned_corpus():
         lines.append(f"{v.kind} | {v.reason} | {path}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == DIFFERENTIAL_SHA256
+
+
+# The meeting oracle on the corpus's first pairs, with every node cap lifted.
+# A pair that meets within the depth bound gets a path no shorter than the
+# least depth sum and no longer than the bound; a layer stops at its first
+# meeting, so the path need not be least.  A pair whose classes share a
+# certificate is never distinct.
+ORACLE_PAIRS = 120
+
+
+def test_verdicts_agree_with_the_meeting_oracle_with_no_node_cap():
+    for i, (g1, g2, move_class, budget) in enumerate(islice(differential_corpus(), ORACLE_PAIRS)):
+        least = least_meeting_sum(g1, g2, move_class, budget)
+        v = decide_equivalence(g1, g2, move_class, replace(budget, max_nodes=10**6))
+        if least is not None:
+            assert v.kind != "distinct", i
+        if least is not None and least <= budget.max_depth:
+            assert v.kind == "equivalent", i
+            assert least <= len(v.path) <= budget.max_depth, i
 
 
 # A corpus under tiny node caps, where the order of a side's last layer

@@ -82,6 +82,13 @@ def test_rigidity_sweep_rejects_too_few_vertices():
     assert "--max-vertices must be at least 2" in proc.stderr
 
 
+def test_rigidity_sweep_rejects_more_vertices_than_the_canonical_cap():
+    proc = run_script("rigidity_sweep.py", "--trials", "14", "--max-vertices", "14")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--max-vertices must be at most 12" in proc.stderr
+
+
 def test_rigidity_sweep_rejects_zero_trials():
     proc = run_script("rigidity_sweep.py", "--trials", "0")
     assert proc.returncode == 2
