@@ -16,8 +16,9 @@ results that equal, label for label, a graph the search has already met.
 ``explore_class`` grows one side while it is growing and records the class
 adjacency from the pairs it yields.  ``decide_equivalence`` applies invariant
 refuters, then grows two sides, smaller frontier first, until a side adds a
-certificate the other side reached within the depth bound; ``_Side.advance``
-runs first the steps of a side's last layer that can reach the other root.
+certificate the other side reached within the depth bound.  In a side's
+last layer ``_Side.advance`` builds, per parent, only the move kind that can
+reach the other root's vertex count, and parks the other kinds with counts.
 ``unknown`` names what bound it: the caps of both sides, and ``depth`` while
 a frontier remains.
 The move classes:
@@ -46,14 +47,9 @@ from dataclasses import dataclass
 from .canonical import DEFAULT_SIZE_CAP, canonical_certificate, graph_isomorphism
 from .graphs import EdgeIndexedGraph, betti_number
 from .moves import (
-    ExpansionBounds,
-    Move,
-    apply_move,
-    enumerate_collapses,
-    enumerate_expansions,
-    enumerate_slides,
-    invert_move,
-    transport_move,
+    Collapse, Expansion, ExpansionBounds, Move, Slide, apply_move, count_collapses,
+    count_expansions, count_slides, enumerate_collapses, enumerate_expansions,
+    enumerate_slides, invert_move, transport_move,
 )
 
 __all__ = [
@@ -82,11 +78,21 @@ def _check_move_class(move_class: str) -> None:
         raise ValueError(f"unknown move class {move_class!r}")
 
 
+def _kinds(move_class: str, bounds: ExpansionBounds) -> tuple[tuple, ...]:
+    """(vertex shift, enumerator, count) of each move kind of the class, in
+    ``neighbor_moves`` order; each call reads the module's bindings."""
+    slides = (Slide.vertex_shift, enumerate_slides, count_slides)
+    if move_class == "slide":
+        return (slides,)
+    return ((Collapse.vertex_shift, enumerate_collapses, count_collapses), slides,
+            (Expansion.vertex_shift, lambda g: enumerate_expansions(g, bounds),
+             lambda g: count_expansions(g, bounds)))
+
+
 def neighbor_moves(g: EdgeIndexedGraph, move_class: str, bounds: ExpansionBounds) -> list[Move]:
     _check_move_class(move_class)
-    if move_class == "slide":
-        return enumerate_slides(g)
-    return enumerate_collapses(g) + enumerate_slides(g) + enumerate_expansions(g, bounds)
+    return [move for _, enumerate_kind, _ in _kinds(move_class, bounds)
+            for move in enumerate_kind(g)]
 
 
 @dataclass
@@ -112,7 +118,8 @@ class _Side:
         self.frontier: list[bytes] = [self.root]
         self.depth = 0
         self.caps: set[str] = set()     # "index", "size", "node": caps that dropped a result
-        self.waiting: list[tuple] = []  # last-layer steps that cannot meet the other root
+        self.parked: list[tuple] = []   # last-layer (parent cert, parent, enumerator), unbuilt
+        self.parked_moves = 0           # moves the parked kinds hold
 
     @property
     def closed(self) -> bool:
@@ -132,31 +139,44 @@ class _Side:
         """The next layer's steps (parent cert, parent, move), lazily.
 
         ``decide_equivalence`` gives ``size``, the other root's vertex count.
-        In the layer at the depth bound a step whose result cannot have
-        ``size`` vertices waits in ``waiting``; before a step that can, the
-        waiting steps run if they could fill the node room.  Steps still
-        waiting run only if the search ends with no meeting.  Every verdict,
-        reason and path stays: at the depth bound a step can meet only the
-        other root.  Run in order, the steps before a root-reaching step add
-        at most this layer's new certificates plus ``len(waiting)``, so while
-        ``len(waiting) < room`` the in-order run admits the root too; else the
-        waiting steps run first and the step finds the room it would find in
-        order.  Which caps fire, and whether the frontier empties, do not
-        depend on the order of a layer's steps.  The root's parent is its
+        In the layer at the depth bound, of a parent's move kinds only the one
+        whose vertex shift reaches ``size`` is built; each other kind is
+        parked unbuilt and its move count added to ``parked_moves``.  Before a
+        step that can reach ``size`` the parked kinds are built and run
+        (``drain``) if their moves could fill the node room; kinds still
+        parked run only if the search ends with no meeting.  Every verdict,
+        reason and path stays as in the run of each parent's ``neighbor_moves``
+        in order: at the depth bound a step can meet only the other root.
+        Kinds ahead of the reaching kind are counted before its steps and the
+        rest after them, so the in-order steps before a root-reaching step add
+        at most this layer's new certificates plus ``parked_moves``.  While
+        ``parked_moves < room`` the in-order run admits the root too; else the
+        parked moves run first, in order, and the step finds the room it would
+        find in order.  Which caps fire, and whether the frontier empties, do
+        not depend on the order of a layer's steps.  The root's parent is its
         first producer, and only steps that can reach the root, kept in order,
         produce it."""
         frontier, self.frontier, self.depth = self.frontier, [], self.depth + 1
         if self.depth < self.budget.max_depth:
             size = None
+        kinds = _kinds(self.move_class, self.budget.expansion)
         for cert_u in frontier:
             gu = self.visited[cert_u][0]
-            for move in neighbor_moves(gu, self.move_class, self.budget.expansion):
-                if size is not None and len(gu.vertices) + move.vertex_shift != size:
-                    self.waiting.append((cert_u, gu, move))
+            for shift, enumerate_kind, count in kinds:
+                if size is not None and len(gu.vertices) + shift != size:
+                    self.parked.append((cert_u, gu, enumerate_kind))
+                    self.parked_moves += count(gu)
                     continue
-                if len(self.waiting) >= self.room:
-                    yield from self.waiting
-                    self.waiting.clear()
+                for move in enumerate_kind(gu):
+                    if self.parked_moves >= self.room:
+                        yield from self.drain()
+                    yield cert_u, gu, move
+
+    def drain(self) -> Iterator[tuple]:
+        """The parked kinds' steps, built in the order they were parked."""
+        parked, self.parked, self.parked_moves = self.parked, [], 0
+        for cert_u, gu, enumerate_kind in parked:
+            for move in enumerate_kind(gu):
                 yield cert_u, gu, move
 
     def grow(self, steps: Iterable[tuple]) -> Iterator[tuple[bytes, bytes]]:
@@ -256,8 +276,8 @@ def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
             if (cert in other.visited
                     and side.visited[cert][1] + other.visited[cert][1] <= budget.max_depth):
                 return Verdict("equivalent", path=_stitch(fwd, bwd, cert))
-    for side in (fwd, bwd):             # no meeting: the waiting moves run
-        for _ in side.grow(side.waiting):
+    for side in (fwd, bwd):             # no meeting: the parked kinds run
+        for _ in side.grow(side.drain()):
             pass
 
     if move_class == "slide":

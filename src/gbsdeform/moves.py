@@ -14,6 +14,7 @@ geometry) and the one-move-per-line script format.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, isqrt
@@ -38,6 +39,9 @@ __all__ = [
     "enumerate_collapses",
     "enumerate_slides",
     "enumerate_expansions",
+    "count_collapses",
+    "count_slides",
+    "count_expansions",
     "analyze",
     "reduce_graph",
     "format_move",
@@ -267,35 +271,73 @@ def transport_move(m: Move, iso: Isomorphism, target: EdgeIndexedGraph) -> Move:
     raise ValueError(f"unknown move {m!r}")
 
 
-def enumerate_collapses(g: EdgeIndexedGraph) -> list[Collapse]:
-    """All legal collapses, sorted by edge then survivor."""
-    out = []
+def _collapse_pairs(g: EdgeIndexedGraph) -> Iterator[tuple[str, str]]:
+    """(edge, survivor) of each legal collapse, in edge order."""
     for e in g.edges:
         if e.is_loop:
             continue
         if abs(e.i0) == 1:
-            out.append(Collapse(edge=e.eid, survivor=e.v1))
+            yield e.eid, e.v1
         if abs(e.i1) == 1:
-            out.append(Collapse(edge=e.eid, survivor=e.v0))
+            yield e.eid, e.v0
+
+
+def enumerate_collapses(g: EdgeIndexedGraph) -> list[Collapse]:
+    """All legal collapses, sorted by edge then survivor."""
+    out = [Collapse(edge=eid, survivor=v) for eid, v in _collapse_pairs(g)]
     out.sort(key=lambda c: (c.edge, c.survivor))
     return out
 
 
-def enumerate_slides(g: EdgeIndexedGraph) -> list[Slide]:
-    """All legal slides: ordered pairs of distinct-edge ends at one vertex
-    with the carrier index dividing the moving index."""
+def count_collapses(g: EdgeIndexedGraph) -> int:
+    """``len(enumerate_collapses(g))``, without building the moves."""
+    return sum(1 for _ in _collapse_pairs(g))
+
+
+def _slides(g: EdgeIndexedGraph, make: Callable[[End, End], object]) -> list:
+    """``make(moving end, carrier end)`` for each legal slide: ordered pairs of
+    distinct-edge ends at one vertex with the carrier index dividing the
+    moving index.  A list, not a generator: ``verify_slide_ladder`` enumerates
+    every level, and a generator made that about 4% slower (CPython 3.11)."""
     out = []
     for v in g.vertices:
-        ends = g.ends_at(v)
-        for moving in ends:
-            i_m = g.end_index(moving)
-            for along in ends:
-                if along.edge == moving.edge:
-                    continue
-                if divides(g.end_index(along), i_m):
-                    out.append(Slide(moving_end=moving, along=along))
+        ends = [(end, g.end_index(end)) for end in g.ends_at(v)]
+        for moving, i_m in ends:
+            for along, i_a in ends:
+                if along.edge != moving.edge and divides(i_a, i_m):
+                    out.append(make(moving, along))
+    return out
+
+
+def enumerate_slides(g: EdgeIndexedGraph) -> list[Slide]:
+    """All legal slides, sorted by moving end then carrier end."""
+    out = _slides(g, Slide)
     out.sort(key=lambda s: (s.moving_end, s.along))
     return out
+
+
+def count_slides(g: EdgeIndexedGraph) -> int:
+    """``len(enumerate_slides(g))``, without building the moves."""
+    return len(_slides(g, lambda moving, along: None))
+
+
+def _expansion_subsets(g: EdgeIndexedGraph,
+                       bounds: ExpansionBounds) -> Iterator[tuple[str, tuple[End, ...], list[int]]]:
+    """(vertex, end subset, factors) for each nonempty subset of at most
+    ``max_subset_size`` ends at a vertex; the factors are the divisors
+    2..max_n of the subset gcd."""
+    factors: dict[int, list[int]] = {}     # subset gcd -> its factors
+    for v in g.vertices:
+        ends = g.ends_at(v)
+        index = {end: abs(g.end_index(end)) for end in ends}
+        for size in range(1, min(len(ends), bounds.max_subset_size) + 1):
+            for combo in combinations(ends, size):
+                d = 0
+                for end in combo:
+                    d = gcd(d, index[end])
+                if d not in factors:
+                    factors[d] = _factors(d, bounds.max_n)
+                yield v, combo, factors[d]
 
 
 def enumerate_expansions(g: EdgeIndexedGraph, bounds: ExpansionBounds) -> list[Expansion]:
@@ -308,21 +350,13 @@ def enumerate_expansions(g: EdgeIndexedGraph, bounds: ExpansionBounds) -> list[E
     """
     new_v = fresh_vertex_id(g)
     new_e = fresh_edge_id(g)
-    out = []
-    factors: dict[int, list[int]] = {}     # subset gcd -> its factors
-    for v in g.vertices:
-        ends = g.ends_at(v)
-        for size in range(1, min(len(ends), bounds.max_subset_size) + 1):
-            for combo in combinations(ends, size):
-                d = 0
-                for end in combo:
-                    d = gcd(d, abs(g.end_index(end)))
-                if d not in factors:
-                    factors[d] = _factors(d, bounds.max_n)
-                for n in factors[d]:
-                    out.append(Expansion(vertex=v, n=n, moved_ends=combo,
-                                         new_vertex=new_v, new_edge=new_e))
-    return out
+    return [Expansion(vertex=v, n=n, moved_ends=combo, new_vertex=new_v, new_edge=new_e)
+            for v, combo, ns in _expansion_subsets(g, bounds) for n in ns]
+
+
+def count_expansions(g: EdgeIndexedGraph, bounds: ExpansionBounds) -> int:
+    """``len(enumerate_expansions(g, bounds))``, without building the moves."""
+    return sum(len(ns) for _, _, ns in _expansion_subsets(g, bounds))
 
 
 def _factors(d: int, max_n: int) -> list[int]:

@@ -28,7 +28,7 @@ from gbsdeform import (
 from gbsdeform import explore
 from gbsdeform.canonical import DEFAULT_SIZE_CAP
 from gbsdeform.counterexample import ExampleParams, example_graph, verify_slide_ladder
-from gbsdeform.cli import adjacency_dot, dump_visited
+from gbsdeform.cli import adjacency_dot, dump_visited, main
 
 from oracles import least_meeting_sum
 from strategies import X_TEXT, Y_TEXT, connected_graphs, scramble
@@ -391,11 +391,60 @@ def test_a_search_with_no_meeting_applies_each_move_once(monkeypatch, g1, g2, mo
 
     monkeypatch.setattr(explore, "neighbor_moves", recorded(neighbor_moves, enumerated))
     monkeypatch.setattr(explore, "apply_move", recorded(apply_move, applied))
+    kinds, built = counted_enumerators(monkeypatch)
     verdict = decide_equivalence(parse_graph(g1), parse_graph(g2), move_class,
                                  Budget(max_depth=2))
     assert verdict.reason == "budget exhausted (depth)"
     assert applied and len(set(applied)) == len(applied)
     assert len(set(enumerated)) == len(enumerated)
+    # A last layer builds each parked kind only when it drains: every
+    # (graph, kind) is enumerated once, and every move built is applied.
+    assert kinds and len(set(kinds)) == len(kinds)
+    assert sum(built) == len(applied)
+
+
+def counted_enumerators(monkeypatch):
+    """Record (graph, kind) per call of ``explore``'s enumerators, and the
+    number of moves each call built."""
+    kinds, built = [], []
+
+    def recorded(name):
+        fn = getattr(explore, name)
+
+        def wrapper(g, *args):
+            moves = fn(g, *args)
+            kinds.append((g, name))
+            built.append(len(moves))
+            return moves
+        return wrapper
+
+    for name in ("enumerate_collapses", "enumerate_slides", "enumerate_expansions"):
+        monkeypatch.setattr(explore, name, recorded(name))
+    return kinds, built
+
+
+# The paper search, as ``gbsdeform equiv`` runs it: its two depth-4 layers
+# build only the moves that can reach the other root, so every move built is
+# applied (building every move of every parent would make 38,534).
+PAPER_SEARCH_MOVES = 5134
+
+
+def test_the_paper_search_builds_only_the_moves_it_applies(monkeypatch, capsys, tmp_path):
+    (tmp_path / "X.gbs").write_text(X_TEXT)
+    (tmp_path / "Y.gbs").write_text(Y_TEXT)
+    applied = []
+
+    def counted_apply(g, move):
+        applied.append(move)
+        return apply_move(g, move)
+
+    monkeypatch.setattr(explore, "apply_move", counted_apply)
+    _, built = counted_enumerators(monkeypatch)
+    code = main(["equiv", "--moves", "deform", "--depth", "4", "--max-n", "10",
+                 "--max-index", "100", str(tmp_path / "X.gbs"), str(tmp_path / "Y.gbs")])
+    out = capsys.readouterr().out
+    assert code == 0 and "verdict: equivalent" in out and "path_length: 4" in out
+    assert sum(built) == len(applied) == PAPER_SEARCH_MOVES
 
 
 # A fixed corpus of decide_equivalence pairs: random graphs with 1-3 vertices,

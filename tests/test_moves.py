@@ -4,7 +4,7 @@ import sys
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from gbsdeform import (
@@ -20,6 +20,9 @@ from gbsdeform import (
     apply_move,
     betti_number,
     canonical_certificate,
+    count_collapses,
+    count_expansions,
+    count_slides,
     enumerate_collapses,
     enumerate_expansions,
     enumerate_slides,
@@ -233,6 +236,22 @@ def test_enumerated_moves_all_apply(x, diagram4):
         for move in (enumerate_slides(g) + enumerate_collapses(g)
                      + enumerate_expansions(g, BOUNDS)):
             apply_move(g, move)
+
+
+# The counts share their enumerator's loop; a count that drifts from it would
+# let a search's last layer drain its parked moves at the wrong step.
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs(max_vertices=5, max_extra_edges=3),
+       st.integers(0, 12), st.integers(0, 4))
+@example(parse_graph("vertex A\nvertex B\nedge l A A 30 5\nedge t A B 20 7"), 10, 3)
+@example(parse_graph("vertex A\nvertex B\nedge e A B 6 1\nedge l A A 4 -1"), 0, 2)
+@example(parse_graph("vertex A\nvertex B\nedge e A B 6 1\nedge l A A 4 -1"), 1, 2)
+@example(parse_graph("vertex A\nvertex B\nedge e A B 6 1\nedge l A A 4 -1"), 6, 0)
+def test_each_count_equals_the_length_of_its_enumeration(g, max_n, max_subset_size):
+    bounds = ExpansionBounds(max_n=max_n, max_subset_size=max_subset_size)
+    assert count_collapses(g) == len(enumerate_collapses(g))
+    assert count_slides(g) == len(enumerate_slides(g))
+    assert count_expansions(g, bounds) == len(enumerate_expansions(g, bounds))
 
 
 def test_analyze_example_graphs(x):
