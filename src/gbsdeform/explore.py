@@ -1,13 +1,13 @@
 """Bounded search over move graphs with canonical deduplication.
 
 One engine, ``_Side``, runs every search: a breadth-first enumeration from a
-root graph under the move class and ``Budget`` it is built with, keyed by
-canonical certificate.  Every cap is decided inside ``_Side``.
+root graph under the move kinds, ``Budget`` and target vertex count it is built
+with, keyed by canonical certificate.  Every cap is decided inside ``_Side``.
 ``_Side.growing`` is the one test that a next layer is due, ``_Side.advance``
-orders a layer's steps, and ``_Side.grow`` applies them: the index bound and
-the certificate's vertex cap (``DEFAULT_SIZE_CAP``) drop a move result before
-its certificate is computed, the node bound drops a new certificate once
-``_Side.room`` is spent, and ``_Side.caps`` names each cap that dropped one.
+orders a layer's steps, and ``_Side.grow`` applies them: the index bound drops
+a move result before its certificate is computed, ``canonical_form``'s vertex
+cap raises ``SizeCapError`` (recorded as ``"size"``), the node bound drops a
+new certificate once ``_Side.room`` is spent, and ``_Side.caps`` names each cap.
 A side is *closed* when its frontier emptied and no cap fired; only then is
 it the whole class.  Each search keeps one graph -> certificate memo, shared
 by both of its sides and freed when the search returns: it answers the move
@@ -44,7 +44,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .canonical import DEFAULT_SIZE_CAP, canonical_certificate, graph_isomorphism
+from .canonical import SizeCapError, canonical_certificate, graph_isomorphism
 from .graphs import EdgeIndexedGraph, betti_number
 from .moves import (
     Collapse, Expansion, ExpansionBounds, Move, Slide, apply_move, count_collapses,
@@ -73,14 +73,11 @@ class Budget:
     expansion: ExpansionBounds = ExpansionBounds()
 
 
-def _check_move_class(move_class: str) -> None:
-    if move_class not in MOVE_CLASSES:
-        raise ValueError(f"unknown move class {move_class!r}")
-
-
 def _kinds(move_class: str, bounds: ExpansionBounds) -> tuple[tuple, ...]:
     """(vertex shift, enumerator, count) of each move kind of the class, in
     ``neighbor_moves`` order; each call reads the module's bindings."""
+    if move_class not in MOVE_CLASSES:
+        raise ValueError(f"unknown move class {move_class!r}")
     slides = (Slide.vertex_shift, enumerate_slides, count_slides)
     if move_class == "slide":
         return (slides,)
@@ -90,7 +87,6 @@ def _kinds(move_class: str, bounds: ExpansionBounds) -> tuple[tuple, ...]:
 
 
 def neighbor_moves(g: EdgeIndexedGraph, move_class: str, bounds: ExpansionBounds) -> list[Move]:
-    _check_move_class(move_class)
     return [move for _, enumerate_kind, _ in _kinds(move_class, bounds)
             for move in enumerate_kind(g)]
 
@@ -107,9 +103,9 @@ class ExplorationReport:
 class _Side:
     """One breadth-first search from a root graph, keyed by certificate."""
 
-    def __init__(self, g: EdgeIndexedGraph, move_class: str, budget: Budget,
-                 memo: dict[EdgeIndexedGraph, bytes]):
-        self.move_class, self.budget = move_class, budget
+    def __init__(self, g: EdgeIndexedGraph, kinds: tuple[tuple, ...], budget: Budget,
+                 memo: dict[EdgeIndexedGraph, bytes], size: int | None = None):
+        self.kinds, self.budget, self.size = kinds, budget, size
         self.memo = memo                # graph -> certificate, shared by the search's sides
         self.root = memo.setdefault(g, canonical_certificate(g))
         # cert -> (graph as reached, depth, parent cert, move from parent)
@@ -135,34 +131,32 @@ class _Side:
         """New certificates the node cap still admits."""
         return self.budget.max_nodes - len(self.visited)
 
-    def advance(self, size: int | None = None) -> Iterator[tuple]:
+    def advance(self) -> Iterator[tuple]:
         """The next layer's steps (parent cert, parent, move), lazily.
 
-        ``decide_equivalence`` gives ``size``, the other root's vertex count.
-        In the layer at the depth bound, of a parent's move kinds only the one
-        whose vertex shift reaches ``size`` is built; each other kind is
-        parked unbuilt and its move count added to ``parked_moves``.  Before a
-        step that can reach ``size`` the parked kinds are built and run
-        (``drain``) if their moves could fill the node room; kinds still
-        parked run only if the search ends with no meeting.  Every verdict,
-        reason and path stays as in the run of each parent's ``neighbor_moves``
-        in order: at the depth bound a step can meet only the other root.
-        Kinds ahead of the reaching kind are counted before its steps and the
-        rest after them, so the in-order steps before a root-reaching step add
-        at most this layer's new certificates plus ``parked_moves``.  While
-        ``parked_moves < room`` the in-order run admits the root too; else the
-        parked moves run first, in order, and the step finds the room it would
-        find in order.  Which caps fire, and whether the frontier empties, do
-        not depend on the order of a layer's steps.  The root's parent is its
-        first producer, and only steps that can reach the root, kept in order,
-        produce it."""
+        ``decide_equivalence`` builds each side with ``size``, the other root's
+        vertex count.  In the layer at the depth bound, of a parent's move
+        kinds only the one whose vertex shift reaches ``size`` is built; each
+        other kind is parked unbuilt and its move count added to
+        ``parked_moves``.  Before a step that can reach ``size`` the parked
+        kinds are built and run (``drain``) if their moves could fill the node
+        room; kinds still parked run only if the search ends with no meeting.
+        Every verdict, reason and path stays as in the run of each parent's
+        ``neighbor_moves`` in order: at the depth bound a step can meet only
+        the other root.  Kinds ahead of the reaching kind are counted before
+        its steps and the rest after them, so the in-order steps before a
+        root-reaching step add at most this layer's new certificates plus
+        ``parked_moves``.  While ``parked_moves < room`` the in-order run admits
+        the root too; else the parked moves run first, in order, and the step
+        finds the room it would find in order.  Which caps fire, and whether
+        the frontier empties, do not depend on the order of a layer's steps.
+        The root's parent is its first producer, and only steps that can reach
+        the root, kept in order, produce it."""
         frontier, self.frontier, self.depth = self.frontier, [], self.depth + 1
-        if self.depth < self.budget.max_depth:
-            size = None
-        kinds = _kinds(self.move_class, self.budget.expansion)
+        size = self.size if self.depth == self.budget.max_depth else None
         for cert_u in frontier:
             gu = self.visited[cert_u][0]
-            for shift, enumerate_kind, count in kinds:
+            for shift, enumerate_kind, count in self.kinds:
                 if size is not None and len(gu.vertices) + shift != size:
                     self.parked.append((cert_u, gu, enumerate_kind))
                     self.parked_moves += count(gu)
@@ -186,12 +180,13 @@ class _Side:
             if h.max_abs_index() > self.budget.max_abs_index:
                 self.caps.add("index")
                 continue
-            if len(h.vertices) > DEFAULT_SIZE_CAP:
-                self.caps.add("size")
-                continue
             cert_h = self.memo.get(h)
             if cert_h is None:
-                cert_h = self.memo[h] = canonical_certificate(h)
+                try:
+                    cert_h = self.memo[h] = canonical_certificate(h)
+                except SizeCapError:
+                    self.caps.add("size")
+                    continue
             if cert_h not in self.visited:
                 if self.room <= 0:
                     self.caps.add("node")
@@ -213,8 +208,7 @@ class _Side:
 
 def explore_class(g: EdgeIndexedGraph, move_class: str, budget: Budget) -> ExplorationReport:
     """BFS closure of g under one move class, deduplicated by certificate."""
-    _check_move_class(move_class)
-    side = _Side(g, move_class, budget, {})
+    side = _Side(g, _kinds(move_class, budget.expansion), budget, {})
     adjacency: dict[bytes, set[bytes]] = {side.root: set()}
     while side.growing:
         for parent, cert in side.grow(side.advance()):
@@ -256,7 +250,7 @@ def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
     """Equivalent with a replayable path, Distinct with a reason, or Unknown.
     When both classes close with no meeting within the depth bound but share a
     class, the path runs through it and can be longer than that bound."""
-    _check_move_class(move_class)
+    kinds = _kinds(move_class, budget.expansion)
     b1, b2 = betti_number(g1), betti_number(g2)
     if b1 != b2:
         return Verdict("distinct", reason=f"betti number differs ({b1} vs {b2})")
@@ -265,14 +259,15 @@ def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
             return Verdict("distinct", reason="vertex count differs")
 
     memo: dict[EdgeIndexedGraph, bytes] = {}
-    fwd, bwd = _Side(g1, move_class, budget, memo), _Side(g2, move_class, budget, memo)
+    fwd = _Side(g1, kinds, budget, memo, len(g2.vertices))
+    bwd = _Side(g2, kinds, budget, memo, len(g1.vertices))
     if fwd.root == bwd.root:
         return Verdict("equivalent", path=())
 
     while expandable := [s for s in (fwd, bwd) if s.growing]:
         side = min(expandable, key=lambda s: (len(s.frontier), s is bwd))
         other = bwd if side is fwd else fwd
-        for _, cert in side.grow(side.advance(len(other.visited[other.root][0].vertices))):
+        for _, cert in side.grow(side.advance()):
             if (cert in other.visited
                     and side.visited[cert][1] + other.visited[cert][1] <= budget.max_depth):
                 return Verdict("equivalent", path=_stitch(fwd, bwd, cert))

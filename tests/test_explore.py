@@ -24,6 +24,7 @@ from gbsdeform import (
     is_isomorphic,
     neighbor_moves,
     parse_graph,
+    serialize_graph,
 )
 from gbsdeform import explore
 from gbsdeform.canonical import DEFAULT_SIZE_CAP
@@ -140,7 +141,8 @@ def test_deform_equivalence_of_the_example_pair(x, y):
 @pytest.mark.parametrize("search", [
     lambda g: explore_class(g, "bogus", Budget(max_depth=0)),
     lambda g: decide_equivalence(g, g, "bogus", Budget(max_depth=0)),
-], ids=["explore_class", "decide_equivalence"])
+    lambda g: neighbor_moves(g, "bogus", ExpansionBounds()),
+], ids=["explore_class", "decide_equivalence", "neighbor_moves"])
 def test_unknown_move_class_is_rejected_up_front(x, search):
     with pytest.raises(ValueError, match="unknown move class 'bogus'"):
         search(x)
@@ -344,7 +346,13 @@ def test_a_last_layer_meeting_near_the_node_cap_is_decided_in_full(g1, g2, budge
     ("vertex v0\nvertex v1\nvertex v2\nedge e1 v0 v1 5 1\nedge e2 v1 v2 -5 1\n"
      "edge e3 v0 v2 3 5", "vertex u0\nedge f0 u0 u0 3 -125",
      "deform", 100, "budget exhausted (depth, index cap)"),
-], ids=["deform-closed", "slide-closed", "depth", "waiting-depth", "waiting-index-cap"])
+    # Only slides keep the other root's 12 vertices, so collapses and
+    # expansions wait; the expansions' 13-vertex results, past the
+    # certificate's vertex cap, are dropped only when they drain.
+    (serialize_graph(_path(DEFAULT_SIZE_CAP, 2)), serialize_graph(_path(DEFAULT_SIZE_CAP, 3)),
+     "deform", 100, "budget exhausted (depth, size cap)"),
+], ids=["deform-closed", "slide-closed", "depth", "waiting-depth", "waiting-index-cap",
+        "waiting-size-cap"])
 def test_a_last_layer_with_no_meeting_still_decides_the_reason(g1, g2, move_class,
                                                               max_abs_index, reason):
     verdict = decide_equivalence(parse_graph(g1), parse_graph(g2), move_class,
@@ -396,7 +404,7 @@ def test_a_search_with_no_meeting_applies_each_move_once(monkeypatch, g1, g2, mo
                                  Budget(max_depth=2))
     assert verdict.reason == "budget exhausted (depth)"
     assert applied and len(set(applied)) == len(applied)
-    assert len(set(enumerated)) == len(enumerated)
+    assert enumerated == []             # no search builds a parent's whole move list at once
     # A last layer builds each parked kind only when it drains: every
     # (graph, kind) is enumerated once, and every move built is applied.
     assert kinds and len(set(kinds)) == len(kinds)
