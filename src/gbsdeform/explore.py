@@ -1,26 +1,28 @@
 """Bounded search over move graphs with canonical deduplication.
 
 One engine, ``_Side``, runs every search: a breadth-first enumeration from a
-root graph under the move kinds, ``Budget`` and target vertex count it is built
-with, keyed by canonical certificate.  Every cap is decided inside ``_Side``.
-``_Side.growing`` is the one test that a next layer is due, ``_Side.advance``
-orders a layer's steps, and ``_Side.grow`` applies them: the index bound drops
-a move result before its certificate is computed, ``canonical_form``'s vertex
-cap raises ``SizeCapError`` (recorded as ``"size"``), the node bound drops a
-new certificate once ``_Side.room`` is spent, and ``_Side.caps`` names each cap.
-A side is *closed* when its frontier emptied and no cap fired; only then is
-it the whole class.  Each search keeps one graph -> certificate memo, shared
-by both of its sides and freed when the search returns: it answers the move
+root graph under the move kinds and ``Budget`` it is built with, keyed by
+canonical certificate, toward the other root (its *goal*) when it has one.
+Every cap is decided inside ``_Side``.  ``_Side.growing`` is the one test that
+a next layer is due, ``_Side.advance`` orders a layer's steps, and
+``_Side.grow`` applies them: the index bound drops a move result before its
+certificate is computed, ``canonical_form``'s vertex cap raises
+``SizeCapError`` (recorded as ``"size"``), the node bound drops a new
+certificate once ``_Side.room`` is spent, and ``_Side.caps`` names each cap.  A
+side is *closed* when its frontier emptied and no cap fired; only then is it
+the whole class.  Each search keeps one graph -> certificate memo, shared by
+both of its sides and freed when the search returns: it answers the move
 results that equal, label for label, a graph the search has already met.
 
 ``explore_class`` grows one side while it is growing and records the class
 adjacency from the pairs it yields.  ``decide_equivalence`` applies invariant
 refuters, then grows two sides, smaller frontier first, until a side adds a
-certificate the other side reached within the depth bound.  In a side's
-last layer ``_Side.advance`` builds, per parent, only the move kind that can
-reach the other root's vertex count, and parks the other kinds with counts.
-``unknown`` names what bound it: the caps of both sides, and ``depth`` while
-a frontier remains.
+certificate the other side reached within the depth bound.  In a side's last
+layer ``_Side.advance`` builds, per parent, only the move kind that can reach
+the goal's vertex count and parks the others; ``_Side.grow`` counts their moves
+only when about to admit the goal, and drains them first if they could fill the
+node room.  ``unknown`` names what bound it: the caps of both sides, and
+``depth`` while a frontier remains.
 The move classes:
 
   slide   - slide moves only; enumeration is complete, so a closed side
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .canonical import SizeCapError, canonical_certificate, graph_isomorphism
 from .graphs import EdgeIndexedGraph, betti_number
@@ -104,18 +107,22 @@ class _Side:
     """One breadth-first search from a root graph, keyed by certificate."""
 
     def __init__(self, g: EdgeIndexedGraph, kinds: tuple[tuple, ...], budget: Budget,
-                 memo: dict[EdgeIndexedGraph, bytes], size: int | None = None):
-        self.kinds, self.budget, self.size = kinds, budget, size
+                 memo: dict[EdgeIndexedGraph, bytes], goal: EdgeIndexedGraph | None = None):
+        self.kinds, self.budget = kinds, budget
         self.memo = memo                # graph -> certificate, shared by the search's sides
-        self.root = memo.setdefault(g, canonical_certificate(g))
+        for root in (g, goal):          # each root is canonicalized once per search
+            if root is not None and root not in memo:
+                memo[root] = canonical_certificate(root)
+        self.root = memo[g]
+        self.goal = None if goal is None else memo[goal]    # the other root's certificate
+        self.size = None if goal is None else len(goal.vertices)
         # cert -> (graph as reached, depth, parent cert, move from parent)
         self.visited: dict[bytes, tuple[EdgeIndexedGraph, int, bytes | None, Move | None]] = {
             self.root: (g, 0, None, None)}
         self.frontier: list[bytes] = [self.root]
         self.depth = 0
         self.caps: set[str] = set()     # "index", "size", "node": caps that dropped a result
-        self.parked: list[tuple] = []   # last-layer (parent cert, parent, enumerator), unbuilt
-        self.parked_moves = 0           # moves the parked kinds hold
+        self.parked: list[tuple] = []   # last-layer (parent cert, parent, enumerator, count)
 
     @property
     def closed(self) -> bool:
@@ -134,47 +141,44 @@ class _Side:
     def advance(self) -> Iterator[tuple]:
         """The next layer's steps (parent cert, parent, move), lazily.
 
-        ``decide_equivalence`` builds each side with ``size``, the other root's
-        vertex count.  In the layer at the depth bound, of a parent's move
-        kinds only the one whose vertex shift reaches ``size`` is built; each
-        other kind is parked unbuilt and its move count added to
-        ``parked_moves``.  Before a step that can reach ``size`` the parked
-        kinds are built and run (``drain``) if their moves could fill the node
-        room; kinds still parked run only if the search ends with no meeting.
-        Every verdict, reason and path stays as in the run of each parent's
-        ``neighbor_moves`` in order: at the depth bound a step can meet only
-        the other root.  Kinds ahead of the reaching kind are counted before
-        its steps and the rest after them, so the in-order steps before a
-        root-reaching step add at most this layer's new certificates plus
-        ``parked_moves``.  While ``parked_moves < room`` the in-order run admits
-        the root too; else the parked moves run first, in order, and the step
-        finds the room it would find in order.  Which caps fire, and whether
-        the frontier empties, do not depend on the order of a layer's steps.
-        The root's parent is its first producer, and only steps that can reach
-        the root, kept in order, produce it."""
+        ``decide_equivalence`` builds each side with the other root as its
+        ``goal``.  In the layer at the depth bound, of a parent's move kinds
+        only the one whose vertex shift reaches the goal's vertex count is
+        built; each other kind is parked unbuilt and uncounted, for
+        ``drain``.  At the depth bound a step can meet only the goal, so
+        ``grow`` decides there, and only there, whether the parked kinds run
+        first."""
         frontier, self.frontier, self.depth = self.frontier, [], self.depth + 1
         size = self.size if self.depth == self.budget.max_depth else None
         for cert_u in frontier:
             gu = self.visited[cert_u][0]
             for shift, enumerate_kind, count in self.kinds:
                 if size is not None and len(gu.vertices) + shift != size:
-                    self.parked.append((cert_u, gu, enumerate_kind))
-                    self.parked_moves += count(gu)
+                    self.parked.append((cert_u, gu, enumerate_kind, count))
                     continue
                 for move in enumerate_kind(gu):
-                    if self.parked_moves >= self.room:
-                        yield from self.drain()
                     yield cert_u, gu, move
 
     def drain(self) -> Iterator[tuple]:
         """The parked kinds' steps, built in the order they were parked."""
-        parked, self.parked, self.parked_moves = self.parked, [], 0
-        for cert_u, gu, enumerate_kind in parked:
+        parked, self.parked = self.parked, []
+        for cert_u, gu, enumerate_kind, _ in parked:
             for move in enumerate_kind(gu):
                 yield cert_u, gu, move
 
     def grow(self, steps: Iterable[tuple]) -> Iterator[tuple[bytes, bytes]]:
-        """Apply steps at ``depth``; yield (parent, cert) per uncapped result."""
+        """Apply steps at ``depth``; yield (parent, cert) per uncapped result.
+
+        Every verdict, reason and path stays as in the run of each parent's
+        ``neighbor_moves`` in order.  Only admitting the goal can change one:
+        a last-layer result meets nothing else, and which caps fire, and
+        whether the frontier empties, do not depend on the order of a
+        layer's steps.  The steps run before the goal's are the in-order ones
+        less the kinds still parked, all of which come before it in order.
+        So while those kinds hold fewer moves than ``room``, the in-order run
+        admits the goal too; else they run first, and the goal finds the room
+        it would find in order.  Parked kinds cannot reach the goal's vertex
+        count, so its parent is its first producer, as in order."""
         for cert_u, gu, move in steps:
             h = apply_move(gu, move)
             if h.max_abs_index() > self.budget.max_abs_index:
@@ -188,6 +192,10 @@ class _Side:
                     self.caps.add("size")
                     continue
             if cert_h not in self.visited:
+                if cert_h == self.goal and any(     # parked moves, counted up to room
+                        total >= self.room
+                        for total in accumulate(count(g) for _, g, _, count in self.parked)):
+                    yield from self.grow(self.drain())
                 if self.room <= 0:
                     self.caps.add("node")
                     continue
@@ -259,8 +267,8 @@ def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
             return Verdict("distinct", reason="vertex count differs")
 
     memo: dict[EdgeIndexedGraph, bytes] = {}
-    fwd = _Side(g1, kinds, budget, memo, len(g2.vertices))
-    bwd = _Side(g2, kinds, budget, memo, len(g1.vertices))
+    fwd = _Side(g1, kinds, budget, memo, g2)
+    bwd = _Side(g2, kinds, budget, memo, g1)
     if fwd.root == bwd.root:
         return Verdict("equivalent", path=())
 

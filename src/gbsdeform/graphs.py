@@ -146,7 +146,7 @@ class EdgeIndexedGraph:
             raise InvalidGraphError(f"no edge {eid!r} in graph") from None
 
     def has_vertex(self, v: str) -> bool:
-        return v in self._ends_by_vertex
+        return v in self.vertices
 
     def has_edge(self, eid: str) -> bool:
         return eid in self._edges_by_id

@@ -294,47 +294,54 @@ def count_collapses(g: EdgeIndexedGraph) -> int:
     return sum(1 for _ in _collapse_pairs(g))
 
 
-def _slides(g: EdgeIndexedGraph, make: Callable[[End, End], object]) -> list:
-    """``make(moving end, carrier end)`` for each legal slide: ordered pairs of
-    distinct-edge ends at one vertex with the carrier index dividing the
-    moving index.  A list, not a generator: ``verify_slide_ladder`` enumerates
-    every level, and a generator made that about 4% slower (CPython 3.11)."""
+def _vertex_ends(g: EdgeIndexedGraph) -> dict[str, list[tuple[str, int, int]]]:
+    """(edge id, side, index) of each end at each vertex, in ``ends_at`` order:
+    one pass over the edges, which are sorted by id, so no sort and no ``End``."""
+    ends: dict[str, list] = {v: [] for v in g.vertices}
+    for e in g.edges:
+        ends[e.v0].append((e.eid, 0, e.i0))
+        ends[e.v1].append((e.eid, 1, e.i1))
+    return ends
+
+
+def _slides(g: EdgeIndexedGraph, make: Callable[[str, int, str, int], object]) -> list:
+    """``make(moving edge, side, carrier edge, side)`` for each legal slide:
+    ordered pairs of distinct-edge ends at one vertex with the carrier index
+    dividing the moving index.  A list, not a generator: ``verify_slide_ladder``
+    enumerates every level, and a generator was ~4% slower (CPython 3.11)."""
     out = []
-    for v in g.vertices:
-        ends = [(end, g.end_index(end)) for end in g.ends_at(v)]
-        for moving, i_m in ends:
-            for along, i_a in ends:
-                if along.edge != moving.edge and divides(i_a, i_m):
-                    out.append(make(moving, along))
+    for ends in _vertex_ends(g).values():
+        for edge_m, side_m, i_m in ends:
+            for edge_a, side_a, i_a in ends:
+                if edge_a != edge_m and divides(i_a, i_m):
+                    out.append(make(edge_m, side_m, edge_a, side_a))
     return out
 
 
 def enumerate_slides(g: EdgeIndexedGraph) -> list[Slide]:
     """All legal slides, sorted by moving end then carrier end."""
-    out = _slides(g, Slide)
+    out = _slides(g, lambda e, s, f, t: Slide((e, s), (f, t)))
     out.sort(key=lambda s: (s.moving_end, s.along))
     return out
 
 
 def count_slides(g: EdgeIndexedGraph) -> int:
     """``len(enumerate_slides(g))``, without building the moves."""
-    return len(_slides(g, lambda moving, along: None))
+    return len(_slides(g, lambda *ends: None))
 
 
 def _expansion_subsets(g: EdgeIndexedGraph,
-                       bounds: ExpansionBounds) -> Iterator[tuple[str, tuple[End, ...], list[int]]]:
-    """(vertex, end subset, factors) for each nonempty subset of at most
-    ``max_subset_size`` ends at a vertex; the factors are the divisors
-    2..max_n of the subset gcd."""
+                       bounds: ExpansionBounds) -> Iterator[tuple[str, tuple, list[int]]]:
+    """(vertex, ends, factors) for each nonempty subset of at most
+    ``max_subset_size`` of a vertex's ``_vertex_ends``; the factors are the
+    divisors 2..max_n of the subset gcd."""
     factors: dict[int, list[int]] = {}     # subset gcd -> its factors
-    for v in g.vertices:
-        ends = g.ends_at(v)
-        index = {end: abs(g.end_index(end)) for end in ends}
+    for v, ends in _vertex_ends(g).items():
         for size in range(1, min(len(ends), bounds.max_subset_size) + 1):
             for combo in combinations(ends, size):
                 d = 0
-                for end in combo:
-                    d = gcd(d, index[end])
+                for _, _, index in combo:
+                    d = gcd(d, index)
                 if d not in factors:
                     factors[d] = _factors(d, bounds.max_n)
                 yield v, combo, factors[d]
@@ -350,7 +357,8 @@ def enumerate_expansions(g: EdgeIndexedGraph, bounds: ExpansionBounds) -> list[E
     """
     new_v = fresh_vertex_id(g)
     new_e = fresh_edge_id(g)
-    return [Expansion(vertex=v, n=n, moved_ends=combo, new_vertex=new_v, new_edge=new_e)
+    return [Expansion(vertex=v, n=n, moved_ends=[(edge, side) for edge, side, _ in combo],
+                      new_vertex=new_v, new_edge=new_e)
             for v, combo, ns in _expansion_subsets(g, bounds) for n in ns]
 
 

@@ -400,6 +400,7 @@ def test_a_search_with_no_meeting_applies_each_move_once(monkeypatch, g1, g2, mo
     monkeypatch.setattr(explore, "neighbor_moves", recorded(neighbor_moves, enumerated))
     monkeypatch.setattr(explore, "apply_move", recorded(apply_move, applied))
     kinds, built = counted_enumerators(monkeypatch)
+    counted = counted_counts(monkeypatch)
     verdict = decide_equivalence(parse_graph(g1), parse_graph(g2), move_class,
                                  Budget(max_depth=2))
     assert verdict.reason == "budget exhausted (depth)"
@@ -409,6 +410,9 @@ def test_a_search_with_no_meeting_applies_each_move_once(monkeypatch, g1, g2, mo
     # (graph, kind) is enumerated once, and every move built is applied.
     assert kinds and len(set(kinds)) == len(kinds)
     assert sum(built) == len(applied)
+    # Parked moves are counted only when a side is about to admit the other
+    # root, and neither side reaches it.
+    assert counted == []
 
 
 def counted_enumerators(monkeypatch):
@@ -431,10 +435,30 @@ def counted_enumerators(monkeypatch):
     return kinds, built
 
 
+def counted_counts(monkeypatch):
+    """Record (graph, kind) per call of ``explore``'s move counts."""
+    counted = []
+
+    def recorded(name):
+        fn = getattr(explore, name)
+
+        def wrapper(g, *args):
+            counted.append((g, name))
+            return fn(g, *args)
+        return wrapper
+
+    for name in ("count_collapses", "count_slides", "count_expansions"):
+        monkeypatch.setattr(explore, name, recorded(name))
+    return counted
+
+
 # The paper search, as ``gbsdeform equiv`` runs it: its two depth-4 layers
 # build only the moves that can reach the other root, so every move built is
-# applied (building every move of every parent would make 38,534).
+# applied (building every move of every parent would make 38,534).  Only the
+# forward side admits the other root, and its parked kinds are counted then,
+# each once; the backward side's last layer counts none.
 PAPER_SEARCH_MOVES = 5134
+PAPER_SEARCH_COUNTS = 2482
 
 
 def test_the_paper_search_builds_only_the_moves_it_applies(monkeypatch, capsys, tmp_path):
@@ -448,11 +472,13 @@ def test_the_paper_search_builds_only_the_moves_it_applies(monkeypatch, capsys, 
 
     monkeypatch.setattr(explore, "apply_move", counted_apply)
     _, built = counted_enumerators(monkeypatch)
+    counted = counted_counts(monkeypatch)
     code = main(["equiv", "--moves", "deform", "--depth", "4", "--max-n", "10",
                  "--max-index", "100", str(tmp_path / "X.gbs"), str(tmp_path / "Y.gbs")])
     out = capsys.readouterr().out
     assert code == 0 and "verdict: equivalent" in out and "path_length: 4" in out
     assert sum(built) == len(applied) == PAPER_SEARCH_MOVES
+    assert len(counted) == len(set(counted)) == PAPER_SEARCH_COUNTS
 
 
 # A fixed corpus of decide_equivalence pairs: random graphs with 1-3 vertices,

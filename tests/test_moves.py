@@ -39,7 +39,7 @@ from gbsdeform import (
     reduce_graph,
 )
 from gbsdeform.counterexample import ExampleParams, example_graph
-from gbsdeform.moves import transport_move
+from gbsdeform.moves import _vertex_ends, transport_move
 
 from strategies import X_TEXT, Y_TEXT, assert_valid, connected_graphs, scramble
 
@@ -252,6 +252,27 @@ def test_each_count_equals_the_length_of_its_enumeration(g, max_n, max_subset_si
     assert count_collapses(g) == len(enumerate_collapses(g))
     assert count_slides(g) == len(enumerate_slides(g))
     assert count_expansions(g, bounds) == len(enumerate_expansions(g, bounds))
+
+
+# The enumerators and counts read each vertex's ends from one pass over the
+# edges; the move order rests on that pass giving ``ends_at``'s order.
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs(max_vertices=5, max_extra_edges=3))
+def test_vertex_ends_read_from_the_edges_are_in_ends_at_order(g):
+    ends = _vertex_ends(g)
+    assert list(ends) == list(g.vertices)
+    for v in g.vertices:
+        assert ends[v] == [(e.edge, e.side, g.end_index(e)) for e in g.ends_at(v)]
+
+
+def test_counts_and_expansions_build_no_end_table(x):
+    # A last layer counts the moves of every parked parent; a per-vertex
+    # ``End`` table cached on each would outlive the count.
+    count_collapses(x), count_slides(x), count_expansions(x, BOUNDS)
+    apply_move(x, enumerate_expansions(x, BOUNDS)[0])
+    assert "_ends_by_vertex" not in x.__dict__
+    x.ends_at("A")
+    assert "_ends_by_vertex" in x.__dict__
 
 
 def test_analyze_example_graphs(x):
