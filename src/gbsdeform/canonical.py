@@ -41,7 +41,8 @@ edge from the order and signs, and checks that the result is the encoding.
 The exhaustive oracles live with the tests, in ``tests/oracles.py``.  Nothing
 in this module is cached: a caller that meets the same graph twice keeps its
 own memo (the searches in ``explore`` do).  ``DEFAULT_SIZE_CAP`` is the
-single vertex cap on canonicalization.
+single vertex cap on canonicalization.  ``is_isomorphic`` builds forms only for
+graphs not label-equal that tie on vertex count and absolute index pairs.
 """
 
 from __future__ import annotations
@@ -225,9 +226,13 @@ def _search_min_encoding(g: EdgeIndexedGraph):
     return tuple(best[0]), tuple(names[i] for i in best[1]), best[2]
 
 
-def canonical_form(g: EdgeIndexedGraph) -> CanonicalForm:
+def _check_size(g: EdgeIndexedGraph) -> None:
     if len(g.vertices) > DEFAULT_SIZE_CAP:
         raise SizeCapError(f"graph has {len(g.vertices)} vertices, cap is {DEFAULT_SIZE_CAP}")
+
+
+def canonical_form(g: EdgeIndexedGraph) -> CanonicalForm:
+    _check_size(g)
     tuples, order, alpha = _search_min_encoding(g)
     return CanonicalForm(order=order, alpha=alpha, tuples=tuples)
 
@@ -238,7 +243,19 @@ def canonical_certificate(g: EdgeIndexedGraph) -> bytes:
 
 
 def is_isomorphic(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph) -> bool:
-    """Equivalence up to relabeling and sign flips, via canonical keys."""
+    """Equivalence up to relabeling and sign flips, within the size cap.
+
+    Label-equal graphs are equivalent: the identity witnesses it.  Graphs
+    apart in vertex count or in their sorted per-edge pairs of absolute
+    indices are not: a relabeling keeps each edge's two indices together, and
+    a sign flip changes no absolute value.  A tie compares canonical keys."""
+    _check_size(g1)
+    _check_size(g2)
+    if g1 == g2:
+        return True
+    pairs = [sorted(sorted((abs(e.i0), abs(e.i1))) for e in g.edges) for g in (g1, g2)]
+    if len(g1.vertices) != len(g2.vertices) or pairs[0] != pairs[1]:
+        return False
     return canonical_form(g1).key == canonical_form(g2).key
 
 

@@ -13,7 +13,7 @@ collapse), replayed and checked here.  When neither of m, n divides the
 other, the slide class of X is a ray X_0, X_1, ... whose free-edge index at
 level k is r*m^(k+2)*n^k, and Y appears nowhere on it; ``verify_slide_ladder``
 certifies that shape level by level up to a chosen depth.  It compares graphs
-by their canonical encodings as integers, so no index becomes decimal text.
+through ``is_isomorphic``, so no index becomes decimal text.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .canonical import canonical_form, is_isomorphic
+from .canonical import is_isomorphic
 from .graphs import Edge, EdgeIndexedGraph, End
 from .moves import (
     Collapse,
@@ -212,34 +212,31 @@ class LadderCertificate:
 def verify_slide_ladder(p: ExampleParams, depth: int) -> LadderCertificate:
     """Check the ladder shape for levels 0..depth, where depth >= 0.
 
-    Level k must admit exactly one slide (k = 0) or exactly two, and the
-    slide results must be canon-equal to levels k-1 and k+1, each level's
-    index being the last one's times m*n.  Levels, slide results and Y are
-    compared by ``CanonicalForm.key``, the integers that the certificate
-    bytes spell, so no index becomes text; only levels k-1, k, k+1 are held.
-    """
+    Level k must admit exactly one slide (k = 0) or exactly two, whose
+    results match levels k-1 and k+1 one to one under ``is_isomorphic``, each
+    level's index being the last one's times m*n.  A slide result is label
+    for label its level, and levels differ in absolute indices, so these
+    comparisons build no canonical form (Y's does only on a tie) and no index
+    becomes text.  Only levels k-1, k, k+1 are held."""
     if depth < 0:
         raise ValueError(f"ladder depth must be at least 0, got {depth}")
     if not p.m_n_incomparable:
         raise LadderHypothesisError(
             f"need m and n to not divide each other, got m={p.m}, n={p.n}")
-    y_key = canonical_form(example_graph("Y", p)).key
-    g = _level(p, free_edge_index(p, 0))
-    window = [(g, canonical_form(g).key)]   # levels k-1 (once k >= 1), k and k+1
+    y = example_graph("Y", p)
+    window = [_level(p, free_edge_index(p, 0))]     # levels k-1 (once k >= 1), k and k+1
     levels = []
     shape_ok = y_absent = True
     for _ in range(depth + 1):
-        g, key = window[-1]
-        nxt = _level(p, g.edge("t").i0 * p.m * p.n)
-        window.append((nxt, canonical_form(nxt).key))
-        known = dict(window)    # reused by slide results equal to a level, label for label
+        g = window[-1]
+        window.append(_level(p, g.edge("t").i0 * p.m * p.n))
         slides = enumerate_slides(g)
-        found = sorted(known.get(h) or canonical_form(h).key
-                       for h in (apply_move(g, mv) for mv in slides))
         neighbours = window[:-2] + window[-1:]
-        if found != sorted({nk for _, nk in neighbours}) or len(slides) != len(neighbours):
-            shape_ok = False
-        y_absent = y_absent and key != y_key
+        match = [[is_isomorphic(h, nb) for nb in neighbours]
+                 for h in (apply_move(g, mv) for mv in slides)]
+        shape_ok = shape_ok and len(slides) == len(neighbours) and all(
+            sum(line) == 1 for line in match + list(zip(*match)))
+        y_absent = y_absent and not is_isomorphic(g, y)
         levels.append(LadderLevel(index=g.edge("t").i0, move_count=len(slides)))
         del window[:-2]
     return LadderCertificate(

@@ -188,7 +188,7 @@ def _apply_expansion(g: EdgeIndexedGraph, m: Expansion) -> EdgeIndexedGraph:
         raise IllegalMoveError(f"new vertex id {m.new_vertex!r} already in use")
     if g.has_edge(m.new_edge):
         raise IllegalMoveError(f"new edge id {m.new_edge!r} already in use")
-    moved = set()
+    moved: dict[str, set[int]] = {}     # edge id -> moved sides
     for end in m.moved_ends:
         end = _require_end(g, end)
         if g.end_vertex(end) != m.vertex:
@@ -198,14 +198,12 @@ def _apply_expansion(g: EdgeIndexedGraph, m: Expansion) -> EdgeIndexedGraph:
         if not divides(m.n, idx):
             raise IllegalMoveError(
                 f"index {index_str(idx)} at end {end} is not divisible by {index_str(m.n)}")
-        moved.add(end)
+        moved.setdefault(end.edge, set()).add(end.side)
     new_edges = []
     for f in g.edges:
-        v0, i0, v1, i1 = f.v0, f.i0, f.v1, f.i1
-        if End(f.eid, 0) in moved:
-            v0, i0 = m.new_vertex, i0 // m.n
-        if End(f.eid, 1) in moved:
-            v1, i1 = m.new_vertex, i1 // m.n
+        sides = moved.get(f.eid, ())
+        v0, i0 = (m.new_vertex, f.i0 // m.n) if 0 in sides else (f.v0, f.i0)
+        v1, i1 = (m.new_vertex, f.i1 // m.n) if 1 in sides else (f.v1, f.i1)
         new_edges.append(Edge(f.eid, v0, v1, i0, i1))
     new_edges.append(Edge(m.new_edge, m.vertex, m.new_vertex, m.n, 1))
     return EdgeIndexedGraph(g.vertices + (m.new_vertex,), tuple(new_edges))

@@ -16,6 +16,7 @@ from gbsdeform import (
     graph_isomorphism,
     is_isomorphic,
     parse_graph,
+    serialize_graph,
 )
 
 from oracles import brute_force_isomorphic, oracle_min_encoding
@@ -97,6 +98,30 @@ def test_oracle_agreement_on_scrambles(g):
        connected_graphs(max_vertices=4, max_extra_edges=1))
 def test_oracle_agreement_on_cross_pairs(g1, g2):
     assert is_isomorphic(g1, g2) == brute_force_isomorphic(g1, g2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(max_vertices=4, max_extra_edges=2),
+       connected_graphs(max_vertices=4, max_extra_edges=2), st.integers(0, 1000))
+def test_is_isomorphic_agrees_with_canonical_keys(g, h, seed):
+    for other in (g, h, scramble(g, seed), scramble_with_end_swaps(g, seed)):
+        assert is_isomorphic(g, other) == (canonical_form(g).key == canonical_form(other).key)
+
+
+def test_is_isomorphic_canonicalizes_only_on_a_tie(canonical_form_calls):
+    # Three vertices and absolute pairs (2, 3), (5, 7) in both paths, but B
+    # carries 3 and 5 in one and 3 and 7 in the other.
+    g = parse_graph("vertex A\nvertex B\nvertex C\nedge e A B 2 3\nedge f B C 5 7\n")
+    h = parse_graph("vertex A\nvertex B\nvertex C\nedge e A B 2 3\nedge f B C 7 5\n")
+    assert not brute_force_isomorphic(g, h) and not is_isomorphic(g, h)
+    assert canonical_form_calls == [g, h]
+    canonical_form_calls.clear()
+    # Label-equal graphs, and graphs apart in vertex count or in absolute
+    # pairs, are decided without a form.
+    assert is_isomorphic(g, parse_graph(serialize_graph(g)))
+    assert not is_isomorphic(g, parse_graph(X_TEXT))
+    assert not is_isomorphic(g, parse_graph(serialize_graph(h).replace("7 5", "7 6")))
+    assert canonical_form_calls == []
 
 
 def _plain_multigraph_isomorphic(g1, g2):

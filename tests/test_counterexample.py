@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -236,3 +237,30 @@ def test_class_equality_writes_no_index_as_text(monkeypatch):
     monkeypatch.setattr(canonical, "index_str", text)
     assert is_isomorphic(g, h) and not is_isomorphic(g, other)
     assert graph_isomorphism(g, h) is not None and graph_isomorphism(g, other) is None
+
+
+# Every certificate of the `scripts/ladder_table.py --max-param 5` sweep at
+# depth 40: (depth, shape_ok, y_absent, [(index, move count), ...]) per row.
+LADDER_SWEEP_SHA256 = "0e7183d51783cb30f387be8b488ea1fc8885cfdf682dbfd15553dab30942414d"
+
+
+def test_ladder_certificates_of_the_sweep_are_pinned():
+    lines = []
+    for m, n in itertools.permutations(range(2, 6), 2):
+        for r, s in ((5, 7), (7, 5)):
+            p = ExampleParams(m, n, r, s)
+            if p.m_n_incomparable:
+                cert = verify_slide_ladder(p, 40)
+                lines.append(repr((cert.depth, cert.shape_ok, cert.y_absent,
+                                   [(lv.index, lv.move_count) for lv in cert.levels])))
+    assert len(lines) == 20
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LADDER_SWEEP_SHA256
+
+
+def test_the_ladder_makes_no_canonical_form(canonical_form_calls):
+    assert verify_slide_ladder(ExampleParams(2, 3, 5, 7), 300).ok
+    assert canonical_form_calls == []
+    # At (2, 3, 3, 2) Y ties with level 0 on both cheap invariants, so the
+    # count sees the fallback there.
+    assert verify_slide_ladder(ExampleParams(2, 3, 3, 2), 1).ok
+    assert len(canonical_form_calls) == 2
