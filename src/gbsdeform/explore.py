@@ -2,27 +2,28 @@
 
 One engine, ``_Side``, runs every search: a breadth-first enumeration from a
 root graph under the move kinds and ``Budget`` it is built with, keyed by
-canonical certificate, toward the other root (its *goal*) when it has one.
-Every cap is decided inside ``_Side``.  ``_Side.growing`` is the one test that
-a next layer is due, ``_Side.advance`` orders a layer's steps, and
-``_Side.grow`` applies them: the index bound drops a move result before its
-certificate is computed, ``canonical_form``'s vertex cap raises
-``SizeCapError`` (recorded as ``"size"``), the node bound drops a new
-certificate once ``_Side.room`` is spent, and ``_Side.caps`` names each cap.  A
-side is *closed* when its frontier emptied and no cap fired; only then is it
-the whole class.  Each search keeps one graph -> certificate memo, shared by
-both of its sides and freed when the search returns: it answers the move
-results that equal, label for label, a graph the search has already met.
+canonical certificate.  Every cap is decided inside ``_Side``.
+``_Side.growing`` is the one test that a next layer is due, ``_Side.advance``
+orders a layer's steps, and ``_Side.grow`` applies them: the index bound drops a
+move result before its certificate is computed, ``canonical_form``'s vertex cap
+raises ``SizeCapError`` (recorded as ``"size"``), the node bound refuses a next
+layer once the side holds more than ``max_nodes`` certificates, and
+``_Side.caps`` names each cap.  A started layer is admitted whole, so no verdict
+depends on the order of a layer's steps, and a class of at most ``max_nodes``
+certificates still closes.  A side is *closed* when its frontier emptied and no
+cap fired; only then is it the whole class.  Each search keeps one graph ->
+certificate memo, shared by both of its sides and freed when the search
+returns: it answers the move results that equal, label for label, a graph the
+search has already met.
 
 ``explore_class`` grows one side while it is growing and records the class
 adjacency from the pairs it yields.  ``decide_equivalence`` applies invariant
 refuters, then grows two sides, smaller frontier first, until a side adds a
 certificate the other side reached within the depth bound.  In a side's last
 layer ``_Side.advance`` builds, per parent, only the move kind that can reach
-the goal's vertex count and parks the others; ``_Side.grow`` counts their moves
-only when about to admit the goal, and drains them first if they could fill the
-node room.  ``unknown`` names what bound it: the caps of both sides, and
-``depth`` while a frontier remains.
+the other root's vertex count and parks the others; they run only if the search
+finds no meeting.  ``unknown`` names what bound it: the caps of both sides, and
+``depth`` for a side that reached the depth bound with a frontier left.
 The move classes:
 
   slide   - slide moves only; enumeration is complete, so a closed side
@@ -45,14 +46,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .canonical import SizeCapError, canonical_certificate, graph_isomorphism
 from .graphs import EdgeIndexedGraph, betti_number
 from .moves import (
-    Collapse, Expansion, ExpansionBounds, Move, Slide, apply_move, count_collapses,
-    count_expansions, count_slides, enumerate_collapses, enumerate_expansions,
-    enumerate_slides, invert_move, transport_move,
+    Collapse, Expansion, ExpansionBounds, Move, Slide, apply_move, enumerate_collapses,
+    enumerate_expansions, enumerate_slides, invert_move, transport_move,
 )
 
 __all__ = [
@@ -77,20 +76,19 @@ class Budget:
 
 
 def _kinds(move_class: str, bounds: ExpansionBounds) -> tuple[tuple, ...]:
-    """(vertex shift, enumerator, count) of each move kind of the class, in
+    """(vertex shift, enumerator) of each move kind of the class, in
     ``neighbor_moves`` order; each call reads the module's bindings."""
     if move_class not in MOVE_CLASSES:
         raise ValueError(f"unknown move class {move_class!r}")
-    slides = (Slide.vertex_shift, enumerate_slides, count_slides)
+    slides = (Slide.vertex_shift, enumerate_slides)
     if move_class == "slide":
         return (slides,)
-    return ((Collapse.vertex_shift, enumerate_collapses, count_collapses), slides,
-            (Expansion.vertex_shift, lambda g: enumerate_expansions(g, bounds),
-             lambda g: count_expansions(g, bounds)))
+    return ((Collapse.vertex_shift, enumerate_collapses), slides,
+            (Expansion.vertex_shift, lambda g: enumerate_expansions(g, bounds)))
 
 
 def neighbor_moves(g: EdgeIndexedGraph, move_class: str, bounds: ExpansionBounds) -> list[Move]:
-    return [move for _, enumerate_kind, _ in _kinds(move_class, bounds)
+    return [move for _, enumerate_kind in _kinds(move_class, bounds)
             for move in enumerate_kind(g)]
 
 
@@ -100,7 +98,7 @@ class ExplorationReport:
     depths: dict[bytes, int]
     adjacency: dict[bytes, tuple[bytes, ...]]
     closed: bool
-    caps: frozenset[str]            # "index", "size", "node": caps that dropped a result
+    caps: frozenset[str]            # "index", "size", "node": caps that bound the search
 
 
 class _Side:
@@ -114,15 +112,14 @@ class _Side:
             if root is not None and root not in memo:
                 memo[root] = canonical_certificate(root)
         self.root = memo[g]
-        self.goal = None if goal is None else memo[goal]    # the other root's certificate
-        self.size = None if goal is None else len(goal.vertices)
+        self.size = None if goal is None else len(goal.vertices)    # the other root's vertex count
         # cert -> (graph as reached, depth, parent cert, move from parent)
         self.visited: dict[bytes, tuple[EdgeIndexedGraph, int, bytes | None, Move | None]] = {
             self.root: (g, 0, None, None)}
         self.frontier: list[bytes] = [self.root]
         self.depth = 0
-        self.caps: set[str] = set()     # "index", "size", "node": caps that dropped a result
-        self.parked: list[tuple] = []   # last-layer (parent cert, parent, enumerator, count)
+        self.caps: set[str] = set()     # "index", "size", "node": caps that bound the side
+        self.parked: list[tuple] = []   # last-layer (parent cert, parent, enumerator)
 
     @property
     def closed(self) -> bool:
@@ -130,31 +127,31 @@ class _Side:
 
     @property
     def growing(self) -> bool:
-        """A next layer is due: the frontier is not empty and the depth bound not reached."""
-        return bool(self.frontier) and self.depth < self.budget.max_depth
-
-    @property
-    def room(self) -> int:
-        """New certificates the node cap still admits."""
-        return self.budget.max_nodes - len(self.visited)
+        """A next layer is due: the frontier is not empty, the depth bound not
+        reached, and the side holds at most ``max_nodes`` certificates.  A
+        layer the node cap refuses records ``"node"``."""
+        if not self.frontier or self.depth >= self.budget.max_depth:
+            return False
+        if len(self.visited) > self.budget.max_nodes:
+            self.caps.add("node")
+            return False
+        return True
 
     def advance(self) -> Iterator[tuple]:
         """The next layer's steps (parent cert, parent, move), lazily.
 
         ``decide_equivalence`` builds each side with the other root as its
-        ``goal``.  In the layer at the depth bound, of a parent's move kinds
-        only the one whose vertex shift reaches the goal's vertex count is
-        built; each other kind is parked unbuilt and uncounted, for
-        ``drain``.  At the depth bound a step can meet only the goal, so
-        ``grow`` decides there, and only there, whether the parked kinds run
-        first."""
+        ``goal``.  In the layer at the depth bound a step can meet only the
+        goal, so of a parent's move kinds only the one whose vertex shift
+        reaches the goal's vertex count is built; each other kind is parked
+        unbuilt, for ``drain``."""
         frontier, self.frontier, self.depth = self.frontier, [], self.depth + 1
         size = self.size if self.depth == self.budget.max_depth else None
         for cert_u in frontier:
             gu = self.visited[cert_u][0]
-            for shift, enumerate_kind, count in self.kinds:
+            for shift, enumerate_kind in self.kinds:
                 if size is not None and len(gu.vertices) + shift != size:
-                    self.parked.append((cert_u, gu, enumerate_kind, count))
+                    self.parked.append((cert_u, gu, enumerate_kind))
                     continue
                 for move in enumerate_kind(gu):
                     yield cert_u, gu, move
@@ -162,23 +159,12 @@ class _Side:
     def drain(self) -> Iterator[tuple]:
         """The parked kinds' steps, built in the order they were parked."""
         parked, self.parked = self.parked, []
-        for cert_u, gu, enumerate_kind, _ in parked:
+        for cert_u, gu, enumerate_kind in parked:
             for move in enumerate_kind(gu):
                 yield cert_u, gu, move
 
     def grow(self, steps: Iterable[tuple]) -> Iterator[tuple[bytes, bytes]]:
-        """Apply steps at ``depth``; yield (parent, cert) per uncapped result.
-
-        Every verdict, reason and path stays as in the run of each parent's
-        ``neighbor_moves`` in order.  Only admitting the goal can change one:
-        a last-layer result meets nothing else, and which caps fire, and
-        whether the frontier empties, do not depend on the order of a
-        layer's steps.  The steps run before the goal's are the in-order ones
-        less the kinds still parked, all of which come before it in order.
-        So while those kinds hold fewer moves than ``room``, the in-order run
-        admits the goal too; else they run first, and the goal finds the room
-        it would find in order.  Parked kinds cannot reach the goal's vertex
-        count, so its parent is its first producer, as in order."""
+        """Apply steps at ``depth``; yield (parent, cert) per uncapped result."""
         for cert_u, gu, move in steps:
             h = apply_move(gu, move)
             if h.max_abs_index() > self.budget.max_abs_index:
@@ -192,13 +178,6 @@ class _Side:
                     self.caps.add("size")
                     continue
             if cert_h not in self.visited:
-                if cert_h == self.goal and any(     # parked moves, counted up to room
-                        total >= self.room
-                        for total in accumulate(count(g) for _, g, _, count in self.parked)):
-                    yield from self.grow(self.drain())
-                if self.room <= 0:
-                    self.caps.add("node")
-                    continue
                 self.visited[cert_h] = (h, self.depth, cert_u, move)
                 self.frontier.append(cert_h)
             yield cert_u, cert_h
@@ -293,6 +272,6 @@ def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
             return Verdict("equivalent", path=_stitch(fwd, bwd, cert))
         return Verdict("distinct", reason="deformation class exhausted within bounds")
     bounds = [f"{cap} cap" for cap in fwd.caps | bwd.caps]
-    if fwd.frontier or bwd.frontier:
+    if any(s.frontier and s.depth >= budget.max_depth for s in (fwd, bwd)):
         bounds.append("depth")
     return Verdict("unknown", reason=f"budget exhausted ({', '.join(sorted(bounds))})")

@@ -14,7 +14,6 @@ geometry) and the one-move-per-line script format.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, isqrt
@@ -39,9 +38,6 @@ __all__ = [
     "enumerate_collapses",
     "enumerate_slides",
     "enumerate_expansions",
-    "count_collapses",
-    "count_slides",
-    "count_expansions",
     "analyze",
     "reduce_graph",
     "format_move",
@@ -269,27 +265,18 @@ def transport_move(m: Move, iso: Isomorphism, target: EdgeIndexedGraph) -> Move:
     raise ValueError(f"unknown move {m!r}")
 
 
-def _collapse_pairs(g: EdgeIndexedGraph) -> Iterator[tuple[str, str]]:
-    """(edge, survivor) of each legal collapse, in edge order."""
+def enumerate_collapses(g: EdgeIndexedGraph) -> list[Collapse]:
+    """All legal collapses, sorted by edge then survivor."""
+    out = []
     for e in g.edges:
         if e.is_loop:
             continue
         if abs(e.i0) == 1:
-            yield e.eid, e.v1
+            out.append(Collapse(edge=e.eid, survivor=e.v1))
         if abs(e.i1) == 1:
-            yield e.eid, e.v0
-
-
-def enumerate_collapses(g: EdgeIndexedGraph) -> list[Collapse]:
-    """All legal collapses, sorted by edge then survivor."""
-    out = [Collapse(edge=eid, survivor=v) for eid, v in _collapse_pairs(g)]
+            out.append(Collapse(edge=e.eid, survivor=e.v0))
     out.sort(key=lambda c: (c.edge, c.survivor))
     return out
-
-
-def count_collapses(g: EdgeIndexedGraph) -> int:
-    """``len(enumerate_collapses(g))``, without building the moves."""
-    return sum(1 for _ in _collapse_pairs(g))
 
 
 def _vertex_ends(g: EdgeIndexedGraph) -> dict[str, list[tuple[str, int, int]]]:
@@ -302,37 +289,31 @@ def _vertex_ends(g: EdgeIndexedGraph) -> dict[str, list[tuple[str, int, int]]]:
     return ends
 
 
-def _slides(g: EdgeIndexedGraph, make: Callable[[str, int, str, int], object]) -> list:
-    """``make(moving edge, side, carrier edge, side)`` for each legal slide:
-    ordered pairs of distinct-edge ends at one vertex with the carrier index
-    dividing the moving index.  A list, not a generator: ``verify_slide_ladder``
-    enumerates every level, and a generator was ~4% slower (CPython 3.11)."""
+def enumerate_slides(g: EdgeIndexedGraph) -> list[Slide]:
+    """All legal slides, sorted by moving end then carrier end: ordered pairs
+    of distinct-edge ends at one vertex with the carrier index dividing the
+    moving index."""
     out = []
     for ends in _vertex_ends(g).values():
         for edge_m, side_m, i_m in ends:
             for edge_a, side_a, i_a in ends:
                 if edge_a != edge_m and divides(i_a, i_m):
-                    out.append(make(edge_m, side_m, edge_a, side_a))
-    return out
-
-
-def enumerate_slides(g: EdgeIndexedGraph) -> list[Slide]:
-    """All legal slides, sorted by moving end then carrier end."""
-    out = _slides(g, lambda e, s, f, t: Slide((e, s), (f, t)))
+                    out.append(Slide((edge_m, side_m), (edge_a, side_a)))
     out.sort(key=lambda s: (s.moving_end, s.along))
     return out
 
 
-def count_slides(g: EdgeIndexedGraph) -> int:
-    """``len(enumerate_slides(g))``, without building the moves."""
-    return len(_slides(g, lambda *ends: None))
+def enumerate_expansions(g: EdgeIndexedGraph, bounds: ExpansionBounds) -> list[Expansion]:
+    """All expansions with factor 2..max_n dividing a nonempty end subset.
 
-
-def _expansion_subsets(g: EdgeIndexedGraph,
-                       bounds: ExpansionBounds) -> Iterator[tuple[str, tuple, list[int]]]:
-    """(vertex, ends, factors) for each nonempty subset of at most
-    ``max_subset_size`` of a vertex's ``_vertex_ends``; the factors are the
-    divisors 2..max_n of the subset gcd."""
+    Subsets hold at most ``max_subset_size`` of a vertex's ends, and factors
+    are divisors of the subset gcd; negative factors and empty subsets are
+    deliberately excluded (sign flips and collapsible appendages add nothing
+    but fanout).  Fresh ids are derived deterministically from the graph.
+    """
+    new_v = fresh_vertex_id(g)
+    new_e = fresh_edge_id(g)
+    out = []
     factors: dict[int, list[int]] = {}     # subset gcd -> its factors
     for v, ends in _vertex_ends(g).items():
         for size in range(1, min(len(ends), bounds.max_subset_size) + 1):
@@ -342,27 +323,11 @@ def _expansion_subsets(g: EdgeIndexedGraph,
                     d = gcd(d, index)
                 if d not in factors:
                     factors[d] = _factors(d, bounds.max_n)
-                yield v, combo, factors[d]
-
-
-def enumerate_expansions(g: EdgeIndexedGraph, bounds: ExpansionBounds) -> list[Expansion]:
-    """All expansions with factor 2..max_n dividing a nonempty end subset.
-
-    Factors are divisors of the subset gcd; negative factors and empty
-    subsets are deliberately excluded (sign flips and collapsible appendages
-    add nothing but fanout).  Fresh ids are derived deterministically from
-    the graph.
-    """
-    new_v = fresh_vertex_id(g)
-    new_e = fresh_edge_id(g)
-    return [Expansion(vertex=v, n=n, moved_ends=[(edge, side) for edge, side, _ in combo],
-                      new_vertex=new_v, new_edge=new_e)
-            for v, combo, ns in _expansion_subsets(g, bounds) for n in ns]
-
-
-def count_expansions(g: EdgeIndexedGraph, bounds: ExpansionBounds) -> int:
-    """``len(enumerate_expansions(g, bounds))``, without building the moves."""
-    return sum(len(ns) for _, _, ns in _expansion_subsets(g, bounds))
+                for n in factors[d]:
+                    out.append(Expansion(vertex=v, n=n,
+                                         moved_ends=[(edge, side) for edge, side, _ in combo],
+                                         new_vertex=new_v, new_edge=new_e))
+    return out
 
 
 def _factors(d: int, max_n: int) -> list[int]:

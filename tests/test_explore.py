@@ -88,11 +88,27 @@ def test_index_cap_marks_report_open(x):
 
 
 def test_node_cap_marks_report_open(x):
+    # The cap is checked between layers: the first layer, started with one
+    # member, is admitted whole, and the cap refuses the second.
     report = explore_class(x, "deform", Budget(max_depth=2, max_nodes=5,
                                                expansion=ExpansionBounds(max_n=10)))
     assert "node" in report.caps
     assert not report.closed
-    assert len(report.members) == 5
+    assert len(report.members) == 19
+    assert set(report.depths.values()) == {0, 1}
+
+
+@pytest.mark.parametrize("text, move_class, max_nodes", [
+    ("vertex A", "deform", 1),
+    ("vertex v0\nvertex v1\nvertex v2\nedge e1 v0 v1 -1 -1\nedge e2 v1 v2 1 1\n"
+     "edge e3 v1 v2 1 1", "slide", 4),
+], ids=["point", "slide-class-of-4"])
+def test_a_class_of_exactly_max_nodes_members_closes(text, move_class, max_nodes):
+    # The cap refuses a layer only once a side holds more than max_nodes
+    # certificates, so the layer that finds nothing new still runs.
+    report = explore_class(parse_graph(text), move_class,
+                           Budget(max_depth=2, max_nodes=max_nodes))
+    assert report.closed and len(report.members) == max_nodes
 
 
 def _path(n, index):
@@ -271,8 +287,9 @@ def test_dump_and_dot_outputs(x):
 
 
 # A side's last layer can meet only the other side's root.  The tests below
-# cover each way that layer can end: a meeting, a meeting the node cap may
-# drop, and no meeting, after which the layer still counts for the reason.
+# cover each way that layer can end: a meeting, a meeting in a layer that
+# passes the node cap, and no meeting, after which the layer still counts for
+# the reason.
 
 def test_backward_side_meets_the_forward_root_in_its_last_layer(x):
     # No expansion with a factor up to 3 reaches y from x, but y collapses
@@ -293,38 +310,42 @@ NODE_CAP_BUDGET = Budget(max_depth=2, max_nodes=4, max_abs_index=100,
                          expansion=ExpansionBounds(max_n=3, max_subset_size=2))
 
 
+# The node cap is checked between layers, and a started layer is admitted
+# whole, so a meeting in it counts whatever the order of the layer's steps.
+# Each of these pairs has a layer that passes the cap; the ids name what a
+# cap checked per result once did to it.
 @pytest.mark.parametrize("g1, g2, budget, kind, reason, script", [
-    # The third of x's moves reaches the root, late enough for a node cap of
-    # 3 to drop it, but the first result is past the index cap and adds no
-    # node: the layer keeps the meeting.  x's own index 30 is past the cap
-    # too, so the backward side cannot meet.
+    # x's first layer reaches the root with its third move, which fills a
+    # node cap of 3.  x's own index 30 is past the index cap, so the backward
+    # side cannot meet.
     (X_TEXT, "vertex A\nvertex B\nvertex Q\nedge d A Q 3 1\nedge l Q A 10 5\n"
      "edge t A B 20 7",
      Budget(max_depth=1, max_nodes=3, max_abs_index=25,
             expansion=ExpansionBounds(max_n=3, max_subset_size=2)),
      "equivalent", None, "expand A 3 l:0 as w x\n"),
-    # The forward side's last layer drops the root at the node cap; the
-    # backward side's first layer then meets the forward side's first.
+    # The forward side's first layer leaves it under the node cap, so its
+    # last layer runs whole and reaches the backward root.
     ("vertex v0\nedge e1 v0 v0 -3 -5",
      "vertex u0\nvertex u1\nvertex u2\n"
      "edge f0 u0 u1 1 -1\nedge f1 u2 u0 -3 -1\nedge f2 u1 u2 1 -5",
      NODE_CAP_BUDGET, "equivalent", None,
-     "expand v0 3 e1:0 as w x\nexpand w -1 e1:0 as w2 x2\n"),
-    # The backward side's last layer drops the forward root at the node cap.
+     "expand v0 3 e1:0 as w x\nexpand v0 3 x:0 as w2 x2\n"),
+    # The forward side's first layer takes it to 10 certificates, past the
+    # cap of 4; the backward side's first layer then meets one of them.
     ("vertex v0\nvertex v1\nedge e1 v0 v1 -2 -6\nedge e2 v0 v1 4 -2",
      "vertex u0\nvertex u1\nvertex u2\nvertex u3\n"
      "edge f0 u0 u2 2 -1\nedge f1 u2 u1 -2 2\nedge f2 u2 u3 -1 -2\nedge f3 u1 u3 3 1",
-     NODE_CAP_BUDGET, "unknown", "budget exhausted (node cap)", None),
-    # On each side the collapses, whose results have a vertex fewer than the
-    # other root, come first and help fill the node cap before the slide that
-    # reaches that root, so both meetings are dropped: the moves that wait
-    # must run before that slide.
+     NODE_CAP_BUDGET, "equivalent", None,
+     "expand v1 3 e1:1 as w x\nexpand v0 -2 e1:0 e2:0 as w2 x2\n"),
+    # The collapses, whose results have a vertex fewer than the other root,
+    # come before the slide that reaches it and fill the node cap; the layer
+    # runs whole and keeps the meeting.
     ("vertex v0\nvertex v1\nvertex v2\nedge e1 v0 v1 1 1\nedge e2 v1 v2 1 3\nedge e3 v1 v1 2 2",
      "vertex u0\nvertex u1\nvertex u2\nedge f0 u2 u1 -2 -6\nedge f1 u1 u2 -3 -1\n"
      "edge f2 u0 u2 1 1",
      Budget(max_depth=1, max_nodes=4, max_abs_index=100,
             expansion=ExpansionBounds(max_n=3, max_subset_size=2)),
-     "unknown", "budget exhausted (depth, node cap)", None),
+     "equivalent", None, "slide e3:0 along e2:0\n"),
 ], ids=["kept", "dropped-then-met", "dropped", "filled-by-other-sizes"])
 def test_a_last_layer_meeting_near_the_node_cap_is_decided_in_full(g1, g2, budget, kind,
                                                                    reason, script):
@@ -400,7 +421,6 @@ def test_a_search_with_no_meeting_applies_each_move_once(monkeypatch, g1, g2, mo
     monkeypatch.setattr(explore, "neighbor_moves", recorded(neighbor_moves, enumerated))
     monkeypatch.setattr(explore, "apply_move", recorded(apply_move, applied))
     kinds, built = counted_enumerators(monkeypatch)
-    counted = counted_counts(monkeypatch)
     verdict = decide_equivalence(parse_graph(g1), parse_graph(g2), move_class,
                                  Budget(max_depth=2))
     assert verdict.reason == "budget exhausted (depth)"
@@ -410,9 +430,6 @@ def test_a_search_with_no_meeting_applies_each_move_once(monkeypatch, g1, g2, mo
     # (graph, kind) is enumerated once, and every move built is applied.
     assert kinds and len(set(kinds)) == len(kinds)
     assert sum(built) == len(applied)
-    # Parked moves are counted only when a side is about to admit the other
-    # root, and neither side reaches it.
-    assert counted == []
 
 
 def counted_enumerators(monkeypatch):
@@ -435,30 +452,10 @@ def counted_enumerators(monkeypatch):
     return kinds, built
 
 
-def counted_counts(monkeypatch):
-    """Record (graph, kind) per call of ``explore``'s move counts."""
-    counted = []
-
-    def recorded(name):
-        fn = getattr(explore, name)
-
-        def wrapper(g, *args):
-            counted.append((g, name))
-            return fn(g, *args)
-        return wrapper
-
-    for name in ("count_collapses", "count_slides", "count_expansions"):
-        monkeypatch.setattr(explore, name, recorded(name))
-    return counted
-
-
 # The paper search, as ``gbsdeform equiv`` runs it: its two depth-4 layers
 # build only the moves that can reach the other root, so every move built is
-# applied (building every move of every parent would make 38,534).  Only the
-# forward side admits the other root, and its parked kinds are counted then,
-# each once; the backward side's last layer counts none.
+# applied (building every move of every parent would make 38,534).
 PAPER_SEARCH_MOVES = 5134
-PAPER_SEARCH_COUNTS = 2482
 
 
 def test_the_paper_search_builds_only_the_moves_it_applies(monkeypatch, capsys, tmp_path):
@@ -472,22 +469,19 @@ def test_the_paper_search_builds_only_the_moves_it_applies(monkeypatch, capsys, 
 
     monkeypatch.setattr(explore, "apply_move", counted_apply)
     _, built = counted_enumerators(monkeypatch)
-    counted = counted_counts(monkeypatch)
     code = main(["equiv", "--moves", "deform", "--depth", "4", "--max-n", "10",
                  "--max-index", "100", str(tmp_path / "X.gbs"), str(tmp_path / "Y.gbs")])
     out = capsys.readouterr().out
     assert code == 0 and "verdict: equivalent" in out and "path_length: 4" in out
     assert sum(built) == len(applied) == PAPER_SEARCH_MOVES
-    assert len(counted) == len(set(counted)) == PAPER_SEARCH_COUNTS
 
 
 # A fixed corpus of decide_equivalence pairs: random graphs with 1-3 vertices,
 # the second either drawn with the first's Betti number or the first moved by
 # up to three random moves and relabeled.  The digest was taken from the
-# search that grows every layer in order, so deferring part of a last layer
-# must leave every verdict, reason and path as it was.
+# search that checks the node cap between layers.
 DIFFERENTIAL_PAIRS = 400
-DIFFERENTIAL_SHA256 = "eff1cd5ae94a3911662bfe348860d6ff4e067676608c7b0deca9bf885b514e83"
+DIFFERENTIAL_SHA256 = "7d5325620d4e72088e27073ba759941b991342ae9ee4d383966369d6c9fd05ba"
 DIFFERENTIAL_BUDGETS = (
     Budget(max_depth=2, max_nodes=4, max_abs_index=100,
            expansion=ExpansionBounds(max_n=3, max_subset_size=2)),
@@ -570,13 +564,13 @@ def test_verdicts_agree_with_the_meeting_oracle_with_no_node_cap():
             assert least <= len(v.path) <= budget.max_depth, i
 
 
-# A corpus under tiny node caps, where the order of a side's last layer
-# decides whether the other root is admitted: random graphs with 1-3
-# vertices, each paired with itself moved by up to three random moves and
-# relabeled, over every combination of the budgets below.  The digest was
-# taken from the search that ordered the last layer outside ``_Side``.
+# A corpus under tiny node caps, where the cap decides which layers run:
+# random graphs with 1-3 vertices, each paired with itself moved by up to
+# three random moves and relabeled, over every combination of the budgets
+# below.  The digest was taken from the search that checks the node cap
+# between layers.
 NODE_CAP_PAIRS = 3000
-NODE_CAP_SHA256 = "d5a961164e696cc359d41fd27cdd9ac6d43460414bb4e7138012604f0ee68740"
+NODE_CAP_SHA256 = "b12a8c05c5c8555d4758f6d6c5e01a900ad949c0d9498bf4ef169d583b3b43ec"
 NODE_CAP_BUDGETS = tuple(
     Budget(max_depth=depth, max_nodes=nodes, max_abs_index=index,
            expansion=ExpansionBounds(max_n=max_n, max_subset_size=subset))
@@ -602,8 +596,8 @@ def test_node_cap_verdicts_reasons_and_paths_match_the_pinned_corpus():
 # explore_class on the first graph of each corpus pair, under the pair's
 # move class and budget: every member's certificate, depth and neighbours,
 # and whether the class closed and which caps fired.  The digest was taken
-# from the search whose layers could defer moves.
-EXPLORE_SHA256 = "1bb93b9735009978c4734a7f5a3d67c0b9ab15b9da7b11d1b22a2c287a6cbd5d"
+# from the search that checks the node cap between layers.
+EXPLORE_SHA256 = "d3c7c10a618b99b32586ae57a5538d13d3e18f4475325723d32c61866ddfb873"
 
 
 def test_explore_class_matches_the_pinned_corpus():
@@ -616,3 +610,25 @@ def test_explore_class_matches_the_pinned_corpus():
         lines.append(f"{report.closed} {sorted(report.caps)}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == EXPLORE_SHA256
+
+
+def test_no_verdict_or_class_depends_on_the_order_of_a_layers_steps(monkeypatch):
+    # Each layer's steps run in a seeded shuffle.  Paths may differ, since a
+    # layer stops at its first meeting, but no verdict, reason, member, depth
+    # or cap may.
+    def outcomes():
+        for g1, g2, move_class, budget in differential_corpus():
+            v = decide_equivalence(g1, g2, move_class, budget)
+            report = explore_class(g1, move_class, budget)
+            yield (v.kind, v.reason, report.depths, report.caps, report.closed)
+
+    in_order = list(outcomes())
+    advance, rng = explore._Side.advance, random.Random(21)
+
+    def shuffled(side):
+        steps = list(advance(side))
+        rng.shuffle(steps)
+        return iter(steps)
+
+    monkeypatch.setattr(explore._Side, "advance", shuffled)
+    assert list(outcomes()) == in_order

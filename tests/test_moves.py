@@ -4,7 +4,7 @@ import sys
 from math import isqrt
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from gbsdeform import (
@@ -20,9 +20,6 @@ from gbsdeform import (
     apply_move,
     betti_number,
     canonical_certificate,
-    count_collapses,
-    count_expansions,
-    count_slides,
     enumerate_collapses,
     enumerate_expansions,
     enumerate_slides,
@@ -238,23 +235,7 @@ def test_enumerated_moves_all_apply(x, diagram4):
             apply_move(g, move)
 
 
-# The counts share their enumerator's loop; a count that drifts from it would
-# let a search's last layer drain its parked moves at the wrong step.
-@settings(max_examples=150, deadline=None)
-@given(connected_graphs(max_vertices=5, max_extra_edges=3),
-       st.integers(0, 12), st.integers(0, 4))
-@example(parse_graph("vertex A\nvertex B\nedge l A A 30 5\nedge t A B 20 7"), 10, 3)
-@example(parse_graph("vertex A\nvertex B\nedge e A B 6 1\nedge l A A 4 -1"), 0, 2)
-@example(parse_graph("vertex A\nvertex B\nedge e A B 6 1\nedge l A A 4 -1"), 1, 2)
-@example(parse_graph("vertex A\nvertex B\nedge e A B 6 1\nedge l A A 4 -1"), 6, 0)
-def test_each_count_equals_the_length_of_its_enumeration(g, max_n, max_subset_size):
-    bounds = ExpansionBounds(max_n=max_n, max_subset_size=max_subset_size)
-    assert count_collapses(g) == len(enumerate_collapses(g))
-    assert count_slides(g) == len(enumerate_slides(g))
-    assert count_expansions(g, bounds) == len(enumerate_expansions(g, bounds))
-
-
-# The enumerators and counts read each vertex's ends from one pass over the
+# The slide and expansion enumerators read each vertex's ends from one pass over the
 # edges; the move order rests on that pass giving ``ends_at``'s order.
 @settings(max_examples=150, deadline=None)
 @given(connected_graphs(max_vertices=5, max_extra_edges=3))
@@ -265,10 +246,9 @@ def test_vertex_ends_read_from_the_edges_are_in_ends_at_order(g):
         assert ends[v] == [(e.edge, e.side, g.end_index(e)) for e in g.ends_at(v)]
 
 
-def test_counts_and_expansions_build_no_end_table(x):
-    # A last layer counts the moves of every parked parent; a per-vertex
-    # ``End`` table cached on each would outlive the count.
-    count_collapses(x), count_slides(x), count_expansions(x, BOUNDS)
+def test_expansions_build_no_end_table(x):
+    # Enumerating and applying an expansion reads ends from the edges; a
+    # per-vertex ``End`` table cached on the graph would outlive the search.
     apply_move(x, enumerate_expansions(x, BOUNDS)[0])
     assert "_ends_by_vertex" not in x.__dict__
     x.ends_at("A")

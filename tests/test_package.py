@@ -1,6 +1,7 @@
-"""The package's public names, what importing its CLI loads, and the benchmark
-tracer's view of its layers."""
+"""The package's public names, what importing its CLI loads, that its source
+holds no dead artifacts, and the benchmark tracer's view of its layers."""
 
+import ast
 import importlib
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import gbsdeform
 from strategies import X_TEXT, Y_TEXT
 
 ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "gbsdeform").glob("*.py"))
 PERFBENCH = ROOT / "perfbench"
 MODULES = ("bigint", "graphs", "canonical", "moves", "explore", "counterexample",
            "random_graphs")
@@ -43,6 +45,36 @@ def test_the_cli_imports_only_the_standard_library_and_defers_heavy_modules():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n[]\n"
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every name a tree reads, bare or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        read = _names_read(tree)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.name}: {alias.name}" for alias in node.names
+                           if alias.name != "*"
+                           and (alias.asname or alias.name.partition(".")[0]) not in read]
+    assert unused == []
+
+
+def test_every_private_top_level_function_and_class_is_referenced():
+    trees = [ast.parse(path.read_text()) for path in SOURCES]
+    read = set().union(*map(_names_read, trees))
+    unreferenced = [node.name for tree in trees for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and node.name not in read]
+    assert unreferenced == []
 
 
 # One operation per workload, each traced in its own interpreter: a tracer
