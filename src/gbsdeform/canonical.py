@@ -48,7 +48,6 @@ graphs not label-equal that tie on vertex count and absolute index pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .bigint import index_str
 from .graphs import EdgeIndexedGraph, End
@@ -91,11 +90,12 @@ def _loop_slot(a: int, b: int) -> tuple[tuple[int, int], int]:
     return min(slot(1), slot(-1), key=lambda cand: cand[0])
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class CanonicalForm:
     """Minimal encoding plus the assignment that realizes it.  ``cert`` spells
     ``key`` in ASCII, so keys are equal exactly when certificates are; the
-    text is made only when ``cert`` is first read."""
+    text is made each time ``cert`` is read and kept by nothing, so a caller
+    reads it once."""
 
     order: tuple[str, ...]              # rank -> vertex
     alpha: tuple[int, ...]              # rank -> vertex sign
@@ -105,7 +105,7 @@ class CanonicalForm:
     def key(self) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
         return len(self.order), self.tuples
 
-    @cached_property
+    @property
     def cert(self) -> bytes:
         body = ";".join(f"{a},{b},{index_str(x)},{index_str(y)}" for (a, b, x, y) in self.tuples)
         return f"v{len(self.order)}:{body}".encode("ascii")

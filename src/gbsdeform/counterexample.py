@@ -159,14 +159,14 @@ def index_tuple(g: EdgeIndexedGraph) -> tuple[int, ...]:
     listed by (rank pair, index pair, id) with each pair read from the
     lower-ranked endpoint, loops in declaration side order.
     """
+    ends = g.end_table()
     rank: dict[str, int] = {}
     queue = deque([g.vertices[0]])
     rank[g.vertices[0]] = 0
     while queue:
         v = queue.popleft()
-        for end in g.ends_at(v):
-            e = g.edge(end.edge)
-            w = e.endpoint(1 - end.side)
+        for eid, side, _ in ends[v]:
+            w = g.edge(eid).endpoint(1 - side)
             if w not in rank:
                 rank[w] = len(rank)
                 queue.append(w)

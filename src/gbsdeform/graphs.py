@@ -7,17 +7,17 @@ records the inclusion map (multiplication by that integer).  Indices are
 arbitrary-precision; slide orbits grow geometrically and overflow fixed-width
 integers quickly.
 
-Graphs are immutable values.  Every operation returns a new graph, so values
-can be shared freely across threads.  The constructor only normalizes and
-trusts its caller: outside data enters through ``parse_graph`` or
-``graph_from_parts``, which check every invariant, and the moves keep them.
+Graphs are immutable values that hold only their vertices and edges.  Every
+operation returns a new graph, so values can be shared freely across threads.
+The constructor only normalizes and trusts its caller: outside data enters
+through ``parse_graph`` or ``graph_from_parts``, which check every invariant,
+and the moves keep them.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, NamedTuple
 
 from .bigint import index_str, parse_index
@@ -110,14 +110,17 @@ class SignFlip:
     edge_flips: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeIndexedGraph:
     """A connected multigraph with nonzero integer indices at all edge-ends.
 
     Vertices and edges are stored sorted by identifier, so two graphs built
     from the same id-keyed content compare equal regardless of declaration
     order.  Loops and parallel edges are permitted.  The constructor checks
-    nothing; build graphs from outside data with ``graph_from_parts``.
+    nothing; build graphs from outside data with ``graph_from_parts``.  A
+    graph keeps no cache: ``edge`` and ``has_edge`` scan the edges, and
+    ``end_table``, the one per-vertex table of ends, is built on each call
+    and kept by nothing.
     """
 
     vertices: tuple[str, ...]
@@ -127,44 +130,34 @@ class EdgeIndexedGraph:
         object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
         object.__setattr__(self, "edges", tuple(sorted(self.edges, key=lambda e: e.eid)))
 
-    @cached_property
-    def _edges_by_id(self) -> dict[str, Edge]:
-        return {e.eid: e for e in self.edges}
-
-    @cached_property
-    def _ends_by_vertex(self) -> dict[str, tuple[End, ...]]:
-        ends: dict[str, list[End]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            ends[e.v0].append(End(e.eid, 0))
-            ends[e.v1].append(End(e.eid, 1))
-        return {v: tuple(sorted(es)) for v, es in ends.items()}
-
     def edge(self, eid: str) -> Edge:
-        try:
-            return self._edges_by_id[eid]
-        except KeyError:
-            raise InvalidGraphError(f"no edge {eid!r} in graph") from None
+        for e in self.edges:
+            if e.eid == eid:
+                return e
+        raise InvalidGraphError(f"no edge {eid!r} in graph")
 
     def has_vertex(self, v: str) -> bool:
         return v in self.vertices
 
     def has_edge(self, eid: str) -> bool:
-        return eid in self._edges_by_id
+        for e in self.edges:
+            if e.eid == eid:
+                return True
+        return False
+
+    def end_table(self) -> dict[str, list[tuple[str, int, int]]]:
+        """(edge id, side, index) of each end at each vertex, sorted by (edge
+        id, side): one pass over the edges, which are sorted by id."""
+        table: dict[str, list[tuple[str, int, int]]] = {v: [] for v in self.vertices}
+        for e in self.edges:
+            table[e.v0].append((e.eid, 0, e.i0))
+            table[e.v1].append((e.eid, 1, e.i1))
+        return table
 
     def ends_at(self, v: str) -> tuple[End, ...]:
-        try:
-            return self._ends_by_vertex[v]
-        except KeyError:
-            raise InvalidGraphError(f"no vertex {v!r} in graph") from None
-
-    def end_vertex(self, end: End) -> str:
-        return self.edge(end.edge).endpoint(end.side)
-
-    def end_index(self, end: End) -> int:
-        return self.edge(end.edge).index(end.side)
-
-    def degree(self, v: str) -> int:
-        return len(self.ends_at(v))
+        if v not in self.vertices:
+            raise InvalidGraphError(f"no vertex {v!r} in graph")
+        return tuple(End(eid, side) for eid, side, _ in self.end_table()[v])
 
     def max_abs_index(self) -> int:
         return max((max(abs(e.i0), abs(e.i1)) for e in self.edges), default=0)

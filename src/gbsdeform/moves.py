@@ -21,7 +21,8 @@ from typing import ClassVar
 
 from .bigint import index_str, parse_index
 from .canonical import Isomorphism
-from .graphs import _IDENT_RE, Edge, EdgeIndexedGraph, End, ParseError, _content_lines
+from .graphs import (_IDENT_RE, Edge, EdgeIndexedGraph, End, InvalidGraphError, ParseError,
+                     _content_lines)
 
 __all__ = [
     "IllegalMoveError",
@@ -119,12 +120,15 @@ def fresh_edge_id(g: EdgeIndexedGraph) -> str:
     return _fresh_id(g.has_edge, "x")
 
 
-def _require_end(g: EdgeIndexedGraph, end: End) -> End:
+def _require_end(g: EdgeIndexedGraph, end: End) -> Edge:
+    """The edge an end lies on, looked up once: callers read the end's vertex
+    and index off it.  IllegalMoveError for a bad side or a missing edge."""
     if type(end.side) is not int or end.side not in (0, 1):
         raise IllegalMoveError(f"end {end.edge}:{end.side} has a bad side")
-    if not g.has_edge(end.edge):
-        raise IllegalMoveError(f"no edge {end.edge!r} in graph")
-    return end
+    try:
+        return g.edge(end.edge)
+    except InvalidGraphError:
+        raise IllegalMoveError(f"no edge {end.edge!r} in graph") from None
 
 
 def apply_move(g: EdgeIndexedGraph, m: Move) -> EdgeIndexedGraph:
@@ -141,9 +145,10 @@ def apply_move(g: EdgeIndexedGraph, m: Move) -> EdgeIndexedGraph:
 def _collapse_parts(g: EdgeIndexedGraph, m: Collapse) -> tuple[str, int, int]:
     """Check a collapse; return (absorbed vertex, survivor-side index,
     absorbed-side index)."""
-    if not g.has_edge(m.edge):
-        raise IllegalMoveError(f"no edge {m.edge!r} in graph")
-    e = g.edge(m.edge)
+    try:
+        e = g.edge(m.edge)
+    except InvalidGraphError:
+        raise IllegalMoveError(f"no edge {m.edge!r} in graph") from None
     if e.is_loop:
         raise IllegalMoveError(f"cannot collapse loop {m.edge!r}")
     if m.survivor == e.v0:
@@ -186,11 +191,11 @@ def _apply_expansion(g: EdgeIndexedGraph, m: Expansion) -> EdgeIndexedGraph:
         raise IllegalMoveError(f"new edge id {m.new_edge!r} already in use")
     moved: dict[str, set[int]] = {}     # edge id -> moved sides
     for end in m.moved_ends:
-        end = _require_end(g, end)
-        if g.end_vertex(end) != m.vertex:
+        e = _require_end(g, end)
+        if e.endpoint(end.side) != m.vertex:
             raise IllegalMoveError(
-                f"end {end} is at {g.end_vertex(end)!r}, not at {m.vertex!r}")
-        idx = g.end_index(end)
+                f"end {end} is at {e.endpoint(end.side)!r}, not at {m.vertex!r}")
+        idx = e.index(end.side)
         if not divides(m.n, idx):
             raise IllegalMoveError(
                 f"index {index_str(idx)} at end {end} is not divisible by {index_str(m.n)}")
@@ -206,26 +211,24 @@ def _apply_expansion(g: EdgeIndexedGraph, m: Expansion) -> EdgeIndexedGraph:
 
 
 def _apply_slide(g: EdgeIndexedGraph, m: Slide) -> EdgeIndexedGraph:
-    moving = _require_end(g, m.moving_end)
-    along = _require_end(g, m.along)
-    if moving.edge == along.edge:
+    moving, along = m.moving_end, m.along
+    f = _require_end(g, moving)
+    a = _require_end(g, along)
+    if f.eid == a.eid:
         raise IllegalMoveError(
             f"cannot slide edge {moving.edge!r} along itself")
-    v = g.end_vertex(moving)
-    if g.end_vertex(along) != v:
+    v = f.endpoint(moving.side)
+    if a.endpoint(along.side) != v:
         raise IllegalMoveError(
-            f"ends {moving} (at {v!r}) and {along} (at {g.end_vertex(along)!r}) "
+            f"ends {moving} (at {v!r}) and {along} (at {a.endpoint(along.side)!r}) "
             "do not share a vertex")
-    i_m = g.end_index(moving)
-    i_a = g.end_index(along)
+    i_m = f.index(moving.side)
+    i_a = a.index(along.side)
     if not divides(i_a, i_m):
         raise IllegalMoveError(
             f"carrier index {index_str(i_a)} does not divide moving index {index_str(i_m)}")
-    ratio = i_m // i_a
-    far = End(along.edge, 1 - along.side)
-    far_vertex = g.end_vertex(far)
-    new_index = ratio * g.end_index(far)
-    f = g.edge(moving.edge)
+    far_vertex = a.endpoint(1 - along.side)
+    new_index = i_m // i_a * a.index(1 - along.side)
     if moving.side == 0:
         new_f = Edge(f.eid, far_vertex, f.v1, new_index, f.i1)
     else:
@@ -279,22 +282,12 @@ def enumerate_collapses(g: EdgeIndexedGraph) -> list[Collapse]:
     return out
 
 
-def _vertex_ends(g: EdgeIndexedGraph) -> dict[str, list[tuple[str, int, int]]]:
-    """(edge id, side, index) of each end at each vertex, in ``ends_at`` order:
-    one pass over the edges, which are sorted by id, so no sort and no ``End``."""
-    ends: dict[str, list] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        ends[e.v0].append((e.eid, 0, e.i0))
-        ends[e.v1].append((e.eid, 1, e.i1))
-    return ends
-
-
 def enumerate_slides(g: EdgeIndexedGraph) -> list[Slide]:
     """All legal slides, sorted by moving end then carrier end: ordered pairs
     of distinct-edge ends at one vertex with the carrier index dividing the
     moving index."""
     out = []
-    for ends in _vertex_ends(g).values():
+    for ends in g.end_table().values():
         for edge_m, side_m, i_m in ends:
             for edge_a, side_a, i_a in ends:
                 if edge_a != edge_m and divides(i_a, i_m):
@@ -315,7 +308,7 @@ def enumerate_expansions(g: EdgeIndexedGraph, bounds: ExpansionBounds) -> list[E
     new_e = fresh_edge_id(g)
     out = []
     factors: dict[int, list[int]] = {}     # subset gcd -> its factors
-    for v, ends in _vertex_ends(g).items():
+    for v, ends in g.end_table().items():
         for size in range(1, min(len(ends), bounds.max_subset_size) + 1):
             for combo in combinations(ends, size):
                 d = 0
@@ -378,17 +371,13 @@ def _geometry(g: EdgeIndexedGraph) -> str:
 
 def analyze(g: EdgeIndexedGraph) -> PredicateReport:
     reduced = not enumerate_collapses(g)
-    minimal = all(
-        abs(g.end_index(g.ends_at(v)[0])) >= 2
-        for v in g.vertices if g.degree(v) == 1)
-    ssf = minimal
-    if ssf:
-        for v in g.vertices:
-            idx = [g.end_index(end) for end in g.ends_at(v)]
-            for i, a in enumerate(idx):
-                for j, b in enumerate(idx):
-                    if i != j and divides(b, a):
-                        ssf = False
+    table = g.end_table()
+    minimal = all(abs(ends[0][2]) >= 2 for ends in table.values() if len(ends) == 1)
+    ssf = minimal and not any(
+        i != j and divides(b, a)
+        for ends in table.values()
+        for i, (_, _, a) in enumerate(ends)
+        for j, (_, _, b) in enumerate(ends))
     unfolded = all(abs(e.i0) >= 2 and abs(e.i1) >= 2 for e in g.edges)
     geometry = _geometry(g)
     if not reduced:

@@ -176,6 +176,13 @@ def test_cached_certificate_is_the_form_certificate(g, seed):
     assert is_isomorphic(g, scramble(g, seed))
 
 
+def test_canonical_form_has_slots_and_no_dict_after_cert_is_read():
+    g = parse_graph(X_TEXT)
+    form = canonical_form(g)
+    assert form.cert == canonical_certificate(g)
+    assert not hasattr(form, "__dict__")
+
+
 def test_canonical_form_exposes_consistent_assignment():
     g = parse_graph(X_TEXT)
     form = canonical_form(g)
@@ -268,8 +275,8 @@ def _assert_scramble_is_class_equal(g, seed):
         assert {image.edge for image in images} == {iso.edge_map[e.eid]}
         assert {image.side for image in images} == {0, 1}
         for side, image in enumerate(images):
-            assert h.end_vertex(image) == iso.vertex_map[e.endpoint(side)]
-            assert abs(h.end_index(image)) == abs(e.index(side))
+            assert h.edge(image.edge).endpoint(image.side) == iso.vertex_map[e.endpoint(side)]
+            assert abs(h.edge(image.edge).index(image.side)) == abs(e.index(side))
 
 
 def test_certificate_is_class_equal_on_random_tie_heavy_graphs_up_to_the_cap():

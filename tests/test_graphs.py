@@ -1,11 +1,14 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from gbsdeform import (
     Edge,
+    End,
+    Expansion,
     InvalidGraphError,
     ParseError,
     SignFlip,
+    apply_move,
     apply_sign_flips,
     betti_number,
     dot_export,
@@ -31,6 +34,32 @@ def test_edge_has_slots_and_no_dict():
     assert not hasattr(e, "__dict__")
     with pytest.raises(AttributeError):
         e.i0 = 5
+
+
+def test_graph_has_slots_and_no_dict_after_lookups_and_a_move():
+    # A graph holds its vertices and edges and nothing else: no lookup and
+    # no move leaves a table on it.
+    g = parse_graph(X_TEXT)
+    g.edge("t"), g.has_edge("zz"), g.ends_at("A"), g.end_table()
+    apply_move(g, Expansion("A", 2, (End("t", 0),), "Q", "d"))
+    assert not hasattr(g, "__dict__")
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs(max_vertices=5, max_extra_edges=3))
+def test_lookups_and_the_end_table_agree_with_the_edges(g):
+    for e in g.edges:
+        assert g.edge(e.eid) is e and g.has_edge(e.eid)
+    assert not g.has_edge("absent")
+    with pytest.raises(InvalidGraphError, match="no edge 'absent'"):
+        g.edge("absent")
+    table = g.end_table()
+    assert list(table) == list(g.vertices)
+    for v in g.vertices:
+        ends = sorted((e.eid, side, e.index(side))
+                      for e in g.edges for side in (0, 1) if e.endpoint(side) == v)
+        assert table[v] == ends
+        assert g.ends_at(v) == tuple(End(eid, side) for eid, side, _ in ends)
 
 
 def test_parse_single_vertex():
