@@ -39,8 +39,9 @@ hands to path stitching, is the exhaustive walk's.  A form keeps only that
 order, those signs and the encoding; ``graph_isomorphism`` re-encodes each
 edge from the order and signs, and checks that the result is the encoding.
 The exhaustive oracles live with the tests, in ``tests/oracles.py``.  Nothing
-in this module is cached: a caller that meets the same graph twice keeps its
-own memo (the searches in ``explore`` do).  ``DEFAULT_SIZE_CAP`` is the
+in this module is cached: a caller that meets a graph again keeps its own
+memo (the searches in ``explore`` key theirs by ``EdgeIndexedGraph.shape``, so
+a renaming of ids is met again too).  ``DEFAULT_SIZE_CAP`` is the
 single vertex cap on canonicalization.  ``is_isomorphic`` builds forms only for
 graphs not label-equal that tie on vertex count and absolute index pairs.
 """

@@ -11,10 +11,10 @@ layer once the side holds more than ``max_nodes`` certificates, and
 ``_Side.caps`` names each cap.  A started layer is admitted whole, so no verdict
 depends on the order of a layer's steps, and a class of at most ``max_nodes``
 certificates still closes.  A side is *closed* when its frontier emptied and no
-cap fired; only then is it the whole class.  Each search keeps one graph ->
-certificate memo, shared by both of its sides and freed when the search
-returns: it answers the move results that equal, label for label, a graph the
-search has already met.
+cap fired; only then is it the whole class.  Each search keeps one certificate
+memo keyed by ``EdgeIndexedGraph.shape``, shared by both of its sides and freed
+when the search returns: it answers every move result that renames the vertex
+and edge ids of a graph the search has already met.
 
 ``explore_class`` grows one side while it is growing and records the class
 adjacency from the pairs it yields.  ``decide_equivalence`` applies invariant
@@ -105,13 +105,12 @@ class _Side:
     """One breadth-first search from a root graph, keyed by certificate."""
 
     def __init__(self, g: EdgeIndexedGraph, kinds: tuple[tuple, ...], budget: Budget,
-                 memo: dict[EdgeIndexedGraph, bytes], goal: EdgeIndexedGraph | None = None):
+                 memo: dict[tuple, bytes], goal: EdgeIndexedGraph | None = None):
         self.kinds, self.budget = kinds, budget
-        self.memo = memo                # graph -> certificate, shared by the search's sides
-        for root in (g, goal):          # each root is canonicalized once per search
-            if root is not None and root not in memo:
-                memo[root] = canonical_certificate(root)
-        self.root = memo[g]
+        self.memo = memo                # shape -> certificate, shared by the search's sides
+        self.root = self.certify(g)     # each root is canonicalized once per search
+        if goal is not None:
+            self.certify(goal)
         self.size = None if goal is None else len(goal.vertices)    # the other root's vertex count
         # cert -> (graph as reached, depth, parent cert, move from parent)
         self.visited: dict[bytes, tuple[EdgeIndexedGraph, int, bytes | None, Move | None]] = {
@@ -170,17 +169,22 @@ class _Side:
             if h.max_abs_index() > self.budget.max_abs_index:
                 self.caps.add("index")
                 continue
-            cert_h = self.memo.get(h)
-            if cert_h is None:
-                try:
-                    cert_h = self.memo[h] = canonical_certificate(h)
-                except SizeCapError:
-                    self.caps.add("size")
-                    continue
+            try:
+                cert_h = self.certify(h)
+            except SizeCapError:
+                self.caps.add("size")
+                continue
             if cert_h not in self.visited:
                 self.visited[cert_h] = (h, self.depth, cert_u, move)
                 self.frontier.append(cert_h)
             yield cert_u, cert_h
+
+    def certify(self, g: EdgeIndexedGraph) -> bytes:
+        """g's certificate, from the memo when a graph of g's shape was met."""
+        key = g.shape()
+        if key not in self.memo:
+            self.memo[key] = canonical_certificate(g)
+        return self.memo[key]
 
     def chain(self, cert: bytes) -> list[tuple[EdgeIndexedGraph, Move, EdgeIndexedGraph]]:
         """(graph before, move, graph after) steps from the root to cert."""
@@ -245,7 +249,7 @@ def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
         if len(g1.vertices) != len(g2.vertices):
             return Verdict("distinct", reason="vertex count differs")
 
-    memo: dict[EdgeIndexedGraph, bytes] = {}
+    memo: dict[tuple, bytes] = {}
     fwd = _Side(g1, kinds, budget, memo, g2)
     bwd = _Side(g2, kinds, budget, memo, g1)
     if fwd.root == bwd.root:

@@ -119,8 +119,8 @@ class EdgeIndexedGraph:
     order.  Loops and parallel edges are permitted.  The constructor checks
     nothing; build graphs from outside data with ``graph_from_parts``.  A
     graph keeps no cache: ``edge`` and ``has_edge`` scan the edges, and
-    ``end_table``, the one per-vertex table of ends, is built on each call
-    and kept by nothing.
+    ``end_table``, the one per-vertex table of ends, and ``shape`` are built
+    on each call and kept by nothing.
     """
 
     vertices: tuple[str, ...]
@@ -154,6 +154,25 @@ class EdgeIndexedGraph:
             table[e.v1].append((e.eid, 1, e.i1))
         return table
 
+    def shape(self) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
+        """(vertex count, sorted edge tuples): the graph relabeled, ids dropped.
+        Vertices rank by their sorted (near index, far index, is loop) ends, ties
+        by id; an edge is (rank a, rank b, index at a, index at b), a <= b and a
+        loop's smaller index first.  Equal shapes share a certificate."""
+        ends: dict[str, list[tuple[int, int, bool]]] = {v: [] for v in self.vertices}
+        for e in self.edges:
+            ends[e.v0].append((e.i0, e.i1, e.v0 == e.v1))
+            ends[e.v1].append((e.i1, e.i0, e.v0 == e.v1))
+        for vertex_ends in ends.values():
+            vertex_ends.sort()
+        order = sorted(self.vertices, key=ends.__getitem__)     # stable: ties by id
+        rank = {v: r for r, v in enumerate(order)}
+        tuples = []
+        for e in self.edges:
+            a, b, i, j = rank[e.v0], rank[e.v1], e.i0, e.i1
+            tuples.append((a, b, i, j) if (a, i) <= (b, j) else (b, a, j, i))
+        return len(self.vertices), tuple(sorted(tuples))
+
     def ends_at(self, v: str) -> tuple[End, ...]:
         if v not in self.vertices:
             raise InvalidGraphError(f"no vertex {v!r} in graph")
@@ -163,46 +182,46 @@ class EdgeIndexedGraph:
         return max((max(abs(e.i0), abs(e.i1)) for e in self.edges), default=0)
 
 
-def _check(g: EdgeIndexedGraph) -> EdgeIndexedGraph:
-    """Return g if it meets every invariant, else raise InvalidGraphError."""
-    if not g.vertices:
+def _check(vertices: tuple, edges: tuple[Edge, ...]) -> EdgeIndexedGraph:
+    """Check every invariant of the parts, then build their graph (which sorts ids)."""
+    if not vertices:
         raise InvalidGraphError("a graph needs at least one vertex")
     adj: dict[str, set[str]] = {}
-    for v in g.vertices:
-        if not _IDENT_RE.match(v):
+    for v in vertices:
+        if type(v) is not str or not _IDENT_RE.match(v):
             raise InvalidGraphError(f"bad vertex identifier {v!r}")
         if v in adj:
             raise InvalidGraphError(f"duplicate vertex id {v!r}")
         adj[v] = set()
     seen_e: set[str] = set()
-    for e in g.edges:
-        if not _IDENT_RE.match(e.eid):
+    for e in edges:
+        if type(e.eid) is not str or not _IDENT_RE.match(e.eid):
             raise InvalidGraphError(f"bad edge identifier {e.eid!r}")
         if e.eid in seen_e:
             raise InvalidGraphError(f"duplicate edge id {e.eid!r}")
         seen_e.add(e.eid)
         for v in (e.v0, e.v1):
-            if v not in adj:
+            if type(v) is not str or v not in adj:
                 raise InvalidGraphError(f"edge {e.eid!r} uses undeclared vertex {v!r}")
-        if e.i0 == 0 or e.i1 == 0:
-            raise InvalidGraphError(f"edge {e.eid!r} has a zero index")
         if type(e.i0) is not int or type(e.i1) is not int:
             raise InvalidGraphError(f"edge {e.eid!r} has non-integer indices")
+        if e.i0 == 0 or e.i1 == 0:
+            raise InvalidGraphError(f"edge {e.eid!r} has a zero index")
         adj[e.v0].add(e.v1)
         adj[e.v1].add(e.v0)
-    reached, stack = {g.vertices[0]}, [g.vertices[0]]
+    reached, stack = {vertices[0]}, [vertices[0]]
     while stack:
         new = adj[stack.pop()] - reached
         reached |= new
         stack += new
     if len(reached) != len(adj):
         raise InvalidGraphError("graph is not connected")
-    return g
+    return EdgeIndexedGraph(vertices, edges)
 
 
 def graph_from_parts(vertices, edges) -> EdgeIndexedGraph:
     """Build and check a graph from vertex ids and (eid, v0, v1, i0, i1) tuples."""
-    return _check(EdgeIndexedGraph(tuple(vertices), tuple(Edge(*e) for e in edges)))
+    return _check(tuple(vertices), tuple(Edge(*e) for e in edges))
 
 
 def betti_number(g: EdgeIndexedGraph) -> int:
@@ -287,7 +306,7 @@ def parse_graph(text: str) -> EdgeIndexedGraph:
         else:
             raise ParseError(f"unknown declaration {fields[0]!r}", lineno, cols[0])
     try:
-        return _check(EdgeIndexedGraph(tuple(vertices), tuple(edges)))
+        return _check(tuple(vertices), tuple(edges))
     except InvalidGraphError as exc:
         raise ParseError(str(exc)) from exc
 

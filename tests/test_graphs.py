@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbsdeform import (
     Edge,
@@ -11,6 +12,7 @@ from gbsdeform import (
     apply_move,
     apply_sign_flips,
     betti_number,
+    canonical_certificate,
     dot_export,
     graph_from_parts,
     parse_graph,
@@ -60,6 +62,35 @@ def test_lookups_and_the_end_table_agree_with_the_edges(g):
                       for e in g.edges for side in (0, 1) if e.endpoint(side) == v)
         assert table[v] == ends
         assert g.ends_at(v) == tuple(End(eid, side) for eid, side, _ in ends)
+
+
+@settings(max_examples=400, deadline=None)
+@given(connected_graphs(max_vertices=3, max_abs=2), connected_graphs(max_vertices=3, max_abs=2),
+       st.integers(0, 2**16))
+def test_equal_shapes_share_a_certificate(g, h, seed):
+    # A search's memo answers a graph with the certificate of another of its
+    # shape.  Small indices on few vertices make shapes collide often.
+    for other in (h, scramble(g, seed)):
+        if g.shape() == other.shape():
+            assert canonical_certificate(g) == canonical_certificate(other)
+
+
+@given(connected_graphs(max_vertices=5, max_extra_edges=3))
+def test_a_renaming_that_keeps_the_ids_order_keeps_the_shape(g):
+    # Vertex ids break ties only through their order; edge ids and the side an
+    # edge is read from do not count at all.
+    renamed = graph_from_parts(
+        [f"w_{v}" for v in g.vertices],
+        [(f"x{len(g.edges) - k}", f"w_{e.v0}", f"w_{e.v1}", e.i0, e.i1)
+         for k, e in enumerate(g.edges)])
+    swapped = graph_from_parts(g.vertices, [(e.eid, e.v1, e.v0, e.i1, e.i0) for e in g.edges])
+    assert renamed.shape() == swapped.shape() == g.shape()
+
+
+def test_loops_whose_index_signs_differ_have_different_shapes():
+    g, h = (graph_from_parts(["A"], [("l", "A", "A", 2, i)]) for i in (3, -3))
+    assert g.shape() == (1, ((0, 0, 2, 3),)) and h.shape() == (1, ((0, 0, -3, 2),))
+    assert canonical_certificate(g) != canonical_certificate(h)
 
 
 def test_parse_single_vertex():
@@ -134,6 +165,11 @@ def test_constructor_rejects_empty():
     (("A",), (("e", "A", "A", 2.0, 3),), "edge 'e' has non-integer indices"),
     (("A", "B", "C"), (("e", "A", "B", 2, 3),), "graph is not connected"),
     (("A",), (("e", "A", "A", True, 2),), "edge 'e' has non-integer indices"),
+    (("A",), (("e", "A", "A", False, 2),), "edge 'e' has non-integer indices"),
+    ((5,), (), "bad vertex identifier 5"),
+    (("A", 5), (("e", "A", 5, 2, 3),), "bad vertex identifier 5"),
+    (("A",), (("e", "A", "A", 2, 3), (7, "A", "A", 2, 3)), "bad edge identifier 7"),
+    (("A",), (("e", "A", ["A"], 2, 3),), r"edge 'e' uses undeclared vertex \['A'\]"),
 ])
 def test_graph_from_parts_rejects_malformed_input(vertices, edges, match):
     with pytest.raises(InvalidGraphError, match=match):
