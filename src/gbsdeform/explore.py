@@ -14,7 +14,8 @@ certificates still closes.  A side is *closed* when its frontier emptied and no
 cap fired; only then is it the whole class.  Each search keeps one certificate
 memo keyed by ``EdgeIndexedGraph.shape``, shared by both of its sides and freed
 when the search returns: it answers every move result that renames the vertex
-and edge ids of a graph the search has already met.
+and edge ids of a graph the search has already met, and the path stitch's
+endpoint check.  Each root is certified once per search, by its own side.
 
 ``explore_class`` grows one side while it is growing and records the class
 adjacency from the pairs it yields.  ``decide_equivalence`` applies invariant
@@ -105,13 +106,10 @@ class _Side:
     """One breadth-first search from a root graph, keyed by certificate."""
 
     def __init__(self, g: EdgeIndexedGraph, kinds: tuple[tuple, ...], budget: Budget,
-                 memo: dict[tuple, bytes], goal: EdgeIndexedGraph | None = None):
-        self.kinds, self.budget = kinds, budget
+                 memo: dict[tuple, bytes], size: int | None = None):
+        self.kinds, self.budget, self.size = kinds, budget, size  # size: other root's vertex count
         self.memo = memo                # shape -> certificate, shared by the search's sides
-        self.root = self.certify(g)     # each root is canonicalized once per search
-        if goal is not None:
-            self.certify(goal)
-        self.size = None if goal is None else len(goal.vertices)    # the other root's vertex count
+        self.root = self.certify(g)     # each root is certified once per search, by its own side
         # cert -> (graph as reached, depth, parent cert, move from parent)
         self.visited: dict[bytes, tuple[EdgeIndexedGraph, int, bytes | None, Move | None]] = {
             self.root: (g, 0, None, None)}
@@ -139,10 +137,10 @@ class _Side:
     def advance(self) -> Iterator[tuple]:
         """The next layer's steps (parent cert, parent, move), lazily.
 
-        ``decide_equivalence`` builds each side with the other root as its
-        ``goal``.  In the layer at the depth bound a step can meet only the
-        goal, so of a parent's move kinds only the one whose vertex shift
-        reaches the goal's vertex count is built; each other kind is parked
+        ``decide_equivalence`` builds each side with the other root's vertex
+        count as its ``size``.  In the layer at the depth bound a step can meet
+        only the other root, so of a parent's move kinds only the one whose
+        vertex shift reaches ``size`` is built; each other kind is parked
         unbuilt, for ``drain``."""
         frontier, self.frontier, self.depth = self.frontier, [], self.depth + 1
         size = self.size if self.depth == self.budget.max_depth else None
@@ -232,7 +230,7 @@ def _stitch(fwd: _Side, bwd: _Side, cert: bytes) -> tuple[Move, ...]:
         transported = transport_move(inverse, iso, cur)
         cur = apply_move(cur, transported)
         path.append(transported)
-    assert canonical_certificate(cur) == bwd.root
+    assert fwd.certify(cur) == bwd.root
     return tuple(path)
 
 
@@ -250,8 +248,8 @@ def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
             return Verdict("distinct", reason="vertex count differs")
 
     memo: dict[tuple, bytes] = {}
-    fwd = _Side(g1, kinds, budget, memo, g2)
-    bwd = _Side(g2, kinds, budget, memo, g1)
+    fwd = _Side(g1, kinds, budget, memo, len(g2.vertices))
+    bwd = _Side(g2, kinds, budget, memo, len(g1.vertices))
     if fwd.root == bwd.root:
         return Verdict("equivalent", path=())
 

@@ -145,10 +145,7 @@ def apply_move(g: EdgeIndexedGraph, m: Move) -> EdgeIndexedGraph:
 def _collapse_parts(g: EdgeIndexedGraph, m: Collapse) -> tuple[str, int, int]:
     """Check a collapse; return (absorbed vertex, survivor-side index,
     absorbed-side index)."""
-    try:
-        e = g.edge(m.edge)
-    except InvalidGraphError:
-        raise IllegalMoveError(f"no edge {m.edge!r} in graph") from None
+    e = _require_end(g, End(m.edge, 0))
     if e.is_loop:
         raise IllegalMoveError(f"cannot collapse loop {m.edge!r}")
     if m.survivor == e.v0:
@@ -244,12 +241,12 @@ def invert_move(g: EdgeIndexedGraph, m: Move) -> Move:
     Replaying the pair returns a graph equivalent to g (equal whenever the
     collapsed end's index was +1; a -1 differs by an edge sign flip).
     """
-    apply_move(g, m)  # legality check; errors propagate
-    if isinstance(m, Collapse):
+    if isinstance(m, Collapse):     # _collapse_parts is the collapse's legality check
         dead, n_surv, eps = _collapse_parts(g, m)
         moved = tuple(end for end in g.ends_at(dead) if end.edge != m.edge)
         return Expansion(vertex=m.survivor, n=n_surv * eps, moved_ends=moved,
                          new_vertex=dead, new_edge=m.edge)
+    apply_move(g, m)  # legality check of an expansion or slide; errors propagate
     if isinstance(m, Expansion):
         return Collapse(edge=m.new_edge, survivor=m.vertex)
     return Slide(moving_end=m.moving_end, along=End(m.along.edge, 1 - m.along.side))

@@ -456,10 +456,10 @@ def counted_enumerators(monkeypatch):
 # build only the moves that can reach the other root, so every move built is
 # applied (building every move of every parent would make 38,534).  Its memo,
 # keyed by shape, builds little more than one form for each of the 1,884
-# classes it meets, the stitch's included; a memo that caught only label-equal
-# graphs would build 3,730.
+# classes it meets; the stitch's endpoint check is a memo hit.  A memo that
+# caught only label-equal graphs would build 3,730.
 PAPER_SEARCH_MOVES = 5134
-PAPER_SEARCH_FORMS = 1887
+PAPER_SEARCH_FORMS = 1886
 
 
 def test_the_paper_search_builds_only_the_moves_it_applies(monkeypatch, capsys, tmp_path,
@@ -480,6 +480,20 @@ def test_the_paper_search_builds_only_the_moves_it_applies(monkeypatch, capsys, 
     assert code == 0 and "verdict: equivalent" in out and "path_length: 4" in out
     assert sum(built) == len(applied) == PAPER_SEARCH_MOVES
     assert len(canonical_form_calls) == PAPER_SEARCH_FORMS
+
+
+def test_a_search_computes_each_roots_shape_once(monkeypatch, x, y):
+    shapes = []
+    real = EdgeIndexedGraph.shape
+
+    def counted(g):
+        shapes.append(g)
+        return real(g)
+
+    monkeypatch.setattr(EdgeIndexedGraph, "shape", counted)
+    verdict = decide_equivalence(x, y, "deform", Budget(max_depth=0))
+    assert verdict.kind == "unknown"
+    assert shapes == [x, y]
 
 
 # A fixed corpus of decide_equivalence pairs: random graphs with 1-3 vertices,

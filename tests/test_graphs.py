@@ -170,6 +170,9 @@ def test_constructor_rejects_empty():
     (("A", 5), (("e", "A", 5, 2, 3),), "bad vertex identifier 5"),
     (("A",), (("e", "A", "A", 2, 3), (7, "A", "A", 2, 3)), "bad edge identifier 7"),
     (("A",), (("e", "A", ["A"], 2, 3),), r"edge 'e' uses undeclared vertex \['A'\]"),
+    (("A",), (("e", "A", "A", 2),), r"edge entry \('e', 'A', 'A', 2\) is not"),
+    (("A",), (("e", "A", "A", 2, 3, 4),), r"edge entry \('e', 'A', 'A', 2, 3, 4\) is not"),
+    (("A",), (5,), "edge entry 5 is not"),
 ])
 def test_graph_from_parts_rejects_malformed_input(vertices, edges, match):
     with pytest.raises(InvalidGraphError, match=match):

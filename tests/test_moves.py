@@ -98,7 +98,7 @@ def test_collapse_negative_unit_end():
     (Collapse(edge="l", survivor="A"), "loop"),
     (Collapse(edge="t", survivor="B"), r"index 20 .*needs \+1 or -1"),
     (Collapse(edge="t", survivor="Z"), "not an endpoint"),
-    (Collapse(edge="zz", survivor="A"), "no edge"),
+    (Collapse(edge="zz", survivor="A"), "no edge 'zz'"),
     (Expansion("A", 0, (), "Q", "d"), "nonzero"),
     (Expansion("Z", 2, (), "Q", "d"), "no vertex"),
     (Expansion("A", 2, (), "B", "d"), "already in use"),
@@ -121,6 +121,8 @@ def test_collapse_negative_unit_end():
 def test_illegal_moves_are_rejected(x, move, match):
     with pytest.raises(IllegalMoveError, match=match):
         apply_move(x, move)
+    with pytest.raises(IllegalMoveError, match=match):
+        invert_move(x, move)
 
 
 def test_invert_expansion_is_collapse(x):
@@ -441,9 +443,10 @@ def test_a_script_error_is_a_parse_error_with_a_line_and_no_column():
 def test_a_non_move_is_an_unknown_move(x):
     not_a_move = ("slide", "t:0", "l:1")
     message = "unknown move ('slide', 't:0', 'l:1')"
-    with pytest.raises(IllegalMoveError) as info:
-        apply_move(x, not_a_move)
-    assert str(info.value) == message
+    for apply_or_invert in (apply_move, invert_move):
+        with pytest.raises(IllegalMoveError) as info:
+            apply_or_invert(x, not_a_move)
+        assert str(info.value) == message
     with pytest.raises(ValueError) as info:
         transport_move(not_a_move, graph_isomorphism(x, x), x)
     assert str(info.value) == message
