@@ -40,10 +40,13 @@ order, those signs and the encoding; ``graph_isomorphism`` re-encodes each
 edge from the order and signs, and checks that the result is the encoding.
 The exhaustive oracles live with the tests, in ``tests/oracles.py``.  Nothing
 in this module is cached: a caller that meets a graph again keeps its own
-memo (the searches in ``explore`` key theirs by ``EdgeIndexedGraph.shape``, so
-a renaming of ids is met again too).  ``DEFAULT_SIZE_CAP`` is the
-single vertex cap on canonicalization.  ``is_isomorphic`` builds forms only for
-graphs not label-equal that tie on vertex count and absolute index pairs.
+memo.  The searches in ``explore`` key theirs by ``EdgeIndexedGraph.shape``, so
+a renaming of ids is met again too, and name a new shape by the hash of its
+``class_invariant``, a value equal on each class that needs no form; they build
+forms only for shapes whose invariants hash alike.  ``DEFAULT_SIZE_CAP`` is the
+single vertex cap on canonicalization and on ``class_invariant``.
+``is_isomorphic`` builds forms only for graphs not label-equal that tie on
+vertex count and absolute index pairs.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ __all__ = [
     "Isomorphism",
     "canonical_form",
     "canonical_certificate",
+    "class_invariant",
     "is_isomorphic",
     "graph_isomorphism",
 ]
@@ -241,6 +245,20 @@ def canonical_form(g: EdgeIndexedGraph) -> CanonicalForm:
 def canonical_certificate(g: EdgeIndexedGraph) -> bytes:
     """Certificate bytes; equal exactly on relabel-and-sign-flip classes."""
     return canonical_form(g).cert
+
+
+def class_invariant(g: EdgeIndexedGraph) -> tuple[int, tuple]:
+    """(vertex count, sorted tuple of each vertex's sorted (|near index|, |far
+    index|, is loop) ends), with no form built: equal on every relabel-and-sign-
+    flip class, and made of ints and bools only, so its hash is the same in every
+    process.  Raises ``SizeCapError`` past the vertex cap, as a form would."""
+    _check_size(g)
+    ends: dict[str, list[tuple[int, int, bool]]] = {v: [] for v in g.vertices}
+    for e in g.edges:
+        a, b, is_loop = abs(e.i0), abs(e.i1), e.v0 == e.v1
+        ends[e.v0].append((a, b, is_loop))
+        ends[e.v1].append((b, a, is_loop))
+    return len(g.vertices), tuple(sorted(tuple(sorted(v_ends)) for v_ends in ends.values()))
 
 
 def is_isomorphic(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph) -> bool:

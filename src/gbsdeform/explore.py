@@ -2,25 +2,26 @@
 
 One engine, ``_Side``, runs every search: a breadth-first enumeration from a
 root graph under the move kinds and ``Budget`` it is built with, keyed by
-canonical certificate.  Every cap is decided inside ``_Side``.
+class name.  Every cap is decided inside ``_Side``.
 ``_Side.growing`` is the one test that a next layer is due, ``_Side.advance``
 orders a layer's steps, and ``_Side.grow`` applies them: the index bound drops a
-move result before its certificate is computed, ``canonical_form``'s vertex cap
-raises ``SizeCapError`` (recorded as ``"size"``), the node bound refuses a next
-layer once the side holds more than ``max_nodes`` certificates, and
-``_Side.caps`` names each cap.  A started layer is admitted whole, so no verdict
-depends on the order of a layer's steps, and a class of at most ``max_nodes``
-certificates still closes.  A side is *closed* when its frontier emptied and no
-cap fired; only then is it the whole class.  Each search keeps one certificate
-memo keyed by ``EdgeIndexedGraph.shape``, shared by both of its sides and freed
-when the search returns: it answers every move result that renames the vertex
-and edge ids of a graph the search has already met, and the path stitch's
-endpoint check.  Each root is certified once per search, by its own side.
+move result before it is named, ``class_invariant``'s vertex cap raises
+``SizeCapError`` (recorded as ``"size"``), the node bound refuses a next layer
+once the side holds more than ``max_nodes`` classes, and ``_Side.caps`` names
+each cap.  A started layer is admitted whole, so no verdict depends on the order
+of a layer's steps, and a class of at most ``max_nodes`` members still closes.
+A side is *closed* when its frontier emptied and no cap fired; only then is it
+the whole class.  Each search keeps one ``_Names``, shared by both of its sides
+and freed when the search returns.  Its memo, keyed by ``EdgeIndexedGraph.shape``,
+answers every renaming of ids of a graph the search has met, and the path
+stitch's endpoint check; a new shape is named by the hash of its
+``class_invariant``, with canonical forms built only when a bucket already holds
+another shape.  Each root is named once per search, by its own side.
 
 ``explore_class`` grows one side while it is growing and records the class
 adjacency from the pairs it yields.  ``decide_equivalence`` applies invariant
 refuters, then grows two sides, smaller frontier first, until a side adds a
-certificate the other side reached within the depth bound.  In a side's last
+class the other side reached within the depth bound.  In a side's last
 layer ``_Side.advance`` builds, per parent, only the move kind that can reach
 the other root's vertex count and parks the others; they run only if the search
 finds no meeting.  ``unknown`` names what bound it: the caps of both sides, and
@@ -48,7 +49,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .canonical import SizeCapError, canonical_certificate, graph_isomorphism
+from .canonical import SizeCapError, canonical_certificate, class_invariant, graph_isomorphism
 from .graphs import EdgeIndexedGraph, betti_number
 from .moves import (
     Collapse, Expansion, ExpansionBounds, Move, Slide, apply_move, enumerate_collapses,
@@ -66,6 +67,7 @@ __all__ = [
 ]
 
 MOVE_CLASSES = ("slide", "deform")
+Name = int | bytes                  # a class's name within one search (``_Names``)
 
 
 @dataclass(frozen=True)
@@ -102,21 +104,43 @@ class ExplorationReport:
     caps: frozenset[str]            # "index", "size", "node": caps that bound the search
 
 
+class _Names:
+    """Names equal exactly when classes are: the ``class_invariant`` hash, or the
+    certificate of a graph whose bucket's first graph is of another class."""
+
+    def __init__(self) -> None:
+        self.memo: dict[tuple, Name] = {}           # shape -> name
+        self.buckets: dict[int, list] = {}          # hash -> [first graph, its cert or None]
+
+    def __call__(self, g: EdgeIndexedGraph) -> Name:
+        """g's name, from the memo when a graph of g's shape was met."""
+        key = g.shape()
+        if key not in self.memo:
+            name = hash(class_invariant(g))
+            first = self.buckets.setdefault(name, [g, None])
+            if first[0] is not g:       # a bucket hit: the certificates decide
+                first[1] = first[1] or canonical_certificate(first[0])
+                cert = canonical_certificate(g)
+                name = name if cert == first[1] else cert
+            self.memo[key] = name
+        return self.memo[key]
+
+
 class _Side:
-    """One breadth-first search from a root graph, keyed by certificate."""
+    """One breadth-first search from a root graph, keyed by class name."""
 
     def __init__(self, g: EdgeIndexedGraph, kinds: tuple[tuple, ...], budget: Budget,
-                 memo: dict[tuple, bytes], size: int | None = None):
+                 name: _Names, size: int | None = None):
         self.kinds, self.budget, self.size = kinds, budget, size  # size: other root's vertex count
-        self.memo = memo                # shape -> certificate, shared by the search's sides
-        self.root = self.certify(g)     # each root is certified once per search, by its own side
-        # cert -> (graph as reached, depth, parent cert, move from parent)
-        self.visited: dict[bytes, tuple[EdgeIndexedGraph, int, bytes | None, Move | None]] = {
+        self.name = name                # shared by the search's sides
+        self.root = name(g)             # each root is named once per search, by its own side
+        # name -> (graph as reached, depth, parent name, move from parent)
+        self.visited: dict[Name, tuple[EdgeIndexedGraph, int, Name | None, Move | None]] = {
             self.root: (g, 0, None, None)}
-        self.frontier: list[bytes] = [self.root]
+        self.frontier: list[Name] = [self.root]
         self.depth = 0
         self.caps: set[str] = set()     # "index", "size", "node": caps that bound the side
-        self.parked: list[tuple] = []   # last-layer (parent cert, parent, enumerator)
+        self.parked: list[tuple] = []   # last-layer (parent name, parent, enumerator)
 
     @property
     def closed(self) -> bool:
@@ -125,7 +149,7 @@ class _Side:
     @property
     def growing(self) -> bool:
         """A next layer is due: the frontier is not empty, the depth bound not
-        reached, and the side holds at most ``max_nodes`` certificates.  A
+        reached, and the side holds at most ``max_nodes`` classes.  A
         layer the node cap refuses records ``"node"``."""
         if not self.frontier or self.depth >= self.budget.max_depth:
             return False
@@ -135,7 +159,7 @@ class _Side:
         return True
 
     def advance(self) -> Iterator[tuple]:
-        """The next layer's steps (parent cert, parent, move), lazily.
+        """The next layer's steps (parent name, parent, move), lazily.
 
         ``decide_equivalence`` builds each side with the other root's vertex
         count as its ``size``.  In the layer at the depth bound a step can meet
@@ -144,69 +168,63 @@ class _Side:
         unbuilt, for ``drain``."""
         frontier, self.frontier, self.depth = self.frontier, [], self.depth + 1
         size = self.size if self.depth == self.budget.max_depth else None
-        for cert_u in frontier:
-            gu = self.visited[cert_u][0]
+        for name_u in frontier:
+            gu = self.visited[name_u][0]
             for shift, enumerate_kind in self.kinds:
                 if size is not None and len(gu.vertices) + shift != size:
-                    self.parked.append((cert_u, gu, enumerate_kind))
+                    self.parked.append((name_u, gu, enumerate_kind))
                     continue
                 for move in enumerate_kind(gu):
-                    yield cert_u, gu, move
+                    yield name_u, gu, move
 
     def drain(self) -> Iterator[tuple]:
         """The parked kinds' steps, built in the order they were parked."""
         parked, self.parked = self.parked, []
-        for cert_u, gu, enumerate_kind in parked:
+        for name_u, gu, enumerate_kind in parked:
             for move in enumerate_kind(gu):
-                yield cert_u, gu, move
+                yield name_u, gu, move
 
-    def grow(self, steps: Iterable[tuple]) -> Iterator[tuple[bytes, bytes]]:
-        """Apply steps at ``depth``; yield (parent, cert) per uncapped result."""
-        for cert_u, gu, move in steps:
+    def grow(self, steps: Iterable[tuple]) -> Iterator[tuple]:
+        """Apply steps at ``depth``; yield (parent, name) per uncapped result."""
+        for name_u, gu, move in steps:
             h = apply_move(gu, move)
             if h.max_abs_index() > self.budget.max_abs_index:
                 self.caps.add("index")
                 continue
             try:
-                cert_h = self.certify(h)
+                name_h = self.name(h)
             except SizeCapError:
                 self.caps.add("size")
                 continue
-            if cert_h not in self.visited:
-                self.visited[cert_h] = (h, self.depth, cert_u, move)
-                self.frontier.append(cert_h)
-            yield cert_u, cert_h
+            if name_h not in self.visited:
+                self.visited[name_h] = (h, self.depth, name_u, move)
+                self.frontier.append(name_h)
+            yield name_u, name_h
 
-    def certify(self, g: EdgeIndexedGraph) -> bytes:
-        """g's certificate, from the memo when a graph of g's shape was met."""
-        key = g.shape()
-        if key not in self.memo:
-            self.memo[key] = canonical_certificate(g)
-        return self.memo[key]
-
-    def chain(self, cert: bytes) -> list[tuple[EdgeIndexedGraph, Move, EdgeIndexedGraph]]:
-        """(graph before, move, graph after) steps from the root to cert."""
+    def chain(self, name: Name) -> list[tuple[EdgeIndexedGraph, Move, EdgeIndexedGraph]]:
+        """(graph before, move, graph after) steps from the root to the class."""
         steps = []
         while True:
-            graph, _, parent, move = self.visited[cert]
+            graph, _, parent, move = self.visited[name]
             if parent is None:
                 return list(reversed(steps))
             steps.append((self.visited[parent][0], move, graph))
-            cert = parent
+            name = parent
 
 
 def explore_class(g: EdgeIndexedGraph, move_class: str, budget: Budget) -> ExplorationReport:
-    """BFS closure of g under one move class, deduplicated by certificate."""
-    side = _Side(g, _kinds(move_class, budget.expansion), budget, {})
-    adjacency: dict[bytes, set[bytes]] = {side.root: set()}
+    """BFS closure of g under one move class; each class is certified once, at the end."""
+    side = _Side(g, _kinds(move_class, budget.expansion), budget, _Names())
+    adjacency: dict[Name, set[Name]] = {side.root: set()}
     while side.growing:
-        for parent, cert in side.grow(side.advance()):
-            adjacency.setdefault(cert, set()).add(parent)
-            adjacency[parent].add(cert)
+        for parent, name in side.grow(side.advance()):
+            adjacency.setdefault(name, set()).add(parent)
+            adjacency[parent].add(name)
+    cert = {name: canonical_certificate(entry[0]) for name, entry in side.visited.items()}
     return ExplorationReport(
-        members={c: entry[0] for c, entry in side.visited.items()},
-        depths={c: entry[1] for c, entry in side.visited.items()},
-        adjacency={c: tuple(sorted(nb)) for c, nb in adjacency.items()},
+        members={cert[n]: entry[0] for n, entry in side.visited.items()},
+        depths={cert[n]: entry[1] for n, entry in side.visited.items()},
+        adjacency={cert[n]: tuple(sorted(cert[m] for m in nb)) for n, nb in adjacency.items()},
         closed=side.closed,
         caps=frozenset(side.caps),
     )
@@ -219,18 +237,18 @@ class Verdict:
     reason: str | None = None
 
 
-def _stitch(fwd: _Side, bwd: _Side, cert: bytes) -> tuple[Move, ...]:
+def _stitch(fwd: _Side, bwd: _Side, name: Name) -> tuple[Move, ...]:
     """Forward path to the meeting point, then inverted transported back half."""
-    path = [move for (_, move, _) in fwd.chain(cert)]
-    cur = fwd.visited[cert][0]
-    for before, move, after in reversed(bwd.chain(cert)):
+    path = [move for (_, move, _) in fwd.chain(name)]
+    cur = fwd.visited[name][0]
+    for before, move, after in reversed(bwd.chain(name)):
         inverse = invert_move(before, move)
         iso = graph_isomorphism(after, cur)
-        assert iso is not None, "meeting graphs must share a certificate"
+        assert iso is not None, "meeting graphs must share a class"
         transported = transport_move(inverse, iso, cur)
         cur = apply_move(cur, transported)
         path.append(transported)
-    assert fwd.certify(cur) == bwd.root
+    assert fwd.name(cur) == bwd.root
     return tuple(path)
 
 
@@ -247,19 +265,19 @@ def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
         if len(g1.vertices) != len(g2.vertices):
             return Verdict("distinct", reason="vertex count differs")
 
-    memo: dict[tuple, bytes] = {}
-    fwd = _Side(g1, kinds, budget, memo, len(g2.vertices))
-    bwd = _Side(g2, kinds, budget, memo, len(g1.vertices))
+    names = _Names()
+    fwd = _Side(g1, kinds, budget, names, len(g2.vertices))
+    bwd = _Side(g2, kinds, budget, names, len(g1.vertices))
     if fwd.root == bwd.root:
         return Verdict("equivalent", path=())
 
     while expandable := [s for s in (fwd, bwd) if s.growing]:
         side = min(expandable, key=lambda s: (len(s.frontier), s is bwd))
         other = bwd if side is fwd else fwd
-        for _, cert in side.grow(side.advance()):
-            if (cert in other.visited
-                    and side.visited[cert][1] + other.visited[cert][1] <= budget.max_depth):
-                return Verdict("equivalent", path=_stitch(fwd, bwd, cert))
+        for _, name in side.grow(side.advance()):
+            if (name in other.visited
+                    and side.visited[name][1] + other.visited[name][1] <= budget.max_depth):
+                return Verdict("equivalent", path=_stitch(fwd, bwd, name))
     for side in (fwd, bwd):             # no meeting: the parked kinds run
         for _ in side.grow(side.drain()):
             pass
@@ -270,8 +288,10 @@ def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
     elif fwd.closed and bwd.closed:
         shared = fwd.visited.keys() & bwd.visited.keys()
         if shared:
-            cert = min(shared, key=lambda c: (fwd.visited[c][1] + bwd.visited[c][1], c))
-            return Verdict("equivalent", path=_stitch(fwd, bwd, cert))
+            # Depth ties go to the least certificate: int and bytes names do not order.
+            name = min(shared, key=lambda n: (fwd.visited[n][1] + bwd.visited[n][1],
+                                              canonical_certificate(fwd.visited[n][0])))
+            return Verdict("equivalent", path=_stitch(fwd, bwd, name))
         return Verdict("distinct", reason="deformation class exhausted within bounds")
     bounds = [f"{cap} cap" for cap in fwd.caps | bwd.caps]
     if any(s.frontier and s.depth >= budget.max_depth for s in (fwd, bwd)):

@@ -220,12 +220,16 @@ def _check(vertices: tuple, edges: tuple[Edge, ...]) -> EdgeIndexedGraph:
 
 
 def graph_from_parts(vertices, edges) -> EdgeIndexedGraph:
-    """Build and check a graph from vertex ids and (eid, v0, v1, i0, i1) tuples."""
-    edges = tuple(edges)
+    """Build and check a graph from vertex ids and edges, each an ``Edge`` or an
+    (eid, v0, v1, i0, i1) tuple."""
+    parts = []
     for e in edges:
-        if not isinstance(e, (tuple, list)) or len(e) != 5:
-            raise InvalidGraphError(f"edge entry {e!r} is not (eid, v0, v1, i0, i1)")
-    return _check(tuple(vertices), tuple(Edge(*e) for e in edges))
+        if not isinstance(e, Edge):
+            if not isinstance(e, (tuple, list)) or len(e) != 5:
+                raise InvalidGraphError(f"edge entry {e!r} is not (eid, v0, v1, i0, i1)")
+            e = Edge(*e)
+        parts.append(e)
+    return _check(tuple(vertices), tuple(parts))
 
 
 def betti_number(g: EdgeIndexedGraph) -> int:

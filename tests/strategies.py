@@ -6,10 +6,15 @@ import random
 
 import hypothesis.strategies as st
 
-from gbsdeform import EdgeIndexedGraph, SignFlip, apply_sign_flips, graph_from_parts
+from gbsdeform import EdgeIndexedGraph, SignFlip, apply_sign_flips, graph_from_parts, parse_graph
 
 X_TEXT = "vertex A\nvertex B\nedge l A A 30 5\nedge t A B 20 7\n"
 Y_TEXT = "vertex A\nvertex B\nedge l B B 42 7\nedge t B A 63 5\n"
+
+
+def loop(i0: int, i1: int) -> EdgeIndexedGraph:
+    """One vertex with one loop of indices (i0, i1)."""
+    return parse_graph(f"vertex A\nedge e A A {i0} {i1}")
 
 
 def assert_valid(g: EdgeIndexedGraph) -> None:
@@ -18,8 +23,7 @@ def assert_valid(g: EdgeIndexedGraph) -> None:
     The constructor trusts its caller, so graphs the engine builds are
     checked by rebuilding them through the validating entry.
     """
-    parts = [(e.eid, e.v0, e.v1, e.i0, e.i1) for e in g.edges]
-    assert graph_from_parts(g.vertices, parts) == g
+    assert graph_from_parts(g.vertices, g.edges) == g
 
 
 @st.composite

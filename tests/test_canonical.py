@@ -1,5 +1,8 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations, permutations
 
@@ -10,8 +13,10 @@ from hypothesis import strategies as st
 from gbsdeform import (
     End,
     SizeCapError,
+    apply_sign_flips,
     canonical_certificate,
     canonical_form,
+    class_invariant,
     graph_from_parts,
     graph_isomorphism,
     is_isomorphic,
@@ -20,11 +25,9 @@ from gbsdeform import (
 )
 
 from oracles import brute_force_isomorphic, oracle_min_encoding
-from strategies import X_TEXT, Y_TEXT, connected_graphs, scramble, scramble_with_end_swaps
-
-
-def loop(i0, i1):
-    return parse_graph(f"vertex A\nedge e A A {i0} {i1}")
+from strategies import (
+    X_TEXT, Y_TEXT, connected_graphs, loop, scramble, scramble_with_end_swaps, sign_flips,
+)
 
 
 def test_certificate_bytes_are_the_minimal_encoding():
@@ -75,6 +78,8 @@ def test_size_caps():
     with pytest.raises(SizeCapError):
         canonical_certificate(big)
     with pytest.raises(SizeCapError, match="graph has 13 vertices, cap is 12"):
+        class_invariant(big)
+    with pytest.raises(SizeCapError, match="graph has 13 vertices, cap is 12"):
         is_isomorphic(big, big)
     with pytest.raises(SizeCapError, match="graph has 13 vertices, cap is 12"):
         graph_isomorphism(big, big)
@@ -83,6 +88,32 @@ def test_size_caps():
         [(f"e{i}", f"v{i}", f"v{i+1}", 2, 3) for i in range(6)])
     with pytest.raises(SizeCapError):
         brute_force_isomorphic(seven, seven)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_class_invariant_is_equal_on_relabels_and_sign_flips(data):
+    g = data.draw(connected_graphs(max_vertices=5, max_extra_edges=3))
+    seed = data.draw(st.integers(0, 2**16))
+    flipped = apply_sign_flips(g, data.draw(sign_flips(g)))
+    for other in (scramble(g, seed), scramble_with_end_swaps(g, seed), flipped):
+        assert class_invariant(other) == class_invariant(g)
+
+
+def test_class_invariant_reads_absolute_indices_and_loops():
+    # A: the loop read from each end, then t; B: t from its far end.
+    assert class_invariant(parse_graph(X_TEXT)) == (
+        2, (((5, 30, True), (20, 7, False), (30, 5, True)), ((7, 20, False),)))
+
+
+def test_class_invariant_hashes_alike_in_every_process():
+    # Only ints and bools: no string is hashed, so PYTHONHASHSEED moves nothing.
+    code = ("from gbsdeform import class_invariant, parse_graph\n"
+            f"print(hash(class_invariant(parse_graph({X_TEXT!r}))))")
+    hashes = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+              for seed in ("1", "2")}
+    assert hashes == {f"{hash(class_invariant(parse_graph(X_TEXT)))}\n"}
 
 
 @settings(max_examples=60, deadline=None)

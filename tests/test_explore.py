@@ -3,10 +3,11 @@ import hashlib
 import random
 import re
 from dataclasses import replace
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbsdeform import (
     Budget,
@@ -17,6 +18,7 @@ from gbsdeform import (
     apply_move,
     betti_number,
     canonical_certificate,
+    class_invariant,
     decide_equivalence,
     explore_class,
     format_script,
@@ -32,7 +34,7 @@ from gbsdeform.counterexample import ExampleParams, example_graph, verify_slide_
 from gbsdeform.cli import adjacency_dot, dump_visited, main
 
 from oracles import least_meeting_sum
-from strategies import X_TEXT, Y_TEXT, connected_graphs, scramble
+from strategies import X_TEXT, Y_TEXT, connected_graphs, loop, scramble
 
 P = ExampleParams(2, 3, 5, 7)
 DEFORM_BUDGET = Budget(max_depth=4, max_nodes=100_000, max_abs_index=100,
@@ -165,7 +167,7 @@ def test_unknown_move_class_is_rejected_up_front(x, search):
 
 
 def test_no_graph_outlives_a_search(x, y):
-    # Each search keeps its certificate memo to itself; once its results are
+    # Each search keeps its table of names to itself; once its results are
     # dropped, none of the graphs it built is reachable.
     def live_graphs():
         gc.collect()
@@ -454,12 +456,15 @@ def counted_enumerators(monkeypatch):
 
 # The paper search, as ``gbsdeform equiv`` runs it: its two depth-4 layers
 # build only the moves that can reach the other root, so every move built is
-# applied (building every move of every parent would make 38,534).  Its memo,
-# keyed by shape, builds little more than one form for each of the 1,884
-# classes it meets; the stitch's endpoint check is a memo hit.  A memo that
-# caught only label-equal graphs would build 3,730.
+# applied (building every move of every parent would make 38,534).  It names
+# the 1,884 classes it meets by invariant bucket, and builds a form only for a
+# shape whose bucket already holds another shape: 8 forms, two for each of the
+# 4 buckets that two of its 1,886 shapes share (in two of them the shapes are
+# one class); the stitch's endpoint check is a memo hit.  Naming every shape
+# by its certificate would build 1,886 forms, and a memo that caught only
+# label-equal graphs 3,730.
 PAPER_SEARCH_MOVES = 5134
-PAPER_SEARCH_FORMS = 1886
+PAPER_SEARCH_FORMS = 8
 
 
 def test_the_paper_search_builds_only_the_moves_it_applies(monkeypatch, capsys, tmp_path,
@@ -480,6 +485,33 @@ def test_the_paper_search_builds_only_the_moves_it_applies(monkeypatch, capsys, 
     assert code == 0 and "verdict: equivalent" in out and "path_length: 4" in out
     assert sum(built) == len(applied) == PAPER_SEARCH_MOVES
     assert len(canonical_form_calls) == PAPER_SEARCH_FORMS
+
+
+def test_two_classes_in_one_invariant_bucket_keep_apart():
+    # The loops share a bucket but not a class: a bucket hit must compare
+    # certificates, or the roots would meet at once.
+    g, h = loop(2, 3), loop(2, -3)
+    assert class_invariant(g) == class_invariant(h)
+    verdict = decide_equivalence(g, h, "slide", Budget(max_depth=3))
+    assert (verdict.kind, verdict.reason) == ("distinct", "slide class exhausted")
+    assert decide_equivalence(g, h, "slide", Budget(max_depth=0)).kind == "unknown"
+    verdict = decide_equivalence(g, loop(3, 2), "slide", Budget(max_depth=3))
+    assert (verdict.kind, verdict.path) == ("equivalent", ())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(connected_graphs(max_vertices=3, max_abs=2), min_size=2, max_size=4),
+       st.integers(0, 2**16))
+def test_a_searchs_names_are_equal_exactly_when_certificates_are(graphs, seed):
+    # Small indices on few vertices make invariant buckets collide often; the
+    # scrambled copies reach each class again through another shape.
+    graphs += [scramble(g, seed + k) for k, g in enumerate(graphs)]
+    names = explore._Names()
+    named = [names(g) for g in graphs]
+    certs = [canonical_certificate(g) for g in graphs]
+    assert [names(g) for g in graphs] == named
+    for i, j in combinations(range(len(graphs)), 2):
+        assert (named[i] == named[j]) == (certs[i] == certs[j])
 
 
 def test_a_search_computes_each_roots_shape_once(monkeypatch, x, y):

@@ -68,7 +68,7 @@ def test_lookups_and_the_end_table_agree_with_the_edges(g):
 @given(connected_graphs(max_vertices=3, max_abs=2), connected_graphs(max_vertices=3, max_abs=2),
        st.integers(0, 2**16))
 def test_equal_shapes_share_a_certificate(g, h, seed):
-    # A search's memo answers a graph with the certificate of another of its
+    # A search's memo answers a graph with the name of another of its
     # shape.  Small indices on few vertices make shapes collide often.
     for other in (h, scramble(g, seed)):
         if g.shape() == other.shape():
@@ -173,10 +173,18 @@ def test_constructor_rejects_empty():
     (("A",), (("e", "A", "A", 2),), r"edge entry \('e', 'A', 'A', 2\) is not"),
     (("A",), (("e", "A", "A", 2, 3, 4),), r"edge entry \('e', 'A', 'A', 2, 3, 4\) is not"),
     (("A",), (5,), "edge entry 5 is not"),
+    (("A",), (Edge("e", "A", "A", 0, 3),), "edge 'e' has a zero index"),
+    (("A",), (Edge("e", "A", "B", 2, 3),), "edge 'e' uses undeclared vertex 'B'"),
 ])
 def test_graph_from_parts_rejects_malformed_input(vertices, edges, match):
     with pytest.raises(InvalidGraphError, match=match):
         graph_from_parts(vertices, edges)
+
+
+def test_graph_from_parts_takes_a_graphs_own_edges():
+    x = parse_graph(X_TEXT)
+    assert graph_from_parts(x.vertices, x.edges) == x
+    assert graph_from_parts(x.vertices, [x.edges[0], ("t", "A", "B", 20, 7)]) == x
 
 
 def test_betti_numbers():
