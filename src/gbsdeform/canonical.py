@@ -254,10 +254,10 @@ def class_invariant(g: EdgeIndexedGraph) -> tuple[int, tuple]:
     process.  Raises ``SizeCapError`` past the vertex cap, as a form would."""
     _check_size(g)
     ends: dict[str, list[tuple[int, int, bool]]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        a, b, is_loop = abs(e.i0), abs(e.i1), e.v0 == e.v1
-        ends[e.v0].append((a, b, is_loop))
-        ends[e.v1].append((b, a, is_loop))
+    for _, v0, v1, i0, i1 in g.edges:
+        a, b, is_loop = abs(i0), abs(i1), v0 == v1
+        ends[v0].append((a, b, is_loop))
+        ends[v1].append((b, a, is_loop))
     return len(g.vertices), tuple(sorted(tuple(sorted(v_ends)) for v_ends in ends.values()))
 
 
@@ -272,10 +272,18 @@ def is_isomorphic(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph) -> bool:
     _check_size(g2)
     if g1 == g2:
         return True
-    pairs = [sorted(sorted((abs(e.i0), abs(e.i1))) for e in g.edges) for g in (g1, g2)]
-    if len(g1.vertices) != len(g2.vertices) or pairs[0] != pairs[1]:
+    if len(g1.vertices) != len(g2.vertices) or _abs_pairs(g1) != _abs_pairs(g2):
         return False
     return canonical_form(g1).key == canonical_form(g2).key
+
+
+def _abs_pairs(g: EdgeIndexedGraph) -> list[tuple[int, int]]:
+    """Each edge's absolute indices, smaller first, sorted."""
+    pairs = []
+    for _, _, _, i0, i1 in g.edges:
+        a, b = abs(i0), abs(i1)
+        pairs.append((a, b) if a <= b else (b, a))
+    return sorted(pairs)
 
 
 def _edge_slots(g: EdgeIndexedGraph, form: CanonicalForm) -> list[tuple[tuple, str, int]]:

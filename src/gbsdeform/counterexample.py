@@ -95,10 +95,10 @@ def _level(p: ExampleParams, index: int) -> EdgeIndexedGraph:
 
 
 def example_graph(which: str, p: ExampleParams, k: int = 0) -> EdgeIndexedGraph:
-    """Construct X, Y or the ladder level Xk (X0 equals X)."""
-    if which == "X":
-        which, k = "Xk", 0
-    if which == "Xk":
+    """Construct X, Y or the ladder level Xk (X0 equals X); only Xk takes k."""
+    if which in ("X", "Y") and k != 0:
+        raise ValueError(f"example graph {which!r} takes no level, got k={k}")
+    if which in ("X", "Xk"):
         return _level(p, free_edge_index(p, k))
     if which == "Y":
         return EdgeIndexedGraph(("A", "B"), (Edge("l", "B", "B", p.m * p.n * p.s, p.s),
@@ -224,12 +224,14 @@ def verify_slide_ladder(p: ExampleParams, depth: int) -> LadderCertificate:
         raise LadderHypothesisError(
             f"need m and n to not divide each other, got m={p.m}, n={p.n}")
     y = example_graph("Y", p)
+    step = p.m * p.n
     window = [_level(p, free_edge_index(p, 0))]     # levels k-1 (once k >= 1), k and k+1
     levels = []
     shape_ok = y_absent = True
     for _ in range(depth + 1):
         g = window[-1]
-        window.append(_level(p, g.edge("t").i0 * p.m * p.n))
+        index = g.edge("t").i0
+        window.append(_level(p, index * step))
         slides = enumerate_slides(g)
         neighbours = window[:-2] + window[-1:]
         match = [[is_isomorphic(h, nb) for nb in neighbours]
@@ -237,7 +239,7 @@ def verify_slide_ladder(p: ExampleParams, depth: int) -> LadderCertificate:
         shape_ok = shape_ok and len(slides) == len(neighbours) and all(
             sum(line) == 1 for line in match + list(zip(*match)))
         y_absent = y_absent and not is_isomorphic(g, y)
-        levels.append(LadderLevel(index=g.edge("t").i0, move_count=len(slides)))
+        levels.append(LadderLevel(index=index, move_count=len(slides)))
         del window[:-2]
     return LadderCertificate(
         depth=depth,

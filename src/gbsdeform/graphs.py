@@ -9,6 +9,8 @@ integers quickly.
 
 Graphs are immutable values that hold only their vertices and edges.  Every
 operation returns a new graph, so values can be shared freely across threads.
+Edges and ends are NamedTuples, built, compared and hashed in C; hot loops
+unpack an edge rather than read its fields by name.
 The constructor only normalizes and trusts its caller: outside data enters
 through ``parse_graph`` or ``graph_from_parts``, which check every invariant,
 and the moves keep them.
@@ -65,11 +67,11 @@ class ParseError(GraphError):
         super().__init__(message)
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(NamedTuple):
     """One geometric edge: an unordered pair of ends with indices.
 
-    Side 0 refers to (v0, i0), side 1 to (v1, i1).
+    Side 0 refers to (v0, i0), side 1 to (v1, i1).  A NamedTuple like
+    ``End``: an edge equals, hashes like and unpacks to its field tuple.
     """
 
     eid: str
@@ -110,25 +112,26 @@ class SignFlip:
     edge_flips: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class EdgeIndexedGraph:
     """A connected multigraph with nonzero integer indices at all edge-ends.
 
-    Vertices and edges are stored sorted by identifier, so two graphs built
-    from the same id-keyed content compare equal regardless of declaration
-    order.  Loops and parallel edges are permitted.  The constructor checks
-    nothing; build graphs from outside data with ``graph_from_parts``.  A
-    graph keeps no cache: ``edge`` and ``has_edge`` scan the edges, and
-    ``end_table``, the one per-vertex table of ends, and ``shape`` are built
-    on each call and kept by nothing.
+    Vertices and edges are stored sorted by identifier (edges sort as tuples,
+    which is by id as ids are unique), so two graphs built from the same
+    id-keyed content compare equal regardless of declaration order.  Loops
+    and parallel edges are permitted.  The constructor checks nothing; build
+    graphs from outside data with ``graph_from_parts``.  A graph keeps no
+    cache: ``edge`` and ``has_edge`` scan the edges, and ``end_table``, the
+    one per-vertex table of ends, and ``shape`` are built on each call and
+    kept by nothing.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=lambda e: e.eid)))
+    def __init__(self, vertices, edges) -> None:
+        object.__setattr__(self, "vertices", tuple(sorted(vertices)))
+        object.__setattr__(self, "edges", tuple(sorted(edges)))
 
     def edge(self, eid: str) -> Edge:
         for e in self.edges:
@@ -149,9 +152,9 @@ class EdgeIndexedGraph:
         """(edge id, side, index) of each end at each vertex, sorted by (edge
         id, side): one pass over the edges, which are sorted by id."""
         table: dict[str, list[tuple[str, int, int]]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            table[e.v0].append((e.eid, 0, e.i0))
-            table[e.v1].append((e.eid, 1, e.i1))
+        for eid, v0, v1, i0, i1 in self.edges:
+            table[v0].append((eid, 0, i0))
+            table[v1].append((eid, 1, i1))
         return table
 
     def shape(self) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
@@ -160,16 +163,16 @@ class EdgeIndexedGraph:
         by id; an edge is (rank a, rank b, index at a, index at b), a <= b and a
         loop's smaller index first.  Equal shapes share a certificate."""
         ends: dict[str, list[tuple[int, int, bool]]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            ends[e.v0].append((e.i0, e.i1, e.v0 == e.v1))
-            ends[e.v1].append((e.i1, e.i0, e.v0 == e.v1))
+        for _, v0, v1, i0, i1 in self.edges:
+            ends[v0].append((i0, i1, v0 == v1))
+            ends[v1].append((i1, i0, v0 == v1))
         for vertex_ends in ends.values():
             vertex_ends.sort()
         order = sorted(self.vertices, key=ends.__getitem__)     # stable: ties by id
         rank = {v: r for r, v in enumerate(order)}
         tuples = []
-        for e in self.edges:
-            a, b, i, j = rank[e.v0], rank[e.v1], e.i0, e.i1
+        for _, v0, v1, i, j in self.edges:
+            a, b = rank[v0], rank[v1]
             tuples.append((a, b, i, j) if (a, i) <= (b, j) else (b, a, j, i))
         return len(self.vertices), tuple(sorted(tuples))
 
@@ -179,7 +182,7 @@ class EdgeIndexedGraph:
         return tuple(End(eid, side) for eid, side, _ in self.end_table()[v])
 
     def max_abs_index(self) -> int:
-        return max((max(abs(e.i0), abs(e.i1)) for e in self.edges), default=0)
+        return max((max(abs(i0), abs(i1)) for _, _, _, i0, i1 in self.edges), default=0)
 
 
 def _check(vertices: tuple, edges: tuple[Edge, ...]) -> EdgeIndexedGraph:
@@ -224,11 +227,9 @@ def graph_from_parts(vertices, edges) -> EdgeIndexedGraph:
     (eid, v0, v1, i0, i1) tuple."""
     parts = []
     for e in edges:
-        if not isinstance(e, Edge):
-            if not isinstance(e, (tuple, list)) or len(e) != 5:
-                raise InvalidGraphError(f"edge entry {e!r} is not (eid, v0, v1, i0, i1)")
-            e = Edge(*e)
-        parts.append(e)
+        if not isinstance(e, (tuple, list)) or len(e) != 5:
+            raise InvalidGraphError(f"edge entry {e!r} is not (eid, v0, v1, i0, i1)")
+        parts.append(Edge(*e))
     return _check(tuple(vertices), tuple(parts))
 
 

@@ -58,6 +58,13 @@ class ScriptError(ParseError):
     """A move script line did not parse."""
 
 
+def _as_end(end) -> End:
+    """An ``End`` as it is, or one built from an (edge, side) tuple or list."""
+    if not isinstance(end, (tuple, list)) or len(end) != 2:
+        raise IllegalMoveError(f"move end {end!r} is not an (edge, side) pair")
+    return end if isinstance(end, End) else End(*end)
+
+
 @dataclass(frozen=True)
 class Collapse:
     vertex_shift: ClassVar[int] = -1    # change in vertex count: the absorbed vertex goes
@@ -75,8 +82,7 @@ class Expansion:
     new_edge: str
 
     def __post_init__(self) -> None:
-        ends = tuple(sorted(set(End(*e) for e in self.moved_ends)))
-        object.__setattr__(self, "moved_ends", ends)
+        object.__setattr__(self, "moved_ends", tuple(sorted(set(map(_as_end, self.moved_ends)))))
 
 
 @dataclass(frozen=True)
@@ -86,8 +92,10 @@ class Slide:
     along: End
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "moving_end", End(*self.moving_end))
-        object.__setattr__(self, "along", End(*self.along))
+        if not isinstance(self.moving_end, End):
+            object.__setattr__(self, "moving_end", _as_end(self.moving_end))
+        if not isinstance(self.along, End):
+            object.__setattr__(self, "along", _as_end(self.along))
 
 
 Move = Collapse | Expansion | Slide
@@ -198,11 +206,11 @@ def _apply_expansion(g: EdgeIndexedGraph, m: Expansion) -> EdgeIndexedGraph:
                 f"index {index_str(idx)} at end {end} is not divisible by {index_str(m.n)}")
         moved.setdefault(end.edge, set()).add(end.side)
     new_edges = []
-    for f in g.edges:
-        sides = moved.get(f.eid, ())
-        v0, i0 = (m.new_vertex, f.i0 // m.n) if 0 in sides else (f.v0, f.i0)
-        v1, i1 = (m.new_vertex, f.i1 // m.n) if 1 in sides else (f.v1, f.i1)
-        new_edges.append(Edge(f.eid, v0, v1, i0, i1))
+    for eid, v0, v1, i0, i1 in g.edges:
+        sides = moved.get(eid, ())
+        v0, i0 = (m.new_vertex, i0 // m.n) if 0 in sides else (v0, i0)
+        v1, i1 = (m.new_vertex, i1 // m.n) if 1 in sides else (v1, i1)
+        new_edges.append(Edge(eid, v0, v1, i0, i1))
     new_edges.append(Edge(m.new_edge, m.vertex, m.new_vertex, m.n, 1))
     return EdgeIndexedGraph(g.vertices + (m.new_vertex,), tuple(new_edges))
 
@@ -221,17 +229,17 @@ def _apply_slide(g: EdgeIndexedGraph, m: Slide) -> EdgeIndexedGraph:
             "do not share a vertex")
     i_m = f.index(moving.side)
     i_a = a.index(along.side)
-    if not divides(i_a, i_m):
+    quotient, rest = divmod(i_m, i_a)
+    if rest:
         raise IllegalMoveError(
             f"carrier index {index_str(i_a)} does not divide moving index {index_str(i_m)}")
     far_vertex = a.endpoint(1 - along.side)
-    new_index = i_m // i_a * a.index(1 - along.side)
+    new_index = quotient * a.index(1 - along.side)
     if moving.side == 0:
         new_f = Edge(f.eid, far_vertex, f.v1, new_index, f.i1)
     else:
         new_f = Edge(f.eid, f.v0, far_vertex, f.i0, new_index)
-    edges = tuple(new_f if e.eid == f.eid else e for e in g.edges)
-    return EdgeIndexedGraph(g.vertices, edges)
+    return EdgeIndexedGraph(g.vertices, [new_f if e is f else e for e in g.edges])
 
 
 def invert_move(g: EdgeIndexedGraph, m: Move) -> Move:
@@ -288,7 +296,7 @@ def enumerate_slides(g: EdgeIndexedGraph) -> list[Slide]:
         for edge_m, side_m, i_m in ends:
             for edge_a, side_a, i_a in ends:
                 if edge_a != edge_m and divides(i_a, i_m):
-                    out.append(Slide((edge_m, side_m), (edge_a, side_a)))
+                    out.append(Slide(End(edge_m, side_m), End(edge_a, side_a)))
     out.sort(key=lambda s: (s.moving_end, s.along))
     return out
 
@@ -315,7 +323,7 @@ def enumerate_expansions(g: EdgeIndexedGraph, bounds: ExpansionBounds) -> list[E
                     factors[d] = _factors(d, bounds.max_n)
                 for n in factors[d]:
                     out.append(Expansion(vertex=v, n=n,
-                                         moved_ends=[(edge, side) for edge, side, _ in combo],
+                                         moved_ends=[End(edge, side) for edge, side, _ in combo],
                                          new_vertex=new_v, new_edge=new_e))
     return out
 

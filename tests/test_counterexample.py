@@ -59,6 +59,13 @@ def test_example_graphs_instantiate_the_diagrams():
         example_graph("Z", P)
 
 
+@pytest.mark.parametrize("which", ["X", "Y"])
+@pytest.mark.parametrize("k", [3, -2, 1])
+def test_x_and_y_take_no_level(which, k):
+    with pytest.raises(ValueError, match=f"example graph '{which}' takes no level, got k={k}"):
+        example_graph(which, P, k)
+
+
 def test_free_edge_index_formula():
     values = [free_edge_index(P, k) for k in range(7)]
     assert values == [20, 120, 720, 4320, 25920, 155520, 933120]
@@ -255,6 +262,26 @@ def test_ladder_certificates_of_the_sweep_are_pinned():
                                    [(lv.index, lv.move_count) for lv in cert.levels])))
     assert len(lines) == 20
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LADDER_SWEEP_SHA256
+
+
+def test_the_ladder_calls_each_layer_through_its_module_binding(monkeypatch):
+    # The benchmark's tracer times the move enumeration, move application and
+    # canonical layers by wrapping these three bindings of the ladder's
+    # module; a ladder that inlined one would hide its layer from the trace.
+    calls = {}
+
+    def counted(name):
+        real = getattr(counterexample, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+        return wrapper
+
+    for name in ("enumerate_slides", "apply_move", "is_isomorphic"):
+        monkeypatch.setattr(counterexample, name, counted(name))
+    assert verify_slide_ladder(P, 3).ok
+    assert calls == {"enumerate_slides": 4, "apply_move": 7, "is_isomorphic": 17}
 
 
 def test_the_ladder_makes_no_canonical_form(canonical_form_calls):

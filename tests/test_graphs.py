@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbsdeform import (
     Edge,
+    EdgeIndexedGraph,
     End,
     Expansion,
     InvalidGraphError,
@@ -36,6 +39,28 @@ def test_edge_has_slots_and_no_dict():
     assert not hasattr(e, "__dict__")
     with pytest.raises(AttributeError):
         e.i0 = 5
+
+
+def test_an_edge_is_its_field_tuple():
+    e = Edge("e", "A", "B", 2, 3)
+    fields = ("e", "A", "B", 2, 3)
+    assert e == fields and hash(e) == hash(fields) and tuple(e) == fields
+    eid, v0, v1, i0, i1 = e
+    assert (eid, v0, v1, i0, i1) == (e.eid, e.v0, e.v1, e.i0, e.i1)
+    assert Edge(*fields) == e and e != Edge("e", "A", "B", 2, -3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs(max_vertices=5, max_extra_edges=3), st.integers(0, 2**16))
+def test_a_graph_built_in_shuffled_order_equals_the_original(g, seed):
+    rng = random.Random(seed)
+    vertices, edges = list(g.vertices), list(g.edges)
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    for h in (EdgeIndexedGraph(vertices, edges), graph_from_parts(vertices, edges),
+              graph_from_parts(vertices, [tuple(e) for e in edges])):
+        assert h == g and hash(h) == hash(g)
+        assert h.vertices == g.vertices and h.edges == g.edges
 
 
 def test_graph_has_slots_and_no_dict_after_lookups_and_a_move():

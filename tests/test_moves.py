@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 
 from gbsdeform import (
     Collapse,
+    Edge,
     End,
     Expansion,
     ExpansionBounds,
@@ -27,6 +28,7 @@ from gbsdeform import (
     format_script,
     graph_from_parts,
     graph_isomorphism,
+    index_str,
     invert_move,
     is_isomorphic,
     neighbor_moves,
@@ -149,6 +151,59 @@ def test_slide_built_from_tuples_formats_parses_and_inverts(x):
     assert text == "slide t:0 along l:1\n"
     assert parse_move(text) == move
     assert invert_move(x, move) == Slide(End("t", 0), End("l", 0))
+
+
+@pytest.mark.parametrize("make, bad", [
+    pytest.param(lambda: Slide("t0", ("l", 0)), "'t0'", id="slide-moving-string"),
+    pytest.param(lambda: Slide(("t", 0), "l1"), "'l1'", id="slide-along-string"),
+    pytest.param(lambda: Slide(("t", 0, 1), End("l", 0)), r"\('t', 0, 1\)", id="slide-triple"),
+    pytest.param(lambda: Slide(End("t", 0), 5), "5", id="slide-int"),
+    pytest.param(lambda: Expansion("A", 2, ("t0",), "Q", "d"), "'t0'", id="expansion-string"),
+    pytest.param(lambda: Expansion("A", 2, (End("l", 0), ["t", 0, 1]), "Q", "d"),
+                 r"\['t', 0, 1\]", id="expansion-triple-list"),
+])
+def test_a_move_end_that_is_not_an_edge_side_pair_is_rejected(make, bad):
+    with pytest.raises(IllegalMoveError, match=rf"^move end {bad} is not an \(edge, side\) pair$"):
+        make()
+
+
+def test_a_move_keeps_its_ends_and_builds_them_from_pairs():
+    moving, along = End("t", 0), End("l", 1)
+    move = Slide(moving, along)
+    assert move.moving_end is moving and move.along is along
+    assert Slide(["t", 0], ("l", 1)) == move and type(Slide(["t", 0], along).moving_end) is End
+    assert Expansion("A", 2, [["t", 0], ("l", 0)], "Q", "d").moved_ends == (End("l", 0), End("t", 0))
+
+
+# Indices of about 5,000 digits, past CPython's 4,300-digit int->str limit.
+BIG = 10 ** 5000
+
+
+def _big_graph(index):
+    return graph_from_parts(("A", "B"), [("l", "A", "A", 3, 5), ("t", "A", "B", index, 7)])
+
+
+def test_a_slide_past_the_int_str_limit_divides_and_names_the_index():
+    legal = 6 * BIG
+    out = apply_move(_big_graph(legal), Slide(End("t", 0), End("l", 0)))
+    assert out.edge("t") == Edge("t", "A", "B", legal // 3 * 5, 7)
+    illegal = 3 * BIG + 1
+    with pytest.raises(IllegalMoveError) as info:
+        apply_move(_big_graph(illegal), Slide(End("t", 0), End("l", 0)))
+    assert str(info.value) == f"carrier index 3 does not divide moving index {index_str(illegal)}"
+
+
+def test_an_expansion_past_the_int_str_limit_divides_and_names_the_index():
+    factor = BIG + 7
+    legal = 6 * factor * BIG
+    out = apply_move(_big_graph(legal), Expansion("A", factor, (End("t", 0),), "C", "u"))
+    assert out.edge("t") == Edge("t", "C", "B", legal // factor, 7)
+    assert out.edge("u") == Edge("u", "A", "C", factor, 1)
+    illegal = factor * BIG + 1
+    with pytest.raises(IllegalMoveError) as info:
+        apply_move(_big_graph(illegal), Expansion("A", factor, (End("t", 0),), "C", "u"))
+    assert str(info.value) == (f"index {index_str(illegal)} at end t:0 is not divisible by "
+                               f"{index_str(factor)}")
 
 
 def test_invert_collapse_restores_up_to_signs(diagram4):
