@@ -10,6 +10,7 @@ slide-equivalent.
 
 from .bigint import *
 from .graphs import *
+from .invariants import *
 from .canonical import *
 from .moves import *
 from .explore import *

@@ -1,47 +1,30 @@
-"""Bounded search over move graphs with canonical deduplication.
+"""Bounded search over move graphs, keyed by class name.
 
-One engine, ``_Side``, runs every search: a breadth-first enumeration from a
-root graph under the move kinds and ``Budget`` it is built with, keyed by
-class name.  Every cap is decided inside ``_Side``.
-``_Side.growing`` is the one test that a next layer is due, ``_Side.advance``
-orders a layer's steps, and ``_Side.grow`` applies them: the index bound drops a
-move result before it is named, ``class_invariant``'s vertex cap raises
-``SizeCapError`` (recorded as ``"size"``), the node bound refuses a next layer
-once the side holds more than ``max_nodes`` classes, and ``_Side.caps`` names
-each cap.  A started layer is admitted whole, so no verdict depends on the order
-of a layer's steps, and a class of at most ``max_nodes`` members still closes.
-A side is *closed* when its frontier emptied and no cap fired; only then is it
-the whole class.  Each search keeps one ``_Names``, shared by both of its sides
-and freed when the search returns.  Its memo, keyed by ``EdgeIndexedGraph.shape``,
-answers every renaming of ids of a graph the search has met, and the path
-stitch's endpoint check; a new shape is named by the hash of its
-``class_invariant``, with canonical forms built only when a bucket already holds
-another shape.  Each root is named once per search, by its own side.
+``_Side`` runs every search and decides every cap.  A started layer is
+admitted whole, so no verdict depends on the order of a layer's steps, and a
+class of at most ``max_nodes`` members still closes.  A side is *closed* when
+its frontier emptied and no cap fired; only then is it the whole class.  Each
+search keeps one ``_Names`` for both of its sides, freed when it returns.
 
-``explore_class`` grows one side while it is growing and records the class
-adjacency from the pairs it yields.  ``decide_equivalence`` applies invariant
-refuters, then grows two sides, smaller frontier first, until a side adds a
-class the other side reached within the depth bound.  In a side's last
-layer ``_Side.advance`` builds, per parent, only the move kind that can reach
-the other root's vertex count and parks the others; they run only if the search
-finds no meeting.  ``unknown`` names what bound it: the caps of both sides, and
-``depth`` for a side that reached the depth bound with a frontier left.
-The move classes:
+``decide_equivalence`` first asks ``invariants.refute``, whose reasons rest on
+an ``invariant``, then grows two sides, smaller frontier first.  A side's last
+layer can meet only the other root, so the move kinds that cannot reach its
+vertex count wait until the search has found no meeting.  The move classes:
 
   slide   - slide moves only; enumeration is complete, so a closed side
-            decides distinctness on its own.
+            decides distinctness on its own: the class is ``exhausted``.
   deform  - collapses, slides and bounded expansions.  A slide is itself an
             expansion followed by a collapse, so this class generates the
             elementary-deformation relation; keeping slides as single steps
             makes short deformations discoverable within small budgets.
             Expansion factors above the bound are never enumerated, so the
             step relation is not symmetric and distinctness is only claimed
-            when both sides close.
+            when both sides close, relative to the ``bounds``.
 
-Paths returned by the decision replay from the first graph and end
-canon-equal to the second.  When the frontiers meet, the back half is
-rebuilt by inverting the second side's moves and transporting them across
-an explicit isomorphism of the meeting graphs (``moves.transport_move``).
+An ``equivalent`` verdict's ``path`` replays from the first graph and ends
+canon-equal to the second: its back half inverts the second side's moves and
+transports them across an explicit isomorphism of the meeting graphs
+(``moves.transport_move``).
 """
 
 from __future__ import annotations
@@ -50,7 +33,8 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .canonical import SizeCapError, canonical_certificate, class_invariant, graph_isomorphism
-from .graphs import EdgeIndexedGraph, betti_number
+from .graphs import EdgeIndexedGraph
+from .invariants import refute
 from .moves import (
     Collapse, Expansion, ExpansionBounds, Move, Slide, apply_move, enumerate_collapses,
     enumerate_expansions, enumerate_slides, invert_move, transport_move,
@@ -235,6 +219,7 @@ class Verdict:
     kind: str                       # equivalent | distinct | unknown
     path: tuple[Move, ...] | None = None
     reason: str | None = None
+    evidence: str | None = None     # path | invariant | exhausted | bounds; None if unknown
 
 
 def _stitch(fwd: _Side, bwd: _Side, name: Name) -> tuple[Move, ...]:
@@ -258,18 +243,14 @@ def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
     When both classes close with no meeting within the depth bound but share a
     class, the path runs through it and can be longer than that bound."""
     kinds = _kinds(move_class, budget.expansion)
-    b1, b2 = betti_number(g1), betti_number(g2)
-    if b1 != b2:
-        return Verdict("distinct", reason=f"betti number differs ({b1} vs {b2})")
-    if move_class == "slide":
-        if len(g1.vertices) != len(g2.vertices):
-            return Verdict("distinct", reason="vertex count differs")
+    if reason := refute(g1, g2, move_class):
+        return Verdict("distinct", reason=reason, evidence="invariant")
 
     names = _Names()
     fwd = _Side(g1, kinds, budget, names, len(g2.vertices))
     bwd = _Side(g2, kinds, budget, names, len(g1.vertices))
     if fwd.root == bwd.root:
-        return Verdict("equivalent", path=())
+        return Verdict("equivalent", path=(), evidence="path")
 
     while expandable := [s for s in (fwd, bwd) if s.growing]:
         side = min(expandable, key=lambda s: (len(s.frontier), s is bwd))
@@ -277,22 +258,23 @@ def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
         for _, name in side.grow(side.advance()):
             if (name in other.visited
                     and side.visited[name][1] + other.visited[name][1] <= budget.max_depth):
-                return Verdict("equivalent", path=_stitch(fwd, bwd, name))
+                return Verdict("equivalent", path=_stitch(fwd, bwd, name), evidence="path")
     for side in (fwd, bwd):             # no meeting: the parked kinds run
         for _ in side.grow(side.drain()):
             pass
 
     if move_class == "slide":
         if fwd.closed or bwd.closed:
-            return Verdict("distinct", reason="slide class exhausted")
+            return Verdict("distinct", reason="slide class exhausted", evidence="exhausted")
     elif fwd.closed and bwd.closed:
         shared = fwd.visited.keys() & bwd.visited.keys()
         if shared:
             # Depth ties go to the least certificate: int and bytes names do not order.
             name = min(shared, key=lambda n: (fwd.visited[n][1] + bwd.visited[n][1],
                                               canonical_certificate(fwd.visited[n][0])))
-            return Verdict("equivalent", path=_stitch(fwd, bwd, name))
-        return Verdict("distinct", reason="deformation class exhausted within bounds")
+            return Verdict("equivalent", path=_stitch(fwd, bwd, name), evidence="path")
+        return Verdict("distinct", reason="deformation class exhausted within bounds",
+                       evidence="bounds")
     bounds = [f"{cap} cap" for cap in fwd.caps | bwd.caps]
     if any(s.frontier and s.depth >= budget.max_depth for s in (fwd, bwd)):
         bounds.append("depth")

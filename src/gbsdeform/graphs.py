@@ -36,7 +36,6 @@ __all__ = [
     "parse_graph",
     "serialize_graph",
     "dot_export",
-    "betti_number",
     "apply_sign_flips",
 ]
 
@@ -233,15 +232,6 @@ def graph_from_parts(vertices, edges) -> EdgeIndexedGraph:
     return _check(tuple(vertices), tuple(parts))
 
 
-def betti_number(g: EdgeIndexedGraph) -> int:
-    """First Betti number: edges - vertices + 1.
-
-    Invariant under collapse, expansion and slide moves, which makes it a
-    cheap refuter for equivalence questions.
-    """
-    return len(g.edges) - len(g.vertices) + 1
-
-
 def apply_sign_flips(g: EdgeIndexedGraph, s: SignFlip) -> EdgeIndexedGraph:
     """Negate indices per the sign-flip action; the structure is unchanged."""
     for v in s.vertex_flips:
@@ -270,7 +260,9 @@ def parse_graph(text: str) -> EdgeIndexedGraph:
 
     Grammar, per line: blank, comment ('#' to end of line), ``vertex IDENT``,
     or ``edge IDENT IDENT IDENT INT INT`` (edge id, endpoint0, endpoint1,
-    index0, index1).  Integers are nonzero decimals without leading zeros.
+    index0, index1).  Integers are nonzero decimals without leading zeros.  An
+    edge line may name only vertices declared above it, unlike the parts given
+    to ``graph_from_parts``, which may come in any order.
     Errors carry the offending line number and, for a bad field, its column.
     """
     vertices: list[str] = []

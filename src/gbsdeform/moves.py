@@ -194,22 +194,23 @@ def _apply_expansion(g: EdgeIndexedGraph, m: Expansion) -> EdgeIndexedGraph:
         raise IllegalMoveError(f"new vertex id {m.new_vertex!r} already in use")
     if g.has_edge(m.new_edge):
         raise IllegalMoveError(f"new edge id {m.new_edge!r} already in use")
-    moved: dict[str, set[int]] = {}     # edge id -> moved sides
+    moved: dict[str, dict[int, int]] = {}   # edge id -> moved side -> its new index
     for end in m.moved_ends:
         e = _require_end(g, end)
         if e.endpoint(end.side) != m.vertex:
             raise IllegalMoveError(
                 f"end {end} is at {e.endpoint(end.side)!r}, not at {m.vertex!r}")
         idx = e.index(end.side)
-        if not divides(m.n, idx):
+        quotient, rest = divmod(idx, m.n)
+        if rest:
             raise IllegalMoveError(
                 f"index {index_str(idx)} at end {end} is not divisible by {index_str(m.n)}")
-        moved.setdefault(end.edge, set()).add(end.side)
+        moved.setdefault(end.edge, {})[end.side] = quotient
     new_edges = []
     for eid, v0, v1, i0, i1 in g.edges:
         sides = moved.get(eid, ())
-        v0, i0 = (m.new_vertex, i0 // m.n) if 0 in sides else (v0, i0)
-        v1, i1 = (m.new_vertex, i1 // m.n) if 1 in sides else (v1, i1)
+        v0, i0 = (m.new_vertex, sides[0]) if 0 in sides else (v0, i0)
+        v1, i1 = (m.new_vertex, sides[1]) if 1 in sides else (v1, i1)
         new_edges.append(Edge(eid, v0, v1, i0, i1))
     new_edges.append(Edge(m.new_edge, m.vertex, m.new_vertex, m.n, 1))
     return EdgeIndexedGraph(g.vertices + (m.new_vertex,), tuple(new_edges))

@@ -15,6 +15,7 @@ from gbsdeform import (
     End,
     Expansion,
     ExpansionBounds,
+    Verdict,
     apply_move,
     betti_number,
     canonical_certificate,
@@ -186,25 +187,28 @@ def test_betti_refuter(x):
     verdict = decide_equivalence(x, parse_graph("vertex A"), "deform", DEFORM_BUDGET)
     assert verdict.kind == "distinct"
     assert "betti" in verdict.reason
+    assert verdict.evidence == "invariant"
+    assert Verdict("distinct", None, verdict.reason).evidence is None
 
 
 def test_slide_count_refuter(x):
     two_edges = parse_graph(
         "vertex A\nvertex B\nedge l A A 30 5\nedge t A B 20 7\nedge u A B 2 2")
     verdict = decide_equivalence(x, two_edges, "slide", Budget(max_depth=2))
-    assert verdict.kind == "distinct"
+    assert (verdict.kind, verdict.evidence) == ("distinct", "invariant")
 
 
 def test_slide_vertex_count_refuter(x):
     # Both graphs have Betti number 1, so the Betti refuter passes them on.
     loop = parse_graph("vertex A\nedge l A A 2 3")
     verdict = decide_equivalence(x, loop, "slide", Budget(max_depth=2))
-    assert (verdict.kind, verdict.reason) == ("distinct", "vertex count differs")
+    assert (verdict.kind, verdict.reason, verdict.evidence) == (
+        "distinct", "vertex count differs", "invariant")
 
 
 def test_trivially_equivalent_pair(x):
     verdict = decide_equivalence(x, scramble(x, 5), "deform", DEFORM_BUDGET)
-    assert verdict.kind == "equivalent"
+    assert (verdict.kind, verdict.evidence) == ("equivalent", "path")
     assert verdict.path == ()
 
 
@@ -352,36 +356,36 @@ NODE_CAP_BUDGET = Budget(max_depth=2, max_nodes=4, max_abs_index=100,
 def test_a_last_layer_meeting_near_the_node_cap_is_decided_in_full(g1, g2, budget, kind,
                                                                    reason, script):
     verdict = decide_equivalence(parse_graph(g1), parse_graph(g2), "deform", budget)
-    assert (verdict.kind, verdict.reason) == (kind, reason)
+    assert (verdict.kind, verdict.reason, verdict.evidence) == (kind, reason, "path")
     assert (None if verdict.path is None else format_script(verdict.path)) == script
 
 
-@pytest.mark.parametrize("g1, g2, move_class, max_abs_index, reason", [
+@pytest.mark.parametrize("g1, g2, move_class, max_abs_index, reason, evidence", [
     ("vertex A\nedge e A A 1 1", "vertex A\nedge e A A 1 -1", "deform", 10**6,
-     "deformation class exhausted within bounds"),
+     "deformation class exhausted within bounds", "bounds"),
     ("vertex A\nvertex B\nedge l A A 30 5\nedge t A B 21 7", X_TEXT, "slide", 10**6,
-     "slide class exhausted"),
-    (X_TEXT, Y_TEXT, "slide", 10**6, "budget exhausted (depth)"),
+     "slide class exhausted", "exhausted"),
+    (X_TEXT, Y_TEXT, "slide", 10**6, "budget exhausted (depth)", None),
     # No move of the path can reach one vertex, so all of them wait; their
     # results are new, or past the index cap.
     ("vertex v0\nvertex v1\nvertex v2\nedge e1 v0 v1 -1 -1\nedge e2 v1 v2 1 1", "vertex u0",
-     "deform", 10**6, "budget exhausted (depth)"),
+     "deform", 10**6, "budget exhausted (depth)", None),
     ("vertex v0\nvertex v1\nvertex v2\nedge e1 v0 v1 5 1\nedge e2 v1 v2 -5 1\n"
      "edge e3 v0 v2 3 5", "vertex u0\nedge f0 u0 u0 3 -125",
-     "deform", 100, "budget exhausted (depth, index cap)"),
+     "deform", 100, "budget exhausted (depth, index cap)", None),
     # Only slides keep the other root's 12 vertices, so collapses and
     # expansions wait; the expansions' 13-vertex results, past the
     # certificate's vertex cap, are dropped only when they drain.
     (serialize_graph(_path(DEFAULT_SIZE_CAP, 2)), serialize_graph(_path(DEFAULT_SIZE_CAP, 3)),
-     "deform", 100, "budget exhausted (depth, size cap)"),
+     "deform", 100, "budget exhausted (depth, size cap)", None),
 ], ids=["deform-closed", "slide-closed", "depth", "waiting-depth", "waiting-index-cap",
         "waiting-size-cap"])
 def test_a_last_layer_with_no_meeting_still_decides_the_reason(g1, g2, move_class,
-                                                              max_abs_index, reason):
+                                                              max_abs_index, reason, evidence):
     verdict = decide_equivalence(parse_graph(g1), parse_graph(g2), move_class,
                                  Budget(max_depth=1, max_abs_index=max_abs_index))
     assert verdict.kind == ("unknown" if reason.startswith("budget") else "distinct")
-    assert verdict.reason == reason
+    assert (verdict.reason, verdict.evidence) == (reason, evidence)
 
 
 P1_TEXT = "vertex v0\nvertex v1\nvertex v2\nedge e1 v0 v1 1 11\nedge e2 v1 v2 1 11\n"
@@ -393,7 +397,7 @@ def test_closed_classes_that_share_a_class_past_the_depth_bound_are_equivalent()
     # counts at depth 3; the path goes through that class and has 4 moves.
     g1, g2 = parse_graph(P1_TEXT), parse_graph(P2_TEXT)
     verdict = decide_equivalence(g1, g2, "deform", Budget(max_depth=3))
-    assert verdict.kind == "equivalent"
+    assert (verdict.kind, verdict.evidence) == ("equivalent", "path")
     assert format_script(verdict.path) == ("collapse e1 into v1\ncollapse e2 into v2\n"
                                            "expand v2 13 as w x\nexpand w -1 x:1 as w2 x2\n")
     g = g1
@@ -514,7 +518,15 @@ def test_a_searchs_names_are_equal_exactly_when_certificates_are(graphs, seed):
         assert (named[i] == named[j]) == (certs[i] == certs[j])
 
 
-def test_a_search_computes_each_roots_shape_once(monkeypatch, x, y):
+# The two refuted pairs pin the order every rule before the search keeps: a
+# refutation returns before either side is built, so it computes no shape.
+@pytest.mark.parametrize("g2, move_class, kind, computed", [
+    (example_graph("Y", P), "deform", "unknown", 2),
+    (parse_graph("vertex A"), "deform", "distinct", 0),
+    (loop(2, 3), "slide", "distinct", 0),
+], ids=["searched", "betti", "slide-vertex-count"])
+def test_a_search_computes_each_roots_shape_once(monkeypatch, x, g2, move_class, kind,
+                                                 computed):
     shapes = []
     real = EdgeIndexedGraph.shape
 
@@ -523,9 +535,9 @@ def test_a_search_computes_each_roots_shape_once(monkeypatch, x, y):
         return real(g)
 
     monkeypatch.setattr(EdgeIndexedGraph, "shape", counted)
-    verdict = decide_equivalence(x, y, "deform", Budget(max_depth=0))
-    assert verdict.kind == "unknown"
-    assert shapes == [x, y]
+    verdict = decide_equivalence(x, g2, move_class, Budget(max_depth=0))
+    assert verdict.kind == kind
+    assert shapes == [x, g2][:computed]
 
 
 # A fixed corpus of decide_equivalence pairs: random graphs with 1-3 vertices,
@@ -591,6 +603,12 @@ def test_verdicts_reasons_and_paths_match_the_pinned_corpus():
     lines = []
     for g1, g2, move_class, budget in differential_corpus():
         v = decide_equivalence(g1, g2, move_class, budget)
+        # No pair is refuted: g2 is drawn with g1's Betti number and vertex
+        # count, or is g1 moved within the class, so a distinct verdict rests
+        # on a closed search.
+        evidence = {"equivalent": "path", "unknown": None,
+                    "distinct": {"slide": "exhausted", "deform": "bounds"}[move_class]}
+        assert v.evidence == evidence[v.kind], (v, move_class)
         path = None if v.path is None else format_script(v.path)
         lines.append(f"{v.kind} | {v.reason} | {path}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
