@@ -11,8 +11,7 @@ import argparse
 import itertools
 import sys
 
-from gbsdeform import ExampleParams, LadderHypothesisError, verify_slide_ladder
-from gbsdeform.bigint import index_str
+from gbsdeform import ExampleParams, LadderHypothesisError, index_str, verify_slide_ladder
 
 
 def main() -> int:

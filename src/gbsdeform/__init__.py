@@ -8,7 +8,6 @@ two-vertex family whose members are deformation-equivalent but not
 slide-equivalent.
 """
 
-from .bigint import *
 from .graphs import *
 from .invariants import *
 from .canonical import *

@@ -40,11 +40,8 @@ order, those signs and the encoding; ``graph_isomorphism`` re-encodes each
 edge from the order and signs, and checks that the result is the encoding.
 The exhaustive oracles live with the tests, in ``tests/oracles.py``.  Nothing
 in this module is cached: a caller that meets a graph again keeps its own
-memo.  The searches in ``explore`` key theirs by ``EdgeIndexedGraph.shape``, so
-a renaming of ids is met again too, and name a new shape by the hash of its
-``class_invariant``, a value equal on each class that needs no form; they build
-forms only for shapes whose invariants hash alike.  ``DEFAULT_SIZE_CAP`` is the
-single vertex cap on canonicalization and on ``class_invariant``.
+memo.  ``DEFAULT_SIZE_CAP`` is the single vertex cap on canonicalization and on
+``class_invariant``.
 ``is_isomorphic`` builds forms only for graphs not label-equal that tie on
 vertex count and absolute index pairs.
 """
@@ -53,14 +50,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bigint import index_str
-from .graphs import EdgeIndexedGraph, End
+from .graphs import EdgeIndexedGraph, End, Isomorphism, index_str
 
 __all__ = [
     "SizeCapError",
     "DEFAULT_SIZE_CAP",
     "CanonicalForm",
-    "Isomorphism",
     "canonical_form",
     "canonical_certificate",
     "class_invariant",
@@ -114,15 +109,6 @@ class CanonicalForm:
     def cert(self) -> bytes:
         body = ";".join(f"{a},{b},{index_str(x)},{index_str(y)}" for (a, b, x, y) in self.tuples)
         return f"v{len(self.order)}:{body}".encode("ascii")
-
-
-@dataclass(eq=False)
-class Isomorphism:
-    """An equivalence witness g1 -> g2: vertex, edge and end correspondences."""
-
-    vertex_map: dict[str, str]
-    edge_map: dict[str, str]
-    end_map: dict[End, End]
 
 
 def _search_min_encoding(g: EdgeIndexedGraph):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bigint import index_str
 from .canonical import SizeCapError, canonical_certificate
 from .counterexample import (
     ExampleParams,
@@ -22,7 +21,7 @@ from .counterexample import (
     verify_slide_ladder,
 )
 from .explore import MOVE_CLASSES, Budget, ExplorationReport, decide_equivalence, explore_class
-from .graphs import dot_export, parse_graph, serialize_graph
+from .graphs import dot_export, index_str, parse_graph, serialize_graph
 from .moves import (
     ExpansionBounds,
     analyze,

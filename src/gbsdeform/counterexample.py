@@ -23,15 +23,7 @@ from dataclasses import dataclass
 
 from .canonical import is_isomorphic
 from .graphs import Edge, EdgeIndexedGraph, End
-from .moves import (
-    Collapse,
-    Expansion,
-    Move,
-    Slide,
-    apply_move,
-    divides,
-    enumerate_slides,
-)
+from .moves import Collapse, Expansion, Move, Slide, apply_move, enumerate_slides
 
 __all__ = [
     "ExampleParams",
@@ -70,7 +62,7 @@ class ExampleParams:
     @property
     def m_n_incomparable(self) -> bool:
         """Neither of m, n divides the other; gates the ladder claims."""
-        return not divides(self.m, self.n) and not divides(self.n, self.m)
+        return self.n % self.m != 0 and self.m % self.n != 0
 
     @property
     def r_s_nontrivial(self) -> bool:

@@ -45,7 +45,6 @@ __all__ = [
     "ExplorationReport",
     "Verdict",
     "MOVE_CLASSES",
-    "neighbor_moves",
     "explore_class",
     "decide_equivalence",
 ]
@@ -63,8 +62,8 @@ class Budget:
 
 
 def _kinds(move_class: str, bounds: ExpansionBounds) -> tuple[tuple, ...]:
-    """(vertex shift, enumerator) of each move kind of the class, in
-    ``neighbor_moves`` order; each call reads the module's bindings."""
+    """(vertex shift, enumerator) of each move kind of the class: collapses,
+    slides, expansions.  Each call reads the module's bindings."""
     if move_class not in MOVE_CLASSES:
         raise ValueError(f"unknown move class {move_class!r}")
     slides = (Slide.vertex_shift, enumerate_slides)
@@ -72,11 +71,6 @@ def _kinds(move_class: str, bounds: ExpansionBounds) -> tuple[tuple, ...]:
         return (slides,)
     return ((Collapse.vertex_shift, enumerate_collapses), slides,
             (Expansion.vertex_shift, lambda g: enumerate_expansions(g, bounds)))
-
-
-def neighbor_moves(g: EdgeIndexedGraph, move_class: str, bounds: ExpansionBounds) -> list[Move]:
-    return [move for _, enumerate_kind in _kinds(move_class, bounds)
-            for move in enumerate_kind(g)]
 
 
 @dataclass

@@ -13,7 +13,8 @@ Edges and ends are NamedTuples, built, compared and hashed in C; hot loops
 unpack an edge rather than read its fields by name.
 The constructor only normalizes and trusts its caller: outside data enters
 through ``parse_graph`` or ``graph_from_parts``, which check every invariant,
-and the moves keep them.
+and the moves keep them.  Here too is the text grammar the graph files and
+move scripts share: identifiers, indices and content lines.
 """
 
 from __future__ import annotations
@@ -22,35 +23,62 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .bigint import index_str, parse_index
-
 __all__ = [
-    "GraphError",
     "InvalidGraphError",
     "ParseError",
     "Edge",
     "End",
     "SignFlip",
     "EdgeIndexedGraph",
+    "Isomorphism",
     "graph_from_parts",
     "parse_graph",
     "serialize_graph",
     "dot_export",
     "apply_sign_flips",
+    "index_str",
+    "parse_index",
 ]
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_INDEX_RE = re.compile(r"-?[1-9][0-9]*\Z")
 
 
-class GraphError(ValueError):
-    """Base class for graph construction errors and .gbs or move-script parse errors."""
+def index_str(x: int) -> str:
+    """Decimal text of an index.
+
+    CPython refuses int<->str conversions past ``sys.get_int_max_str_digits()``
+    digits (4,300 by default), and slide-ladder indices grow past that.  Below
+    the limit ``index_str`` and ``parse_index`` are plain ``str`` and ``int``;
+    past it they go through ``decimal``, which converts exactly at any length
+    and at about the same cost.  The interpreter-wide limit is left alone, and
+    ``decimal`` is imported only once an index needs it.
+    """
+    try:
+        return str(x)
+    except ValueError:          # longer than the interpreter's limit
+        from decimal import Decimal
+        return str(Decimal(x))
 
 
-class InvalidGraphError(GraphError):
+def parse_index(text: str) -> int:
+    """The integer an ASCII ``-?[1-9][0-9]*`` text spells; ValueError otherwise.
+    The one integer grammar, for graph files and move scripts alike; past the
+    interpreter's digit limit it goes through ``decimal``, as ``index_str`` does."""
+    if not _INDEX_RE.match(text):
+        raise ValueError(f"bad integer {text!r}")
+    try:
+        return int(text)
+    except ValueError:          # longer than the interpreter's limit
+        from decimal import Decimal
+        return int(Decimal(text))
+
+
+class InvalidGraphError(ValueError):
     """A structural invariant was violated (zero index, disconnected, ...)."""
 
 
-class ParseError(GraphError):
+class ParseError(ValueError):
     """Text did not conform to the .gbs grammar or the move-script grammar.
 
     Carries 1-based line and column numbers when they apply.
@@ -182,6 +210,15 @@ class EdgeIndexedGraph:
 
     def max_abs_index(self) -> int:
         return max((max(abs(i0), abs(i1)) for _, _, _, i0, i1 in self.edges), default=0)
+
+
+@dataclass(eq=False)
+class Isomorphism:
+    """An equivalence witness g1 -> g2: vertex, edge and end correspondences."""
+
+    vertex_map: dict[str, str]
+    edge_map: dict[str, str]
+    end_map: dict[End, End]
 
 
 def _check(vertices: tuple, edges: tuple[Edge, ...]) -> EdgeIndexedGraph:

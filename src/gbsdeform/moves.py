@@ -19,10 +19,8 @@ from itertools import combinations
 from math import gcd, isqrt
 from typing import ClassVar
 
-from .bigint import index_str, parse_index
-from .canonical import Isomorphism
-from .graphs import (_IDENT_RE, Edge, EdgeIndexedGraph, End, InvalidGraphError, ParseError,
-                     _content_lines)
+from .graphs import (_IDENT_RE, Edge, EdgeIndexedGraph, End, InvalidGraphError, Isomorphism,
+                     ParseError, _content_lines, index_str, parse_index)
 
 __all__ = [
     "IllegalMoveError",
@@ -107,10 +105,6 @@ class ExpansionBounds:
 
     max_n: int = 6
     max_subset_size: int = 3
-
-
-def divides(d: int, x: int) -> bool:
-    return x % d == 0
 
 
 def _fresh_id(taken, base: str) -> str:
@@ -296,7 +290,7 @@ def enumerate_slides(g: EdgeIndexedGraph) -> list[Slide]:
     for ends in g.end_table().values():
         for edge_m, side_m, i_m in ends:
             for edge_a, side_a, i_a in ends:
-                if edge_a != edge_m and divides(i_a, i_m):
+                if edge_a != edge_m and i_m % i_a == 0:
                     out.append(Slide(End(edge_m, side_m), End(edge_a, side_a)))
     out.sort(key=lambda s: (s.moving_end, s.along))
     return out
@@ -380,7 +374,7 @@ def analyze(g: EdgeIndexedGraph) -> PredicateReport:
     table = g.end_table()
     minimal = all(abs(ends[0][2]) >= 2 for ends in table.values() if len(ends) == 1)
     ssf = minimal and not any(
-        i != j and divides(b, a)
+        i != j and a % b == 0
         for ends in table.values()
         for i, (_, _, a) in enumerate(ends)
         for j, (_, _, b) in enumerate(ends))

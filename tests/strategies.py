@@ -6,7 +6,10 @@ import random
 
 import hypothesis.strategies as st
 
-from gbsdeform import EdgeIndexedGraph, SignFlip, apply_sign_flips, graph_from_parts, parse_graph
+from gbsdeform import (
+    EdgeIndexedGraph, ExpansionBounds, Move, SignFlip, apply_sign_flips, enumerate_collapses,
+    enumerate_expansions, enumerate_slides, graph_from_parts, parse_graph,
+)
 
 X_TEXT = "vertex A\nvertex B\nedge l A A 30 5\nedge t A B 20 7\n"
 Y_TEXT = "vertex A\nvertex B\nedge l B B 42 7\nedge t B A 63 5\n"
@@ -15,6 +18,15 @@ Y_TEXT = "vertex A\nvertex B\nedge l B B 42 7\nedge t B A 63 5\n"
 def loop(i0: int, i1: int) -> EdgeIndexedGraph:
     """One vertex with one loop of indices (i0, i1)."""
     return parse_graph(f"vertex A\nedge e A A {i0} {i1}")
+
+
+def neighbor_moves(g: EdgeIndexedGraph, move_class: str, bounds: ExpansionBounds) -> list[Move]:
+    """Every move of the class at g in one list: its slides, or under ``deform``
+    its collapses, slides, then expansions.  The corpora draw their moved copies
+    from this order."""
+    if move_class == "slide":
+        return enumerate_slides(g)
+    return enumerate_collapses(g) + enumerate_slides(g) + enumerate_expansions(g, bounds)
 
 
 def assert_valid(g: EdgeIndexedGraph) -> None:

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations, islice
 
@@ -25,7 +26,6 @@ from gbsdeform import (
     format_script,
     graph_from_parts,
     is_isomorphic,
-    neighbor_moves,
     parse_graph,
     serialize_graph,
 )
@@ -35,7 +35,7 @@ from gbsdeform.counterexample import ExampleParams, example_graph, verify_slide_
 from gbsdeform.cli import adjacency_dot, dump_visited, main
 
 from oracles import least_meeting_sum
-from strategies import X_TEXT, Y_TEXT, connected_graphs, loop, scramble
+from strategies import X_TEXT, Y_TEXT, connected_graphs, loop, neighbor_moves, scramble
 
 P = ExampleParams(2, 3, 5, 7)
 DEFORM_BUDGET = Budget(max_depth=4, max_nodes=100_000, max_abs_index=100,
@@ -160,8 +160,7 @@ def test_deform_equivalence_of_the_example_pair(x, y):
 @pytest.mark.parametrize("search", [
     lambda g: explore_class(g, "bogus", Budget(max_depth=0)),
     lambda g: decide_equivalence(g, g, "bogus", Budget(max_depth=0)),
-    lambda g: neighbor_moves(g, "bogus", ExpansionBounds()),
-], ids=["explore_class", "decide_equivalence", "neighbor_moves"])
+], ids=["explore_class", "decide_equivalence"])
 def test_unknown_move_class_is_rejected_up_front(x, search):
     with pytest.raises(ValueError, match="unknown move class 'bogus'"):
         search(x)
@@ -416,22 +415,18 @@ def test_closed_classes_that_share_a_class_past_the_depth_bound_are_equivalent()
 def test_a_search_with_no_meeting_applies_each_move_once(monkeypatch, g1, g2, move_class):
     # Both last layers defer the moves that cannot reach the other root and
     # run them once the search has failed, each move enumerated and applied once.
-    enumerated, applied = [], []
+    applied = []
 
-    def recorded(fn, calls):
-        def wrapper(g, *args):
-            calls.append((g, args[0]))
-            return fn(g, *args)
-        return wrapper
+    def recorded(g, move):
+        applied.append((g, move))
+        return apply_move(g, move)
 
-    monkeypatch.setattr(explore, "neighbor_moves", recorded(neighbor_moves, enumerated))
-    monkeypatch.setattr(explore, "apply_move", recorded(apply_move, applied))
+    monkeypatch.setattr(explore, "apply_move", recorded)
     kinds, built = counted_enumerators(monkeypatch)
     verdict = decide_equivalence(parse_graph(g1), parse_graph(g2), move_class,
                                  Budget(max_depth=2))
     assert verdict.reason == "budget exhausted (depth)"
     assert applied and len(set(applied)) == len(applied)
-    assert enumerated == []             # no search builds a parent's whole move list at once
     # A last layer builds each parked kind only when it drains: every
     # (graph, kind) is enumerated once, and every move built is applied.
     assert kinds and len(set(kinds)) == len(kinds)
@@ -546,6 +541,16 @@ def test_a_search_computes_each_roots_shape_once(monkeypatch, x, g2, move_class,
 # search that checks the node cap between layers.
 DIFFERENTIAL_PAIRS = 400
 DIFFERENTIAL_SHA256 = "7d5325620d4e72088e27073ba759941b991342ae9ee4d383966369d6c9fd05ba"
+# The corpus's verdicts counted by (move class, kind, evidence): a change that
+# decides an unknown pair shows here as counts that move.
+DIFFERENTIAL_COVERAGE = {
+    ("deform", "equivalent", "path"): 145,
+    ("deform", "distinct", "bounds"): 3,
+    ("deform", "unknown", None): 52,
+    ("slide", "equivalent", "path"): 147,
+    ("slide", "distinct", "exhausted"): 47,
+    ("slide", "unknown", None): 6,
+}
 DIFFERENTIAL_BUDGETS = (
     Budget(max_depth=2, max_nodes=4, max_abs_index=100,
            expansion=ExpansionBounds(max_n=3, max_subset_size=2)),
@@ -600,7 +605,7 @@ def differential_corpus():
 
 
 def test_verdicts_reasons_and_paths_match_the_pinned_corpus():
-    lines = []
+    lines, coverage = [], Counter()
     for g1, g2, move_class, budget in differential_corpus():
         v = decide_equivalence(g1, g2, move_class, budget)
         # No pair is refuted: g2 is drawn with g1's Betti number and vertex
@@ -609,10 +614,12 @@ def test_verdicts_reasons_and_paths_match_the_pinned_corpus():
         evidence = {"equivalent": "path", "unknown": None,
                     "distinct": {"slide": "exhausted", "deform": "bounds"}[move_class]}
         assert v.evidence == evidence[v.kind], (v, move_class)
+        coverage[move_class, v.kind, v.evidence] += 1
         path = None if v.path is None else format_script(v.path)
         lines.append(f"{v.kind} | {v.reason} | {path}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == DIFFERENTIAL_SHA256
+    assert coverage == DIFFERENTIAL_COVERAGE
 
 
 # The meeting oracle on the corpus's first pairs, with every node cap lifted.

@@ -31,7 +31,6 @@ from gbsdeform import (
     index_str,
     invert_move,
     is_isomorphic,
-    neighbor_moves,
     parse_graph,
     parse_move,
     parse_script,
@@ -40,7 +39,8 @@ from gbsdeform import (
 from gbsdeform.counterexample import ExampleParams, example_graph
 from gbsdeform.moves import transport_move
 
-from strategies import X_TEXT, Y_TEXT, assert_valid, connected_graphs, scramble
+from strategies import (X_TEXT, Y_TEXT, assert_valid, connected_graphs, neighbor_moves,
+                        scramble)
 
 P = ExampleParams(2, 3, 5, 7)
 BOUNDS = ExpansionBounds(max_n=10, max_subset_size=3)

@@ -43,7 +43,8 @@ def test_the_cli_imports_only_the_standard_library_and_defers_heavy_modules():
         print(sorted(loaded - set(sys.stdlib_module_names) - {{"gbsdeform"}}))
         print(sorted({{"hashlib", "decimal"}} & set(sys.modules)))
     """)
-    proc = subprocess.run([sys.executable, "-I", "-c", code],
+    # -I ignores PYTHONDONTWRITEBYTECODE, so -B keeps the source tree free of bytecode.
+    proc = subprocess.run([sys.executable, "-I", "-B", "-c", code],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n[]\n"
@@ -70,10 +71,12 @@ def test_every_module_level_import_is_used():
     assert unused == []
 
 
-def test_invariants_imports_nothing_from_canonical_or_explore():
-    # The tracer times canonical calls only from its layer modules, so one
-    # made from here would go unmeasured; and explore imports invariants.
-    tree = ast.parse((ROOT / "src" / "gbsdeform" / "invariants.py").read_text())
+# canonical, moves and invariants are peer layers over graphs.  For invariants:
+# the tracer times canonical calls only from its layer modules, so one made
+# from there would go unmeasured; and explore imports invariants.
+@pytest.mark.parametrize("name", ["canonical", "moves", "invariants"])
+def test_peer_layers_import_nothing_from_the_package_but_graphs(name):
+    tree = ast.parse((ROOT / "src" / "gbsdeform" / f"{name}.py").read_text())
     modules = {node.module.removeprefix("gbsdeform.") for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom)
                and (node.level or node.module.startswith("gbsdeform"))}
