@@ -12,8 +12,9 @@ X and Y are joined by a four-move deformation (expand, slide, slide,
 collapse), replayed and checked here.  When neither of m, n divides the
 other, the slide class of X is a ray X_0, X_1, ... whose free-edge index at
 level k is r*m^(k+2)*n^k, and Y appears nowhere on it; ``verify_slide_ladder``
-certifies that shape level by level up to a chosen depth.  It compares graphs
-through ``is_isomorphic``, so no index becomes decimal text.
+certifies that shape level by level up to a chosen depth.  It compares each
+level's slide results with its neighbours as values, and Y through
+``is_isomorphic``, so no index becomes decimal text.
 """
 
 from __future__ import annotations
@@ -205,11 +206,12 @@ def verify_slide_ladder(p: ExampleParams, depth: int) -> LadderCertificate:
     """Check the ladder shape for levels 0..depth, where depth >= 0.
 
     Level k must admit exactly one slide (k = 0) or exactly two, whose
-    results match levels k-1 and k+1 one to one under ``is_isomorphic``, each
-    level's index being the last one's times m*n.  A slide result is label
-    for label its level, and levels differ in absolute indices, so these
-    comparisons build no canonical form (Y's does only on a tie) and no index
-    becomes text.  Only levels k-1, k, k+1 are held."""
+    results are, as values, levels k-1 and k+1, each level's index being the
+    last one's times m*n.  A slide result is label for label its level, so
+    this equality is the class equality the certificate claims.  Only Y,
+    labelled differently, goes through ``is_isomorphic``, which builds a
+    canonical form only on a tie, so no index becomes text.  Only levels k-1,
+    k, k+1 are held."""
     if depth < 0:
         raise ValueError(f"ladder depth must be at least 0, got {depth}")
     if not p.m_n_incomparable:
@@ -217,22 +219,18 @@ def verify_slide_ladder(p: ExampleParams, depth: int) -> LadderCertificate:
             f"need m and n to not divide each other, got m={p.m}, n={p.n}")
     y = example_graph("Y", p)
     step = p.m * p.n
-    window = [_level(p, free_edge_index(p, 0))]     # levels k-1 (once k >= 1), k and k+1
+    below, g = (), _level(p, free_edge_index(p, 0))
     levels = []
     shape_ok = y_absent = True
     for _ in range(depth + 1):
-        g = window[-1]
         index = g.edge("t").i0
-        window.append(_level(p, index * step))
+        above = _level(p, index * step)
         slides = enumerate_slides(g)
-        neighbours = window[:-2] + window[-1:]
-        match = [[is_isomorphic(h, nb) for nb in neighbours]
-                 for h in (apply_move(g, mv) for mv in slides)]
-        shape_ok = shape_ok and len(slides) == len(neighbours) and all(
-            sum(line) == 1 for line in match + list(zip(*match)))
+        results = {apply_move(g, mv) for mv in slides}
+        shape_ok = shape_ok and len(slides) == len(below) + 1 and results == {*below, above}
         y_absent = y_absent and not is_isomorphic(g, y)
         levels.append(LadderLevel(index=index, move_count=len(slides)))
-        del window[:-2]
+        below, g = (g,), above
     return LadderCertificate(
         depth=depth,
         levels=tuple(levels),

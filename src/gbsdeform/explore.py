@@ -127,23 +127,23 @@ class _Side:
     @property
     def growing(self) -> bool:
         """A next layer is due: the frontier is not empty, the depth bound not
-        reached, and the side holds at most ``max_nodes`` classes.  A
-        layer the node cap refuses records ``"node"``."""
-        if not self.frontier or self.depth >= self.budget.max_depth:
-            return False
-        if len(self.visited) > self.budget.max_nodes:
-            self.caps.add("node")
-            return False
-        return True
+        reached, and the node cap refused no layer."""
+        return (bool(self.frontier) and self.depth < self.budget.max_depth
+                and "node" not in self.caps)
 
     def advance(self) -> Iterator[tuple]:
-        """The next layer's steps (parent name, parent, move), lazily.
+        """The next layer's steps (parent name, parent, move), lazily.  A side
+        holding more than ``max_nodes`` classes refuses the layer: it records
+        ``"node"`` and yields nothing.
 
         ``decide_equivalence`` builds each side with the other root's vertex
         count as its ``size``.  In the layer at the depth bound a step can meet
         only the other root, so of a parent's move kinds only the one whose
         vertex shift reaches ``size`` is built; each other kind is parked
         unbuilt, for ``drain``."""
+        if len(self.visited) > self.budget.max_nodes:
+            self.caps.add("node")
+            return
         frontier, self.frontier, self.depth = self.frontier, [], self.depth + 1
         size = self.size if self.depth == self.budget.max_depth else None
         for name_u in frontier:

@@ -166,9 +166,6 @@ class EdgeIndexedGraph:
                 return e
         raise InvalidGraphError(f"no edge {eid!r} in graph")
 
-    def has_vertex(self, v: str) -> bool:
-        return v in self.vertices
-
     def has_edge(self, eid: str) -> bool:
         for e in self.edges:
             if e.eid == eid:
@@ -272,7 +269,7 @@ def graph_from_parts(vertices, edges) -> EdgeIndexedGraph:
 def apply_sign_flips(g: EdgeIndexedGraph, s: SignFlip) -> EdgeIndexedGraph:
     """Negate indices per the sign-flip action; the structure is unchanged."""
     for v in s.vertex_flips:
-        if not g.has_vertex(v):
+        if v not in g.vertices:
             raise InvalidGraphError(f"sign flip names unknown vertex {v!r}")
     for eid in s.edge_flips:
         g.edge(eid)

@@ -115,7 +115,7 @@ def _fresh_id(taken, base: str) -> str:
 
 
 def fresh_vertex_id(g: EdgeIndexedGraph) -> str:
-    return _fresh_id(g.has_vertex, "w")
+    return _fresh_id(g.vertices.__contains__, "w")
 
 
 def fresh_edge_id(g: EdgeIndexedGraph) -> str:
@@ -182,9 +182,9 @@ def _apply_expansion(g: EdgeIndexedGraph, m: Expansion) -> EdgeIndexedGraph:
     for kind, name in (("vertex", m.new_vertex), ("edge", m.new_edge)):
         if not _IDENT_RE.match(name):
             raise IllegalMoveError(f"bad new {kind} identifier {name!r}")
-    if not g.has_vertex(m.vertex):
+    if m.vertex not in g.vertices:
         raise IllegalMoveError(f"no vertex {m.vertex!r} in graph")
-    if g.has_vertex(m.new_vertex):
+    if m.new_vertex in g.vertices:
         raise IllegalMoveError(f"new vertex id {m.new_vertex!r} already in use")
     if g.has_edge(m.new_edge):
         raise IllegalMoveError(f"new edge id {m.new_edge!r} already in use")
@@ -265,7 +265,7 @@ def transport_move(m: Move, iso: Isomorphism, target: EdgeIndexedGraph) -> Move:
         return Expansion(vertex=iso.vertex_map[m.vertex], n=m.n,
                          moved_ends=tuple(iso.end_map[e] for e in m.moved_ends),
                          new_vertex=fresh_vertex_id(target), new_edge=fresh_edge_id(target))
-    raise ValueError(f"unknown move {m!r}")
+    raise IllegalMoveError(f"unknown move {m!r}")
 
 
 def enumerate_collapses(g: EdgeIndexedGraph) -> list[Collapse]:
@@ -425,7 +425,7 @@ def format_move(m: Move) -> str:
     if isinstance(m, Expansion):
         ends = "".join(f" {end}" for end in m.moved_ends)
         return f"expand {m.vertex} {index_str(m.n)}{ends} as {m.new_vertex} {m.new_edge}"
-    raise ValueError(f"unknown move {m!r}")
+    raise IllegalMoveError(f"unknown move {m!r}")
 
 
 def parse_move(line: str, lineno: int | None = None) -> Move:

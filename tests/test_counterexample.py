@@ -146,10 +146,11 @@ def test_ladder_hypotheses_enforced():
 
 
 LADDER_MN = [(2, 3), (3, 2), (2, 5), (4, 6), (-2, 3), (5, -3)]
+LADDER_RS = st.integers(-5, 5).filter(lambda v: v != 0)    # unit indices and either sign
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.sampled_from(LADDER_MN), st.integers(2, 5), st.integers(2, 5))
+@given(st.sampled_from(LADDER_MN), LADDER_RS, LADDER_RS)
 def test_ladder_holds_across_parameters(mn, r, s):
     m, n = mn
     cert = verify_slide_ladder(ExampleParams(m, n, r, s), 5)
@@ -281,7 +282,7 @@ def test_the_ladder_calls_each_layer_through_its_module_binding(monkeypatch):
     for name in ("enumerate_slides", "apply_move", "is_isomorphic"):
         monkeypatch.setattr(counterexample, name, counted(name))
     assert verify_slide_ladder(P, 3).ok
-    assert calls == {"enumerate_slides": 4, "apply_move": 7, "is_isomorphic": 17}
+    assert calls == {"enumerate_slides": 4, "apply_move": 7, "is_isomorphic": 4}
 
 
 def test_the_ladder_makes_no_canonical_form(canonical_form_calls):

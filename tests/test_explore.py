@@ -101,6 +101,23 @@ def test_node_cap_marks_report_open(x):
     assert set(report.depths.values()) == {0, 1}
 
 
+def test_reading_growing_records_no_cap(x):
+    # A side past max_nodes still reads as growing, and reading it changes
+    # nothing; the refused advance() builds no step and records "node".
+    budget = Budget(max_depth=2, max_nodes=5, expansion=ExpansionBounds(max_n=10))
+    side = explore._Side(x, explore._kinds("deform", budget.expansion), budget,
+                         explore._Names())
+    for _ in side.grow(side.advance()):
+        pass
+    frontier, depth = list(side.frontier), side.depth
+    assert len(side.visited) > budget.max_nodes
+    assert side.growing and side.growing
+    assert side.caps == set()
+    assert list(side.advance()) == []
+    assert side.caps == {"node"} and not side.growing
+    assert (side.frontier, side.depth) == (frontier, depth)
+
+
 @pytest.mark.parametrize("text, move_class, max_nodes", [
     ("vertex A", "deform", 1),
     ("vertex v0\nvertex v1\nvertex v2\nedge e1 v0 v1 -1 -1\nedge e2 v1 v2 1 1\n"
