@@ -65,11 +65,6 @@ class ExampleParams:
         """Neither of m, n divides the other; gates the ladder claims."""
         return self.n % self.m != 0 and self.m % self.n != 0
 
-    @property
-    def r_s_nontrivial(self) -> bool:
-        """|r|, |s| >= 2; gates the qualification claims for X and Y."""
-        return abs(self.r) >= 2 and abs(self.s) >= 2
-
 
 def free_edge_index(p: ExampleParams, k: int) -> int:
     """Index of the non-loop edge at the loop vertex on ladder level k >= 0."""

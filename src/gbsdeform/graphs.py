@@ -28,14 +28,12 @@ __all__ = [
     "ParseError",
     "Edge",
     "End",
-    "SignFlip",
     "EdgeIndexedGraph",
     "Isomorphism",
     "graph_from_parts",
     "parse_graph",
     "serialize_graph",
     "dot_export",
-    "apply_sign_flips",
     "index_str",
     "parse_index",
 ]
@@ -126,17 +124,6 @@ class End(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.edge}:{self.side}"
-
-
-@dataclass(frozen=True)
-class SignFlip:
-    """A change of generators: negate the index at an end once per membership
-    of its vertex in ``vertex_flips`` and once per membership of its edge in
-    ``edge_flips``.  The action is an involution componentwise.
-    """
-
-    vertex_flips: frozenset[str] = frozenset()
-    edge_flips: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -258,27 +245,14 @@ def _check(vertices: tuple, edges: tuple[Edge, ...]) -> EdgeIndexedGraph:
 def graph_from_parts(vertices, edges) -> EdgeIndexedGraph:
     """Build and check a graph from vertex ids and edges, each an ``Edge`` or an
     (eid, v0, v1, i0, i1) tuple."""
+    if isinstance(vertices, str):
+        raise InvalidGraphError(f"vertices {vertices!r} is a string, not a collection of ids")
     parts = []
     for e in edges:
         if not isinstance(e, (tuple, list)) or len(e) != 5:
             raise InvalidGraphError(f"edge entry {e!r} is not (eid, v0, v1, i0, i1)")
         parts.append(Edge(*e))
     return _check(tuple(vertices), tuple(parts))
-
-
-def apply_sign_flips(g: EdgeIndexedGraph, s: SignFlip) -> EdgeIndexedGraph:
-    """Negate indices per the sign-flip action; the structure is unchanged."""
-    for v in s.vertex_flips:
-        if v not in g.vertices:
-            raise InvalidGraphError(f"sign flip names unknown vertex {v!r}")
-    for eid in s.edge_flips:
-        g.edge(eid)
-    new_edges = []
-    for e in g.edges:
-        sign0 = -1 if (e.v0 in s.vertex_flips) != (e.eid in s.edge_flips) else 1
-        sign1 = -1 if (e.v1 in s.vertex_flips) != (e.eid in s.edge_flips) else 1
-        new_edges.append(Edge(e.eid, e.v0, e.v1, sign0 * e.i0, sign1 * e.i1))
-    return EdgeIndexedGraph(g.vertices, tuple(new_edges))
 
 
 def _content_lines(text: str) -> Iterator[tuple[int, str]]:

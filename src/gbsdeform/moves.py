@@ -43,8 +43,6 @@ __all__ = [
     "parse_move",
     "format_script",
     "parse_script",
-    "fresh_vertex_id",
-    "fresh_edge_id",
 ]
 
 
@@ -114,11 +112,11 @@ def _fresh_id(taken, base: str) -> str:
     return name
 
 
-def fresh_vertex_id(g: EdgeIndexedGraph) -> str:
+def _fresh_vertex_id(g: EdgeIndexedGraph) -> str:
     return _fresh_id(g.vertices.__contains__, "w")
 
 
-def fresh_edge_id(g: EdgeIndexedGraph) -> str:
+def _fresh_edge_id(g: EdgeIndexedGraph) -> str:
     return _fresh_id(g.has_edge, "x")
 
 
@@ -264,7 +262,7 @@ def transport_move(m: Move, iso: Isomorphism, target: EdgeIndexedGraph) -> Move:
     if isinstance(m, Expansion):
         return Expansion(vertex=iso.vertex_map[m.vertex], n=m.n,
                          moved_ends=tuple(iso.end_map[e] for e in m.moved_ends),
-                         new_vertex=fresh_vertex_id(target), new_edge=fresh_edge_id(target))
+                         new_vertex=_fresh_vertex_id(target), new_edge=_fresh_edge_id(target))
     raise IllegalMoveError(f"unknown move {m!r}")
 
 
@@ -304,8 +302,8 @@ def enumerate_expansions(g: EdgeIndexedGraph, bounds: ExpansionBounds) -> list[E
     deliberately excluded (sign flips and collapsible appendages add nothing
     but fanout).  Fresh ids are derived deterministically from the graph.
     """
-    new_v = fresh_vertex_id(g)
-    new_e = fresh_edge_id(g)
+    new_v = _fresh_vertex_id(g)
+    new_e = _fresh_edge_id(g)
     out = []
     factors: dict[int, list[int]] = {}     # subset gcd -> its factors
     for v, ends in g.end_table().items():

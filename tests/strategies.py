@@ -7,8 +7,8 @@ import random
 import hypothesis.strategies as st
 
 from gbsdeform import (
-    EdgeIndexedGraph, ExpansionBounds, Move, SignFlip, apply_sign_flips, enumerate_collapses,
-    enumerate_expansions, enumerate_slides, graph_from_parts, parse_graph,
+    Edge, EdgeIndexedGraph, ExpansionBounds, Move, enumerate_collapses, enumerate_expansions,
+    enumerate_slides, graph_from_parts, parse_graph,
 )
 
 X_TEXT = "vertex A\nvertex B\nedge l A A 30 5\nedge t A B 20 7\n"
@@ -27,6 +27,16 @@ def neighbor_moves(g: EdgeIndexedGraph, move_class: str, bounds: ExpansionBounds
     if move_class == "slide":
         return enumerate_slides(g)
     return enumerate_collapses(g) + enumerate_slides(g) + enumerate_expansions(g, bounds)
+
+
+def flip_signs(g: EdgeIndexedGraph, vertices=(), edges=()) -> EdgeIndexedGraph:
+    """g after a change of generators: each end's index negated once if its vertex
+    is in ``vertices`` and once if its edge is in ``edges``; an involution.  Names
+    are not checked, so one not in g flips nothing."""
+    return EdgeIndexedGraph(g.vertices, [
+        Edge(eid, v0, v1, i0 if (v0 in vertices) == (eid in edges) else -i0,
+             i1 if (v1 in vertices) == (eid in edges) else -i1)
+        for eid, v0, v1, i0, i1 in g.edges])
 
 
 def assert_valid(g: EdgeIndexedGraph) -> None:
@@ -63,11 +73,12 @@ def connected_graphs(draw, max_vertices: int = 5, max_extra_edges: int = 2,
 
 
 @st.composite
-def sign_flips(draw, g: EdgeIndexedGraph) -> SignFlip:
+def sign_flips(draw, g: EdgeIndexedGraph) -> tuple[set[str], set[str]]:
+    """(vertices, edges) to flip, drawn from g's own names: ``flip_signs``'s arguments."""
     vf = draw(st.sets(st.sampled_from(list(g.vertices))))
     ef = draw(st.sets(st.sampled_from([e.eid for e in g.edges])) if g.edges
               else st.just(set()))
-    return SignFlip(frozenset(vf), frozenset(ef))
+    return vf, ef
 
 
 def scramble(g: EdgeIndexedGraph, seed: int) -> EdgeIndexedGraph:
@@ -79,11 +90,8 @@ def scramble(g: EdgeIndexedGraph, seed: int) -> EdgeIndexedGraph:
     enames = [f"f{i}" for i in range(len(g.edges))]
     rng.shuffle(enames)
     emap = {e.eid: enames[i] for i, e in enumerate(g.edges)}
-    flip = SignFlip(
-        frozenset(v for v in g.vertices if rng.random() < 0.5),
-        frozenset(e.eid for e in g.edges if rng.random() < 0.5),
-    )
-    h = apply_sign_flips(g, flip)
+    h = flip_signs(g, {v for v in g.vertices if rng.random() < 0.5},
+                   {e.eid for e in g.edges if rng.random() < 0.5})
     return graph_from_parts(
         [vmap[v] for v in h.vertices],
         [(emap[e.eid], vmap[e.v0], vmap[e.v1], e.i0, e.i1) for e in h.edges],

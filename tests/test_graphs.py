@@ -11,9 +11,7 @@ from gbsdeform import (
     Expansion,
     InvalidGraphError,
     ParseError,
-    SignFlip,
     apply_move,
-    apply_sign_flips,
     betti_number,
     canonical_certificate,
     dot_export,
@@ -22,7 +20,7 @@ from gbsdeform import (
     serialize_graph,
 )
 
-from strategies import X_TEXT, assert_valid, connected_graphs, scramble, sign_flips
+from strategies import X_TEXT, assert_valid, connected_graphs, flip_signs, scramble, sign_flips
 
 
 def test_parse_example_graph():
@@ -200,6 +198,8 @@ def test_constructor_rejects_empty():
     (("A",), (5,), "edge entry 5 is not"),
     (("A",), (Edge("e", "A", "A", 0, 3),), "edge 'e' has a zero index"),
     (("A",), (Edge("e", "A", "B", 2, 3),), "edge 'e' uses undeclared vertex 'B'"),
+    ("AB", (("e", "A", "B", 1, 1),), "vertices 'AB' is a string"),
+    ("A", (), "vertices 'A' is a string"),
 ])
 def test_graph_from_parts_rejects_malformed_input(vertices, edges, match):
     with pytest.raises(InvalidGraphError, match=match):
@@ -226,20 +226,17 @@ def test_declaration_order_is_normalized():
 
 def test_sign_flip_on_loop_edge():
     loop = parse_graph("vertex A\nedge e A A 2 -3")
-    flipped = apply_sign_flips(loop, SignFlip(edge_flips=frozenset({"e"})))
+    flipped = flip_signs(loop, edges={"e"})
     assert (flipped.edge("e").i0, flipped.edge("e").i1) == (-2, 3)
     # both loop ends sit at A, so a vertex flip acts the same way
-    flipped_v = apply_sign_flips(loop, SignFlip(vertex_flips=frozenset({"A"})))
+    flipped_v = flip_signs(loop, vertices={"A"})
     assert flipped_v == flipped
 
 
 def test_sign_flip_identity_and_unknown_ids():
     g = parse_graph(X_TEXT)
-    assert apply_sign_flips(g, SignFlip()) == g
-    with pytest.raises(InvalidGraphError, match="unknown vertex"):
-        apply_sign_flips(g, SignFlip(vertex_flips=frozenset({"Z"})))
-    with pytest.raises(InvalidGraphError, match="no edge"):
-        apply_sign_flips(g, SignFlip(edge_flips=frozenset({"zz"})))
+    assert flip_signs(g) == g
+    assert flip_signs(g, vertices={"Z"}, edges={"zz"}) == g
 
 
 @given(connected_graphs())
@@ -251,9 +248,9 @@ def test_serialize_parse_round_trip(g):
     lambda g: sign_flips(g).map(lambda s: (g, s))))
 def test_sign_flip_involution_and_invariants(case):
     g, s = case
-    once = apply_sign_flips(g, s)
+    once = flip_signs(g, *s)
     assert_valid(once)
-    assert apply_sign_flips(once, s) == g
+    assert flip_signs(once, *s) == g
     assert betti_number(once) == betti_number(g)
     assert all(e.i0 != 0 and e.i1 != 0 for e in once.edges)
 

@@ -1,5 +1,6 @@
 """The package's public names, what importing its CLI loads, that its source
-holds no dead artifacts, and the benchmark tracer's view of its layers."""
+holds no dead artifacts, that README's examples run, and the benchmark tracer's
+view of its layers."""
 
 import ast
 import importlib
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,9 @@ from strategies import X_TEXT, Y_TEXT
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "gbsdeform").glob("*.py"))
 PERFBENCH = ROOT / "perfbench"
+# What a public name must be used by: the package, its scripts or the benchmark.
+# A name only the tests read belongs in the tests.
+USERS = SOURCES + sorted((ROOT / "scripts").glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
 # Every module that declares public names, found from the source so that a new
 # module cannot escape the export test.
 MODULES = [path.stem for path in SOURCES if re.search(r"^__all__\b", path.read_text(), re.M)]
@@ -50,10 +55,11 @@ def test_the_cli_imports_only_the_standard_library_and_defers_heavy_modules():
     assert proc.stdout == "[]\n[]\n"
 
 
-def _names_read(tree: ast.AST) -> set[str]:
-    """Every name a tree reads, bare or as an attribute."""
-    return {node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+def _names_read(tree: ast.AST) -> Counter[str]:
+    """How often a tree reads each name, bare or as an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))
+                   and isinstance(node.ctx, ast.Load))
 
 
 def test_every_module_level_import_is_used():
@@ -93,6 +99,40 @@ def test_every_private_top_level_function_and_class_is_referenced():
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and node.name.startswith("_") and node.name not in read]
     assert unreferenced == []
+
+
+def test_every_public_name_and_member_is_read_outside_its_definition():
+    # Each name in a module's __all__ and each public method or property of a
+    # class is read by one of USERS somewhere beyond its own definition.
+    read = sum((_names_read(ast.parse(path.read_text())) for path in USERS), Counter())
+    unread = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        exported = set(getattr(importlib.import_module(f"gbsdeform.{path.stem}"), "__all__", ()))
+        public = []         # (name, its definition, what to report)
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                public += [(target.id, node, target.id) for target in node.targets
+                           if isinstance(target, ast.Name) and target.id in exported]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in exported:
+                public.append((node.name, node, node.name))
+            if isinstance(node, ast.ClassDef):
+                public += [(member.name, member, f"{node.name}.{member.name}")
+                           for member in node.body if isinstance(member, ast.FunctionDef)
+                           and not member.name.startswith("_")]
+        unread += [f"{path.stem}.{label}" for name, node, label in public
+                   if read[name] <= _names_read(node)[name]]
+    assert unread == []
+
+
+def test_every_python_block_of_the_readme_runs():
+    # Each block runs in a fresh namespace, compiled at its README line numbers.
+    text = (ROOT / "README.md").read_text()
+    blocks = list(re.finditer(r"^```python\n(.*?)^```$", text, re.M | re.S))
+    assert blocks
+    for block in blocks:
+        code = "\n" * text.count("\n", 0, block.start(1)) + block[1]
+        exec(compile(code, "README.md", "exec"), {"__name__": "readme"})
 
 
 # One operation per workload, each traced in its own interpreter: a tracer
