@@ -13,8 +13,7 @@ import sys
 import textwrap
 import time
 
-from gbsdeform import (DEFAULT_SIZE_CAP, ExpansionBounds, RandomGraphSpec, format_script,
-                       rigidity_trial, serialize_graph)
+from gbsdeform import DEFAULT_SIZE_CAP, format_script, rigidity_trial, serialize_graph
 
 
 def main() -> int:
@@ -23,7 +22,6 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0, help="base seed")
     ap.add_argument("--moves", type=int, default=8)
     ap.add_argument("--max-vertices", type=int, default=5)
-    ap.add_argument("--max-n", type=int, default=9)
     args = ap.parse_args()
     if args.trials < 1:
         ap.error("--trials must be at least 1")
@@ -33,18 +31,13 @@ def main() -> int:
         ap.error(f"--max-vertices must be at most {DEFAULT_SIZE_CAP}")
     if args.moves < 0:
         ap.error("--moves must be at least 0")
-    if args.max_n < 0:
-        ap.error("--max-n must be at least 0")
 
-    bounds = ExpansionBounds(max_n=args.max_n)
     passed = 0
     start = time.perf_counter()
     for i in range(args.trials):
         seed = args.seed + i
         nv = 2 + seed % (args.max_vertices - 1)
-        spec = RandomGraphSpec(num_vertices=nv, num_edges=nv - 1 + seed % 2,
-                               index_range=(2, 9), require="strongly_slide_free")
-        trial = rigidity_trial(spec, num_moves=args.moves, seed=seed, bounds=bounds)
+        trial = rigidity_trial(nv, nv - 1 + seed % 2, args.moves, seed)
         if trial.passed:
             passed += 1
         else:

@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .canonical import is_isomorphic
-from .graphs import Edge, EdgeIndexedGraph, End
+from .graphs import Edge, EdgeIndexedGraph, End, _repr
 from .moves import Collapse, Expansion, Move, Slide, apply_move, enumerate_slides
 
 __all__ = [
@@ -69,7 +69,7 @@ class ExampleParams:
 def free_edge_index(p: ExampleParams, k: int) -> int:
     """Index of the non-loop edge at the loop vertex on ladder level k >= 0."""
     if k < 0:
-        raise ValueError(f"ladder level must be at least 0, got k={k}")
+        raise ValueError(f"ladder level must be at least 0, got k={_repr(k)}")
     return p.r * p.m ** (k + 2) * p.n ** k
 
 
@@ -82,12 +82,10 @@ def _level(p: ExampleParams, index: int) -> EdgeIndexedGraph:
                                          Edge("t", "A", "B", index, p.s)))
 
 
-def example_graph(which: str, p: ExampleParams, k: int = 0) -> EdgeIndexedGraph:
-    """Construct X, Y or the ladder level Xk (X0 equals X); only Xk takes k."""
-    if which in ("X", "Y") and k != 0:
-        raise ValueError(f"example graph {which!r} takes no level, got k={k}")
-    if which in ("X", "Xk"):
-        return _level(p, free_edge_index(p, k))
+def example_graph(which: str, p: ExampleParams) -> EdgeIndexedGraph:
+    """Construct X (ladder level 0) or Y."""
+    if which == "X":
+        return _level(p, free_edge_index(p, 0))
     if which == "Y":
         return EdgeIndexedGraph(("A", "B"), (Edge("l", "B", "B", p.m * p.n * p.s, p.s),
                                              Edge("t", "B", "A", p.s * p.n * p.n, p.r)))
@@ -114,7 +112,6 @@ def deformation_moves(p: ExampleParams) -> tuple[Move, ...]:
 @dataclass
 class DeformationReport:
     moves: tuple[Move, ...]
-    graphs: tuple[EdgeIndexedGraph, ...]
     index_tuples: tuple[tuple[int, ...], ...]
     endpoint_matches: bool
 
@@ -134,7 +131,6 @@ def replay_deformation(p: ExampleParams) -> DeformationReport:
     target = example_graph("Y", p)
     return DeformationReport(
         moves=moves,
-        graphs=tuple(graphs),
         index_tuples=tuple(index_tuple(h) for h in graphs),
         endpoint_matches=is_isomorphic(graphs[-1], target),
     )
@@ -208,10 +204,10 @@ def verify_slide_ladder(p: ExampleParams, depth: int) -> LadderCertificate:
     canonical form only on a tie, so no index becomes text.  Only levels k-1,
     k, k+1 are held."""
     if depth < 0:
-        raise ValueError(f"ladder depth must be at least 0, got {depth}")
+        raise ValueError(f"ladder depth must be at least 0, got {_repr(depth)}")
     if not p.m_n_incomparable:
         raise LadderHypothesisError(
-            f"need m and n to not divide each other, got m={p.m}, n={p.n}")
+            f"need m and n to not divide each other, got m={_repr(p.m)}, n={_repr(p.n)}")
     y = example_graph("Y", p)
     step = p.m * p.n
     below, g = (), _level(p, free_edge_index(p, 0))

@@ -59,6 +59,18 @@ def index_str(x: int) -> str:
         return str(Decimal(x))
 
 
+def _repr(x, text=repr) -> str:
+    """``text(x)`` for an error message; an int past the digit limit, which ``repr``
+    and ``str`` refuse, is written through ``index_str``, also in a tuple or list."""
+    try:
+        return text(x)
+    except ValueError:          # an int longer than the interpreter's limit
+        if isinstance(x, int):
+            return index_str(x)
+        inner = ", ".join(map(_repr, x))
+        return f"[{inner}]" if isinstance(x, list) else f"({inner})"
+
+
 def parse_index(text: str) -> int:
     """The integer an ASCII ``-?[1-9][0-9]*`` text spells; ValueError otherwise.
     The one integer grammar, for graph files and move scripts alike; past the
@@ -151,7 +163,7 @@ class EdgeIndexedGraph:
         for e in self.edges:
             if e.eid == eid:
                 return e
-        raise InvalidGraphError(f"no edge {eid!r} in graph")
+        raise InvalidGraphError(f"no edge {_repr(eid)} in graph")
 
     def has_edge(self, eid: str) -> bool:
         for e in self.edges:
@@ -189,7 +201,7 @@ class EdgeIndexedGraph:
 
     def ends_at(self, v: str) -> tuple[End, ...]:
         if v not in self.vertices:
-            raise InvalidGraphError(f"no vertex {v!r} in graph")
+            raise InvalidGraphError(f"no vertex {_repr(v)} in graph")
         return tuple(End(eid, side) for eid, side, _ in self.end_table()[v])
 
     def max_abs_index(self) -> int:
@@ -212,20 +224,20 @@ def _check(vertices: tuple, edges: tuple[Edge, ...]) -> EdgeIndexedGraph:
     adj: dict[str, set[str]] = {}
     for v in vertices:
         if type(v) is not str or not _IDENT_RE.match(v):
-            raise InvalidGraphError(f"bad vertex identifier {v!r}")
+            raise InvalidGraphError(f"bad vertex identifier {_repr(v)}")
         if v in adj:
             raise InvalidGraphError(f"duplicate vertex id {v!r}")
         adj[v] = set()
     seen_e: set[str] = set()
     for e in edges:
         if type(e.eid) is not str or not _IDENT_RE.match(e.eid):
-            raise InvalidGraphError(f"bad edge identifier {e.eid!r}")
+            raise InvalidGraphError(f"bad edge identifier {_repr(e.eid)}")
         if e.eid in seen_e:
             raise InvalidGraphError(f"duplicate edge id {e.eid!r}")
         seen_e.add(e.eid)
         for v in (e.v0, e.v1):
             if type(v) is not str or v not in adj:
-                raise InvalidGraphError(f"edge {e.eid!r} uses undeclared vertex {v!r}")
+                raise InvalidGraphError(f"edge {e.eid!r} uses undeclared vertex {_repr(v)}")
         if type(e.i0) is not int or type(e.i1) is not int:
             raise InvalidGraphError(f"edge {e.eid!r} has non-integer indices")
         if e.i0 == 0 or e.i1 == 0:
@@ -250,7 +262,7 @@ def graph_from_parts(vertices, edges) -> EdgeIndexedGraph:
     parts = []
     for e in edges:
         if not isinstance(e, (tuple, list)) or len(e) != 5:
-            raise InvalidGraphError(f"edge entry {e!r} is not (eid, v0, v1, i0, i1)")
+            raise InvalidGraphError(f"edge entry {_repr(e)} is not (eid, v0, v1, i0, i1)")
         parts.append(Edge(*e))
     return _check(tuple(vertices), tuple(parts))
 

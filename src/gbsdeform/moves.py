@@ -20,7 +20,7 @@ from math import gcd, isqrt
 from typing import ClassVar
 
 from .graphs import (_IDENT_RE, Edge, EdgeIndexedGraph, End, InvalidGraphError, Isomorphism,
-                     ParseError, _content_lines, index_str, parse_index)
+                     ParseError, _content_lines, _repr, index_str, parse_index)
 
 __all__ = [
     "IllegalMoveError",
@@ -57,7 +57,7 @@ class ScriptError(ParseError):
 def _as_end(end) -> End:
     """An ``End`` as it is, or one built from an (edge, side) tuple or list."""
     if not isinstance(end, (tuple, list)) or len(end) != 2:
-        raise IllegalMoveError(f"move end {end!r} is not an (edge, side) pair")
+        raise IllegalMoveError(f"move end {_repr(end)} is not an (edge, side) pair")
     return end if isinstance(end, End) else End(*end)
 
 
@@ -124,11 +124,11 @@ def _require_end(g: EdgeIndexedGraph, end: End) -> Edge:
     """The edge an end lies on, looked up once: callers read the end's vertex
     and index off it.  IllegalMoveError for a bad side or a missing edge."""
     if type(end.side) is not int or end.side not in (0, 1):
-        raise IllegalMoveError(f"end {end.edge}:{end.side} has a bad side")
+        raise IllegalMoveError(f"end {_repr(end.edge, str)}:{_repr(end.side, str)} has a bad side")
     try:
         return g.edge(end.edge)
     except InvalidGraphError:
-        raise IllegalMoveError(f"no edge {end.edge!r} in graph") from None
+        raise IllegalMoveError(f"no edge {_repr(end.edge)} in graph") from None
 
 
 def apply_move(g: EdgeIndexedGraph, m: Move) -> EdgeIndexedGraph:
@@ -139,7 +139,7 @@ def apply_move(g: EdgeIndexedGraph, m: Move) -> EdgeIndexedGraph:
         return _apply_expansion(g, m)
     if isinstance(m, Slide):
         return _apply_slide(g, m)
-    raise IllegalMoveError(f"unknown move {m!r}")
+    raise IllegalMoveError(f"unknown move {_repr(m)}")
 
 
 def _collapse_parts(g: EdgeIndexedGraph, m: Collapse) -> tuple[str, int, int]:
@@ -154,7 +154,7 @@ def _collapse_parts(g: EdgeIndexedGraph, m: Collapse) -> tuple[str, int, int]:
         dead, n_surv, eps = e.v0, e.i1, e.i0
     else:
         raise IllegalMoveError(
-            f"survivor {m.survivor!r} is not an endpoint of edge {m.edge!r}")
+            f"survivor {_repr(m.survivor)} is not an endpoint of edge {m.edge!r}")
     if abs(eps) != 1:
         raise IllegalMoveError(
             f"edge {m.edge!r} has index {index_str(eps)} at {dead!r}; collapse needs +1 or -1")
@@ -176,12 +176,12 @@ def _apply_collapse(g: EdgeIndexedGraph, m: Collapse) -> EdgeIndexedGraph:
 
 def _apply_expansion(g: EdgeIndexedGraph, m: Expansion) -> EdgeIndexedGraph:
     if type(m.n) is not int or m.n == 0:
-        raise IllegalMoveError(f"expansion factor {m.n!r} is not a nonzero integer")
+        raise IllegalMoveError(f"expansion factor {_repr(m.n)} is not a nonzero integer")
     for kind, name in (("vertex", m.new_vertex), ("edge", m.new_edge)):
-        if not _IDENT_RE.match(name):
-            raise IllegalMoveError(f"bad new {kind} identifier {name!r}")
+        if type(name) is not str or not _IDENT_RE.match(name):
+            raise IllegalMoveError(f"bad new {kind} identifier {_repr(name)}")
     if m.vertex not in g.vertices:
-        raise IllegalMoveError(f"no vertex {m.vertex!r} in graph")
+        raise IllegalMoveError(f"no vertex {_repr(m.vertex)} in graph")
     if m.new_vertex in g.vertices:
         raise IllegalMoveError(f"new vertex id {m.new_vertex!r} already in use")
     if g.has_edge(m.new_edge):
@@ -263,7 +263,7 @@ def transport_move(m: Move, iso: Isomorphism, target: EdgeIndexedGraph) -> Move:
         return Expansion(vertex=iso.vertex_map[m.vertex], n=m.n,
                          moved_ends=tuple(iso.end_map[e] for e in m.moved_ends),
                          new_vertex=_fresh_vertex_id(target), new_edge=_fresh_edge_id(target))
-    raise IllegalMoveError(f"unknown move {m!r}")
+    raise IllegalMoveError(f"unknown move {_repr(m)}")
 
 
 def enumerate_collapses(g: EdgeIndexedGraph) -> list[Collapse]:
@@ -423,7 +423,7 @@ def format_move(m: Move) -> str:
     if isinstance(m, Expansion):
         ends = "".join(f" {end}" for end in m.moved_ends)
         return f"expand {m.vertex} {index_str(m.n)}{ends} as {m.new_vertex} {m.new_edge}"
-    raise IllegalMoveError(f"unknown move {m!r}")
+    raise IllegalMoveError(f"unknown move {_repr(m)}")
 
 
 def parse_move(line: str, lineno: int | None = None) -> Move:

@@ -4,17 +4,18 @@
 range, optionally rejection-sampled until reduced or strongly slide-free.
 ``rigidity_trial`` is the experiment behind the uniqueness theorem for
 strongly slide-free graphs: scramble one with random legal moves, reduce,
-and demand the original back up to relabeling and sign flips.  A reproducible
-failing trial would falsify the move engine, not the theorem.
+and demand the original back up to relabeling and sign flips.  A trial's
+witness is its start graph and its moves, ``start`` and ``moves``; a
+reproducible failing trial would falsify the move engine, not the theorem.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .canonical import is_isomorphic
-from .graphs import Edge, EdgeIndexedGraph
+from .graphs import Edge, EdgeIndexedGraph, _repr
 from .moves import (
     ExpansionBounds,
     Move,
@@ -55,13 +56,13 @@ class RandomGraphSpec:
             raise ValueError("need at least one vertex")
         if self.num_edges < self.num_vertices - 1:
             raise GenerationError(
-                f"{self.num_vertices} vertices cannot be connected by "
-                f"{self.num_edges} edges")
+                f"{_repr(self.num_vertices)} vertices cannot be connected by "
+                f"{_repr(self.num_edges)} edges")
         lo, hi = self.index_range
         if not (1 <= lo <= hi):
             raise ValueError("index range must satisfy 1 <= lo <= hi")
         if self.require not in REQUIREMENTS:
-            raise ValueError(f"unknown requirement {self.require!r}")
+            raise ValueError(f"unknown requirement {_repr(self.require)}")
 
 
 def _rand_index(spec: RandomGraphSpec, rng: random.Random) -> int:
@@ -125,26 +126,21 @@ def random_legal_move(g: EdgeIndexedGraph, rng: random.Random,
 
 @dataclass
 class RigidityTrial:
-    """One trial: the start graph, the scramble, and the reduction outcome.
-
-    On failure the fields are the witness; replaying the moves from start
-    and reducing reproduces it exactly.
-    """
+    """One trial: whether it passed, and its witness, ``start`` and ``moves``;
+    replaying the moves from start and reducing reproduces the outcome exactly."""
 
     passed: bool
     start: EdgeIndexedGraph
     moves: tuple[Move, ...]
-    scrambled: EdgeIndexedGraph
-    reduced: EdgeIndexedGraph
 
 
-def rigidity_trial(spec: RandomGraphSpec, num_moves: int, seed: int,
-                   bounds: ExpansionBounds = ExpansionBounds(max_n=9)) -> RigidityTrial:
-    if spec.require != "strongly_slide_free":
-        spec = replace(spec, require="strongly_slide_free")
+def rigidity_trial(num_vertices: int, num_edges: int, num_moves: int,
+                   seed: int) -> RigidityTrial:
+    # Start indices are 2..9 in absolute value; expansion factors go up to 9.
+    spec = RandomGraphSpec(num_vertices, num_edges, (2, 9), "strongly_slide_free")
+    bounds = ExpansionBounds(max_n=9)
     rng = random.Random(seed)
-    start = random_graph_from_rng(spec, rng)
-    g = start
+    start = g = random_graph_from_rng(spec, rng)
     applied = []
     for _ in range(num_moves):
         move = random_legal_move(g, rng, bounds)
@@ -152,11 +148,4 @@ def rigidity_trial(spec: RandomGraphSpec, num_moves: int, seed: int,
             break
         g = apply_move(g, move)
         applied.append(move)
-    reduced, _ = reduce_graph(g)
-    return RigidityTrial(
-        passed=is_isomorphic(reduced, start),
-        start=start,
-        moves=tuple(applied),
-        scrambled=g,
-        reduced=reduced,
-    )
+    return RigidityTrial(is_isomorphic(reduce_graph(g)[0], start), start, tuple(applied))

@@ -7,8 +7,8 @@ import random
 import hypothesis.strategies as st
 
 from gbsdeform import (
-    Edge, EdgeIndexedGraph, ExpansionBounds, Move, enumerate_collapses, enumerate_expansions,
-    enumerate_slides, graph_from_parts, parse_graph,
+    Edge, EdgeIndexedGraph, ExampleParams, ExpansionBounds, Move, enumerate_collapses,
+    enumerate_expansions, enumerate_slides, free_edge_index, graph_from_parts, parse_graph,
 )
 
 X_TEXT = "vertex A\nvertex B\nedge l A A 30 5\nedge t A B 20 7\n"
@@ -18,6 +18,13 @@ Y_TEXT = "vertex A\nvertex B\nedge l B B 42 7\nedge t B A 63 5\n"
 def loop(i0: int, i1: int) -> EdgeIndexedGraph:
     """One vertex with one loop of indices (i0, i1)."""
     return parse_graph(f"vertex A\nedge e A A {i0} {i1}")
+
+
+def ladder_level(p: ExampleParams, k: int) -> EdgeIndexedGraph:
+    """Level k >= 0 of X's slide ladder (level 0 is X): the free edge has index
+    ``free_edge_index(p, k)`` at the loop vertex."""
+    return EdgeIndexedGraph(("A", "B"), (Edge("l", "A", "A", p.m * p.n * p.r, p.r),
+                                         Edge("t", "A", "B", free_edge_index(p, k), p.s)))
 
 
 def neighbor_moves(g: EdgeIndexedGraph, move_class: str, bounds: ExpansionBounds) -> list[Move]:

@@ -132,11 +132,7 @@ def test_acceptance_4_rigidity_fuzz(capsys):
     failures = []
     for seed in range(100):
         nv = 2 + seed % 4
-        ne = nv - 1 + seed % 2
-        spec = RandomGraphSpec(num_vertices=nv, num_edges=ne, index_range=(2, 9),
-                               require="strongly_slide_free")
-        trial = rigidity_trial(spec, num_moves=8, seed=seed,
-                               bounds=ExpansionBounds(max_n=9))
+        trial = rigidity_trial(nv, nv - 1 + seed % 2, num_moves=8, seed=seed)
         if trial.passed:
             passed += 1
         else:

@@ -30,7 +30,7 @@ from gbsdeform.counterexample import (
     verify_slide_ladder,
 )
 
-from strategies import X_TEXT, Y_TEXT, assert_valid, scramble
+from strategies import X_TEXT, Y_TEXT, assert_valid, ladder_level, scramble
 
 P = ExampleParams(2, 3, 5, 7)
 
@@ -51,18 +51,11 @@ def test_params_validation_and_flags():
 def test_example_graphs_instantiate_the_diagrams():
     assert example_graph("X", P) == parse_graph(X_TEXT)
     assert example_graph("Y", P) == parse_graph(Y_TEXT)
-    x1 = example_graph("Xk", P, 1)
-    assert x1.edge("t").i0 == 120
-    assert example_graph("Xk", P, 0) == example_graph("X", P)
-    with pytest.raises(ValueError, match="unknown example"):
-        example_graph("Z", P)
-
-
-@pytest.mark.parametrize("which", ["X", "Y"])
-@pytest.mark.parametrize("k", [3, -2, 1])
-def test_x_and_y_take_no_level(which, k):
-    with pytest.raises(ValueError, match=f"example graph '{which}' takes no level, got k={k}"):
-        example_graph(which, P, k)
+    assert ladder_level(P, 1).edge("t").i0 == 120
+    assert ladder_level(P, 0) == example_graph("X", P)
+    for which in ("Z", "Xk"):
+        with pytest.raises(ValueError, match=f"^unknown example graph '{which}'$"):
+            example_graph(which, P)
 
 
 def test_free_edge_index_formula():
@@ -70,8 +63,6 @@ def test_free_edge_index_formula():
     assert values == [20, 120, 720, 4320, 25920, 155520, 933120]
     with pytest.raises(ValueError, match="got k=-1"):
         free_edge_index(P, -1)
-    with pytest.raises(ValueError, match="got k=-2"):
-        example_graph("Xk", P, -2)
 
 
 def test_deformation_script_shape_and_tuples():
@@ -89,10 +80,13 @@ def test_deformation_script_shape_and_tuples():
 
 
 def test_deformation_mirrored_parameters():
-    report = replay_deformation(ExampleParams(3, 2, 7, 5))
+    p = ExampleParams(3, 2, 7, 5)
+    report = replay_deformation(p)
     assert report.endpoint_matches
-    assert is_isomorphic(report.graphs[-1],
-                         example_graph("Y", ExampleParams(3, 2, 7, 5)))
+    g = example_graph("X", p)
+    for move in report.moves:
+        g = apply_move(g, move)
+    assert is_isomorphic(g, example_graph("Y", p))
 
 
 @settings(max_examples=40, deadline=None)
@@ -159,11 +153,12 @@ def test_ladder_holds_across_parameters(mn, r, s):
 
 
 def test_example_graphs_meet_every_invariant():
-    # They are built unchecked from parameters that ExampleParams checked.
+    # They are built unchecked from parameters that ExampleParams checked;
+    # ladder_level builds the levels the same way.
     for mn, r, s in itertools.product(LADDER_MN, range(2, 6), range(2, 6)):
         p = ExampleParams(*mn, r, s)
         for g in [example_graph("X", p), example_graph("Y", p),
-                  *(example_graph("Xk", p, k) for k in (*range(6), 5600))]:
+                  *(ladder_level(p, k) for k in (*range(6), 5600))]:
             assert_valid(g)
 
 
@@ -175,7 +170,7 @@ def test_index_tuple_reads_breadth_first():
 
 def test_ladder_certs_are_distinct_levels():
     cert = verify_slide_ladder(P, 4)
-    graphs = [example_graph("Xk", P, k) for k in range(5)]
+    graphs = [ladder_level(P, k) for k in range(5)]
     byte_certs = {canonical_certificate(g) for g in graphs}
     assert len(byte_certs) == 5
     y_cert = canonical_certificate(example_graph("Y", P))
@@ -190,7 +185,7 @@ def test_ladder_keys_are_equal_exactly_when_certificates_are(mn):
     # exactly when, for every two graphs, equal keys go with equal bytes.
     for r, s in itertools.product(range(2, 6), repeat=2):
         p = ExampleParams(*mn, r, s)
-        levels = [example_graph("Xk", p, k) for k in range(32)]
+        levels = [ladder_level(p, k) for k in range(32)]
         graphs = levels + [example_graph("Y", p)]
         graphs += [apply_move(g, mv) for g in levels[:31] for mv in enumerate_slides(g)]
         keys = [canonical_form(g).key for g in graphs]
@@ -216,8 +211,8 @@ def test_ladder_shape_check_fires_on_a_wrong_slide(monkeypatch, wrong):
 def test_ladder_y_check_covers_levels_0_to_depth(monkeypatch, level, absent):
     real = counterexample.example_graph
 
-    def graph(which, p, k=0):
-        return real("Xk", p, level) if which == "Y" else real(which, p, k)
+    def graph(which, p):
+        return ladder_level(p, level) if which == "Y" else real(which, p)
 
     monkeypatch.setattr(counterexample, "example_graph", graph)
     cert = verify_slide_ladder(P, 6)
@@ -234,9 +229,9 @@ def test_ladder_writes_no_index_as_text(monkeypatch):
 
 def test_class_equality_writes_no_index_as_text(monkeypatch):
     # Level-5600 indices have thousands of digits; equality compares keys.
-    g = example_graph("Xk", P, 5600)
+    g = ladder_level(P, 5600)
     h = scramble(g, 3)
-    other = example_graph("Xk", P, 5599)
+    other = ladder_level(P, 5599)
 
     def text(x):
         raise AssertionError("an index was written as text")

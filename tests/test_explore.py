@@ -35,7 +35,8 @@ from gbsdeform.counterexample import ExampleParams, example_graph, verify_slide_
 from gbsdeform.cli import adjacency_dot, dump_visited, main
 
 from oracles import least_meeting_sum
-from strategies import X_TEXT, Y_TEXT, connected_graphs, loop, neighbor_moves, scramble
+from strategies import (X_TEXT, Y_TEXT, connected_graphs, ladder_level, loop, neighbor_moves,
+                        scramble)
 
 P = ExampleParams(2, 3, 5, 7)
 DEFORM_BUDGET = Budget(max_depth=4, max_nodes=100_000, max_abs_index=100,
@@ -56,7 +57,7 @@ def test_slide_class_is_a_ray_prefix(x):
     report = explore_class(x, "slide", Budget(max_depth=6, max_abs_index=10**7))
     assert len(report.members) == 7
     assert not report.closed
-    ladder_certs = [canonical_certificate(example_graph("Xk", P, k)) for k in range(7)]
+    ladder_certs = [canonical_certificate(ladder_level(P, k)) for k in range(7)]
     assert list(report.members) == ladder_certs
     degrees = sorted(len(report.adjacency[c]) for c in report.members)
     assert degrees == [1, 1, 2, 2, 2, 2, 2]
@@ -64,7 +65,7 @@ def test_slide_class_is_a_ray_prefix(x):
 
 def test_slide_depths_follow_the_ladder(x):
     report = explore_class(x, "slide", Budget(max_depth=3, max_abs_index=10**6))
-    ladder_certs = [canonical_certificate(example_graph("Xk", P, k)) for k in range(4)]
+    ladder_certs = [canonical_certificate(ladder_level(P, k)) for k in range(4)]
     assert report.depths == {cert: k for k, cert in enumerate(ladder_certs)}
     assert list(report.depths) == ladder_certs
 

@@ -5,19 +5,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbsdeform import (
+    Collapse,
     Edge,
     EdgeIndexedGraph,
     End,
+    ExampleParams,
     Expansion,
+    GenerationError,
+    IllegalMoveError,
     InvalidGraphError,
+    LadderHypothesisError,
     ParseError,
+    RandomGraphSpec,
+    Slide,
     apply_move,
     betti_number,
     canonical_certificate,
     dot_export,
     graph_from_parts,
+    free_edge_index,
     parse_graph,
     serialize_graph,
+    verify_slide_ladder,
 )
 
 from strategies import X_TEXT, assert_valid, connected_graphs, flip_signs, scramble, sign_flips
@@ -204,6 +213,39 @@ def test_constructor_rejects_empty():
 def test_graph_from_parts_rejects_malformed_input(vertices, edges, match):
     with pytest.raises(InvalidGraphError, match=match):
         graph_from_parts(vertices, edges)
+
+
+BIG = 10 ** 5000     # past CPython's default int<->str limit of 4,300 digits
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: verify_slide_ladder(ExampleParams(BIG, 2 * BIG, 5, 7), 2), LadderHypothesisError),
+    (lambda: verify_slide_ladder(ExampleParams(2, 3, 5, 7), -BIG), ValueError),
+    (lambda: free_edge_index(ExampleParams(2, 3, 5, 7), -BIG), ValueError),
+    (lambda: RandomGraphSpec(BIG, 0), GenerationError),
+    (lambda: RandomGraphSpec(2, 1, require=BIG), ValueError),
+    (lambda: graph_from_parts([BIG], []), InvalidGraphError),
+    (lambda: graph_from_parts(["A"], [(BIG, "A", "A", 2, 3)]), InvalidGraphError),
+    (lambda: graph_from_parts(["A"], [("e", "A", BIG, 2, 3)]), InvalidGraphError),
+    (lambda: graph_from_parts(["A"], [("e", "A", "A", 2, 3, BIG)]), InvalidGraphError),
+    (lambda: apply_move(parse_graph(X_TEXT), Slide(End("t", BIG), End("l", 0))), IllegalMoveError),
+    (lambda: apply_move(parse_graph(X_TEXT), Slide(End(BIG, 2), End("l", 0))), IllegalMoveError),
+    (lambda: Slide(("t", 0, BIG), ("l", 0)), IllegalMoveError),
+    (lambda: apply_move(parse_graph(X_TEXT), Collapse(BIG, "A")), IllegalMoveError),
+    (lambda: apply_move(parse_graph(X_TEXT), Collapse("t", BIG)), IllegalMoveError),
+    (lambda: apply_move(parse_graph(X_TEXT), Expansion(BIG, 2, (), "Q", "d")), IllegalMoveError),
+    (lambda: apply_move(parse_graph(X_TEXT), Expansion("A", 2, (), BIG, "d")), IllegalMoveError),
+    (lambda: apply_move(parse_graph(X_TEXT), BIG), IllegalMoveError),
+], ids=["ladder-hypothesis", "ladder-depth", "ladder-level", "spec-vertices", "spec-requirement",
+        "vertex", "edge-id", "endpoint", "edge-entry", "slide-side", "slide-edge-and-side",
+        "move-end", "collapse-edge", "collapse-survivor", "expansion-vertex",
+        "expansion-new-vertex", "unknown-move"])
+def test_an_error_message_writes_out_an_integer_past_the_digit_limit(make, error):
+    # repr and str refuse such an integer with a plain ValueError; the message
+    # writes it out instead and the error keeps its class.
+    with pytest.raises(error) as info:
+        make()
+    assert "1" + "0" * 5000 in str(info.value)
 
 
 def test_graph_from_parts_takes_a_graphs_own_edges():

@@ -36,11 +36,11 @@ from gbsdeform import (
     parse_script,
     reduce_graph,
 )
-from gbsdeform.counterexample import ExampleParams, example_graph
+from gbsdeform.counterexample import ExampleParams
 from gbsdeform.moves import transport_move
 
-from strategies import (X_TEXT, Y_TEXT, assert_valid, connected_graphs, neighbor_moves,
-                        scramble)
+from strategies import (X_TEXT, Y_TEXT, assert_valid, connected_graphs, ladder_level,
+                        neighbor_moves, scramble)
 
 P = ExampleParams(2, 3, 5, 7)
 BOUNDS = ExpansionBounds(max_n=10, max_subset_size=3)
@@ -119,6 +119,8 @@ def test_collapse_negative_unit_end():
     (Slide(End("t", False), End("l", 1)), "bad side"),
     (Slide(End("zz", 0), End("t", 0)), "no edge 'zz'"),
     (Expansion("A", 2, (End("zz", 0),), "Q", "d"), "no edge 'zz'"),
+    (Expansion("A", 2, (), 5, "d"), "^bad new vertex identifier 5$"),
+    (Expansion("A", 2, (), "Q", None), "^bad new edge identifier None$"),
 ])
 def test_illegal_moves_are_rejected(x, move, match):
     with pytest.raises(IllegalMoveError, match=match):
@@ -228,7 +230,7 @@ def test_invert_rejects_illegal(x):
 
 def test_enumerate_slides_on_ladder_levels(x):
     assert enumerate_slides(x) == [Slide(End("t", 0), End("l", 1))]
-    x1 = example_graph("Xk", P, 1)
+    x1 = ladder_level(P, 1)
     slides = enumerate_slides(x1)
     assert len(slides) == 2
     results = {apply_move(x1, mv).edge("t").i0 for mv in slides}

@@ -1,13 +1,18 @@
+import hashlib
+
 import pytest
 
 from gbsdeform import (
-    ExpansionBounds,
     GenerationError,
     RandomGraphSpec,
     analyze,
+    apply_move,
     betti_number,
+    format_script,
     random_graph,
+    reduce_graph,
     rigidity_trial,
+    serialize_graph,
 )
 
 from strategies import assert_valid
@@ -71,40 +76,54 @@ def test_spec_rejects_bad_fields(kwargs, message):
 
 def test_rigidity_trial_on_a_point_stops_at_once():
     # A point has no legal move, so the trial applies none and still passes.
-    trial = rigidity_trial(RandomGraphSpec(1, 0, require="strongly_slide_free"), 3, 0)
+    trial = rigidity_trial(1, 0, 3, 0)
     assert trial.passed
     assert trial.moves == ()
-    assert trial.start == trial.scrambled == trial.reduced
+    assert trial.start == random_graph(RandomGraphSpec(1, 0), 0)
 
 
 def test_rigidity_trials_pass_and_replay():
     for seed in range(30):
         nv = 2 + seed % 4
-        spec = RandomGraphSpec(num_vertices=nv, num_edges=nv - 1 + seed % 2,
-                               index_range=(2, 9), require="strongly_slide_free")
-        trial = rigidity_trial(spec, num_moves=8, seed=seed,
-                               bounds=ExpansionBounds(max_n=9))
+        trial = rigidity_trial(nv, nv - 1 + seed % 2, num_moves=8, seed=seed)
         assert trial.passed, (seed, trial.start, trial.moves)
-        for g in (trial.start, trial.scrambled, trial.reduced):   # reduced: reduce_graph's output
+        # The witness replays: the moves from start, then reduce_graph's output.
+        scrambled = trial.start
+        for move in trial.moves:
+            scrambled = apply_move(scrambled, move)
+        for g in (trial.start, scrambled, reduce_graph(scrambled)[0]):
             assert_valid(g)
-        again = rigidity_trial(spec, num_moves=8, seed=seed,
-                               bounds=ExpansionBounds(max_n=9))
+        again = rigidity_trial(nv, nv - 1 + seed % 2, num_moves=8, seed=seed)
         assert again.moves == trial.moves
         assert again.start == trial.start
 
 
 def test_rigidity_trial_zero_moves():
-    spec = RandomGraphSpec(num_vertices=3, num_edges=3, index_range=(2, 9),
-                           require="strongly_slide_free")
-    trial = rigidity_trial(spec, num_moves=0, seed=5)
+    trial = rigidity_trial(3, 3, num_moves=0, seed=5)
     assert trial.passed
     assert trial.moves == ()
-    assert trial.reduced == trial.start
+    assert reduce_graph(trial.start) == (trial.start, ())
 
 
 def test_rigidity_start_is_reduced_and_slide_free():
-    spec = RandomGraphSpec(num_vertices=4, num_edges=4, index_range=(2, 9))
-    trial = rigidity_trial(spec, num_moves=2, seed=9)
+    trial = rigidity_trial(4, 4, num_moves=2, seed=9)
     report = analyze(trial.start)
     assert report.strongly_slide_free
     assert report.reduced
+    assert all(2 <= abs(e.i0) <= 9 and 2 <= abs(e.i1) <= 9 for e in trial.start.edges)
+
+
+# The start graph and move script of 200 trials of `scripts/rigidity_sweep.py
+# --seed 0 --moves 12 --max-vertices 5`, as .gbs text and move-script text.
+RIGIDITY_SHA256 = "e2b1fd573e096b985664c255cea7016d2f6cdf1f9fbdfa29e07f8a70c799567c"
+
+
+def test_the_rigidity_trial_stream_is_pinned():
+    digest = hashlib.sha256()
+    for seed in range(200):
+        nv = 2 + seed % 4
+        trial = rigidity_trial(nv, nv - 1 + seed % 2, num_moves=12, seed=seed)
+        assert trial.passed, seed
+        digest.update(serialize_graph(trial.start).encode())
+        digest.update(format_script(trial.moves).encode())
+    assert digest.hexdigest() == RIGIDITY_SHA256

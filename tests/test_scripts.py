@@ -103,13 +103,6 @@ def test_rigidity_sweep_rejects_a_negative_move_count():
     assert "--moves must be at least 0" in proc.stderr
 
 
-def test_rigidity_sweep_rejects_a_negative_expansion_bound():
-    proc = run_script("rigidity_sweep.py", "--trials", "3", "--max-n", "-5")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "--max-n must be at least 0" in proc.stderr
-
-
 def test_rigidity_sweep_exits_1_on_a_failed_trial(monkeypatch, capsys):
     script = load_script("rigidity_sweep.py")
     real = script.rigidity_trial
