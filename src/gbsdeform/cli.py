@@ -10,6 +10,7 @@ and seeds.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .canonical import SizeCapError, canonical_certificate
@@ -75,14 +76,23 @@ def _write(path: str, text: str) -> None:
         raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
+def _int(text: str) -> int:
+    """An integer flag's value, as ``int`` reads it; a text ``int`` refuses only for
+    its length goes through ``decimal``, as ``parse_index`` does."""
+    try:
+        return int(text)
+    except ValueError:
+        if not re.match(r"\s*[+-]?\d+(_\d+)*\s*\Z", text):    # int's base-10 grammar
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        from decimal import Decimal
+        return int(Decimal(text))
+
+
 def _count(text: str) -> int:
     """A count flag's value: an integer that is at least 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {index_str(value)}")
     return value
 
 
@@ -159,16 +169,16 @@ def build_parser() -> _Parser:
     sub.add_argument("--min-index", type=_count, default=2)
     sub.add_argument("--max-index", type=_count, default=9)
     sub.add_argument("--require", choices=REQUIREMENTS, default="none")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_int, default=0)
 
     sub = subs.add_parser("paper-example",
                           help="build the X/Y family, replay the deformation, "
                                "certify the slide ladder")
     sub.set_defaults(run=_cmd_paper_example)
-    sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--r", type=int, required=True)
-    sub.add_argument("--s", type=int, required=True)
+    sub.add_argument("--m", type=_int, required=True)
+    sub.add_argument("--n", type=_int, required=True)
+    sub.add_argument("--r", type=_int, required=True)
+    sub.add_argument("--s", type=_int, required=True)
     sub.add_argument("--ladder-depth", type=_count, default=6)
     sub.add_argument("--emit-x", help="write X in .gbs form here")
     sub.add_argument("--emit-y", help="write Y in .gbs form here")

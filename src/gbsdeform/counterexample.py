@@ -45,7 +45,7 @@ class LadderHypothesisError(ValueError):
     """The ladder certificate needs m and n to not divide each other."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExampleParams:
     m: int
     n: int
@@ -109,7 +109,7 @@ def deformation_moves(p: ExampleParams) -> tuple[Move, ...]:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class DeformationReport:
     moves: tuple[Move, ...]
     index_tuples: tuple[tuple[int, ...], ...]
@@ -168,13 +168,13 @@ def index_tuple(g: EdgeIndexedGraph) -> tuple[int, ...]:
     return tuple(x for (_, pair, _) in keyed for x in pair)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LadderLevel:
     index: int
     move_count: int
 
 
-@dataclass
+@dataclass(slots=True)
 class LadderCertificate:
     """Machine-checked: to the given depth, the slide class of X is the path
     X_0 - X_1 - ... with the predicted indices, and Y is on no level.

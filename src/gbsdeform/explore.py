@@ -53,7 +53,7 @@ MOVE_CLASSES = ("slide", "deform")
 Name = int | bytes                  # a class's name within one search (``_Names``)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Budget:
     max_depth: int = 4
     max_nodes: int = 100_000
@@ -73,7 +73,7 @@ def _kinds(move_class: str, bounds: ExpansionBounds) -> tuple[tuple, ...]:
             (Expansion.vertex_shift, lambda g: enumerate_expansions(g, bounds)))
 
 
-@dataclass
+@dataclass(slots=True)
 class ExplorationReport:
     members: dict[bytes, EdgeIndexedGraph]
     depths: dict[bytes, int]
@@ -87,19 +87,20 @@ class _Names:
     certificate of a graph whose bucket's first graph is of another class."""
 
     def __init__(self) -> None:
-        self.memo: dict[tuple, Name] = {}           # shape -> name
-        self.buckets: dict[int, list] = {}          # hash -> [first graph, its cert or None]
+        self.memo: dict[tuple, Name] = {}                   # shape -> name
+        self.firsts: dict[int, EdgeIndexedGraph] = {}       # hash -> its bucket's first graph
+        self.certs: dict[int, bytes] = {}                   # hash -> that graph's cert, once built
 
     def __call__(self, g: EdgeIndexedGraph) -> Name:
         """g's name, from the memo when a graph of g's shape was met."""
         key = g.shape()
         if key not in self.memo:
             name = hash(class_invariant(g))
-            first = self.buckets.setdefault(name, [g, None])
-            if first[0] is not g:       # a bucket hit: the certificates decide
-                first[1] = first[1] or canonical_certificate(first[0])
+            first = self.firsts.setdefault(name, g)
+            if first is not g:          # a bucket hit: the certificates decide
+                self.certs[name] = self.certs.get(name) or canonical_certificate(first)
                 cert = canonical_certificate(g)
-                name = name if cert == first[1] else cert
+                name = name if cert == self.certs[name] else cert
             self.memo[key] = name
         return self.memo[key]
 
@@ -118,7 +119,7 @@ class _Side:
         self.frontier: list[Name] = [self.root]
         self.depth = 0
         self.caps: set[str] = set()     # "index", "size", "node": caps that bound the side
-        self.parked: list[tuple] = []   # last-layer (parent name, parent, enumerator)
+        self.parked: list[Name] = []    # last layer's frontier, whose waiting kinds drain builds
 
     @property
     def closed(self) -> bool:
@@ -139,28 +140,32 @@ class _Side:
         ``decide_equivalence`` builds each side with the other root's vertex
         count as its ``size``.  In the layer at the depth bound a step can meet
         only the other root, so of a parent's move kinds only the one whose
-        vertex shift reaches ``size`` is built; each other kind is parked
-        unbuilt, for ``drain``."""
+        vertex shift reaches ``size`` is built; the layer's parents are parked
+        by name, and the other kinds wait unbuilt for ``drain``."""
         if len(self.visited) > self.budget.max_nodes:
             self.caps.add("node")
             return
         frontier, self.frontier, self.depth = self.frontier, [], self.depth + 1
-        size = self.size if self.depth == self.budget.max_depth else None
-        for name_u in frontier:
-            gu = self.visited[name_u][0]
-            for shift, enumerate_kind in self.kinds:
-                if size is not None and len(gu.vertices) + shift != size:
-                    self.parked.append((name_u, gu, enumerate_kind))
-                    continue
-                for move in enumerate_kind(gu):
-                    yield name_u, gu, move
+        if self.size is not None and self.depth == self.budget.max_depth:
+            self.parked = frontier
+        yield from self._steps(frontier, waiting=False)
 
     def drain(self) -> Iterator[tuple]:
-        """The parked kinds' steps, built in the order they were parked."""
+        """The waiting kinds' steps, in the order ``advance`` would have built them."""
         parked, self.parked = self.parked, []
-        for name_u, gu, enumerate_kind in parked:
-            for move in enumerate_kind(gu):
-                yield name_u, gu, move
+        return self._steps(parked, waiting=True)
+
+    def _steps(self, parents: list[Name], waiting: bool) -> Iterator[tuple]:
+        """(parent name, parent, move), parent by parent and kinds in order, of the
+        kinds that wait (``waiting``) or of those that do not.  The one test: in the
+        layer at the depth bound, a kind whose vertex shift misses ``size`` waits."""
+        last = self.size is not None and self.depth == self.budget.max_depth
+        for name_u in parents:
+            gu = self.visited[name_u][0]
+            for shift, enumerate_kind in self.kinds:
+                if (last and len(gu.vertices) + shift != self.size) == waiting:
+                    for move in enumerate_kind(gu):
+                        yield name_u, gu, move
 
     def grow(self, steps: Iterable[tuple]) -> Iterator[tuple]:
         """Apply steps at ``depth``; yield (parent, name) per uncapped result."""
@@ -208,7 +213,7 @@ def explore_class(g: EdgeIndexedGraph, move_class: str, budget: Budget) -> Explo
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     kind: str                       # equivalent | distinct | unknown
     path: tuple[Move, ...] | None = None

@@ -148,8 +148,8 @@ class EdgeIndexedGraph:
     and parallel edges are permitted.  The constructor checks nothing; build
     graphs from outside data with ``graph_from_parts``.  A graph keeps no
     cache: ``edge`` and ``has_edge`` scan the edges, and ``end_table``, the
-    one per-vertex table of ends, and ``shape`` are built on each call and
-    kept by nothing.
+    one per-vertex table of ends, and ``shape``, one flat tuple, are built on
+    each call and kept by nothing.
     """
 
     vertices: tuple[str, ...]
@@ -180,11 +180,12 @@ class EdgeIndexedGraph:
             table[v1].append((eid, 1, i1))
         return table
 
-    def shape(self) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
-        """(vertex count, sorted edge tuples): the graph relabeled, ids dropped.
-        Vertices rank by their sorted (near index, far index, is loop) ends, ties
-        by id; an edge is (rank a, rank b, index at a, index at b), a <= b and a
-        loop's smaller index first.  Equal shapes share a certificate."""
+    def shape(self) -> tuple[int, ...]:
+        """(vertex count, a, b, i, j, a, b, i, j, ...), the sorted edge tuples laid
+        flat in one tuple: the graph relabeled, ids dropped.  Vertices rank by their
+        sorted (near index, far index, is loop) ends, ties by id; an edge (a, b, i, j)
+        is (rank a, rank b, index at a, index at b), a <= b and a loop's smaller index
+        first, and gives exactly 4 entries.  Equal shapes share a certificate."""
         ends: dict[str, list[tuple[int, int, bool]]] = {v: [] for v in self.vertices}
         for _, v0, v1, i0, i1 in self.edges:
             ends[v0].append((i0, i1, v0 == v1))
@@ -197,7 +198,7 @@ class EdgeIndexedGraph:
         for _, v0, v1, i, j in self.edges:
             a, b = rank[v0], rank[v1]
             tuples.append((a, b, i, j) if (a, i) <= (b, j) else (b, a, j, i))
-        return len(self.vertices), tuple(sorted(tuples))
+        return (len(self.vertices), *[x for edge in sorted(tuples) for x in edge])
 
     def ends_at(self, v: str) -> tuple[End, ...]:
         if v not in self.vertices:
@@ -208,7 +209,7 @@ class EdgeIndexedGraph:
         return max((max(abs(i0), abs(i1)) for _, _, _, i0, i1 in self.edges), default=0)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Isomorphism:
     """An equivalence witness g1 -> g2: vertex, edge and end correspondences."""
 

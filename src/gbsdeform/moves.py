@@ -61,14 +61,14 @@ def _as_end(end) -> End:
     return end if isinstance(end, End) else End(*end)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Collapse:
     vertex_shift: ClassVar[int] = -1    # change in vertex count: the absorbed vertex goes
     edge: str
     survivor: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Expansion:
     vertex_shift: ClassVar[int] = 1     # change in vertex count: new_vertex comes
     vertex: str
@@ -81,7 +81,7 @@ class Expansion:
         object.__setattr__(self, "moved_ends", tuple(sorted(set(map(_as_end, self.moved_ends)))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slide:
     vertex_shift: ClassVar[int] = 0
     moving_end: End
@@ -97,7 +97,7 @@ class Slide:
 Move = Collapse | Expansion | Slide
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpansionBounds:
     """Enumeration bounds: factors 2..max_n, moved subsets up to the size cap."""
 
@@ -169,7 +169,7 @@ def _apply_collapse(g: EdgeIndexedGraph, m: Collapse) -> EdgeIndexedGraph:
             continue
         v0, i0 = (m.survivor, n_surv * f.i0 * eps) if f.v0 == dead else (f.v0, f.i0)
         v1, i1 = (m.survivor, n_surv * f.i1 * eps) if f.v1 == dead else (f.v1, f.i1)
-        new_edges.append(Edge(f.eid, v0, v1, i0, i1))
+        new_edges.append(f if dead not in (f.v0, f.v1) else Edge(f.eid, v0, v1, i0, i1))
     vertices = tuple(v for v in g.vertices if v != dead)
     return EdgeIndexedGraph(vertices, tuple(new_edges))
 
@@ -199,11 +199,11 @@ def _apply_expansion(g: EdgeIndexedGraph, m: Expansion) -> EdgeIndexedGraph:
                 f"index {index_str(idx)} at end {end} is not divisible by {index_str(m.n)}")
         moved.setdefault(end.edge, {})[end.side] = quotient
     new_edges = []
-    for eid, v0, v1, i0, i1 in g.edges:
-        sides = moved.get(eid, ())
-        v0, i0 = (m.new_vertex, sides[0]) if 0 in sides else (v0, i0)
-        v1, i1 = (m.new_vertex, sides[1]) if 1 in sides else (v1, i1)
-        new_edges.append(Edge(eid, v0, v1, i0, i1))
+    for e in g.edges:
+        sides = moved.get(e.eid, ())
+        v0, i0 = (m.new_vertex, sides[0]) if 0 in sides else (e.v0, e.i0)
+        v1, i1 = (m.new_vertex, sides[1]) if 1 in sides else (e.v1, e.i1)
+        new_edges.append(Edge(e.eid, v0, v1, i0, i1) if sides else e)
     new_edges.append(Edge(m.new_edge, m.vertex, m.new_vertex, m.n, 1))
     return EdgeIndexedGraph(g.vertices + (m.new_vertex,), tuple(new_edges))
 
@@ -335,7 +335,7 @@ def _factors(d: int, max_n: int) -> list[int]:
     return low + high[::-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredicateReport:
     """Structural verdicts for one graph.
 

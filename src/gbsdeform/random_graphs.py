@@ -44,7 +44,7 @@ class GenerationError(ValueError):
     """The sampler could not satisfy the spec within its retry budget."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RandomGraphSpec:
     num_vertices: int
     num_edges: int
@@ -124,7 +124,7 @@ def random_legal_move(g: EdgeIndexedGraph, rng: random.Random,
     return chosen[rng.randrange(len(chosen))]
 
 
-@dataclass
+@dataclass(slots=True)
 class RigidityTrial:
     """One trial: whether it passed, and its witness, ``start`` and ``moves``;
     replaying the moves from start and reducing reproduces the outcome exactly."""

@@ -10,11 +10,15 @@ from gbsdeform import (
     apply_move,
     canonical_certificate,
     dot_export,
+    RandomGraphSpec,
     example_graph,
+    index_str,
     is_isomorphic,
     parse_graph,
     parse_move,
+    random_graph,
     reduce_graph,
+    replay_deformation,
     serialize_graph,
 )
 from gbsdeform.cli import _budget, build_parser, main
@@ -426,6 +430,51 @@ def test_paper_example_rejects_a_negative_ladder_depth(capsys, tmp_path):
     assert out == ""
     assert err == "error: argument --ladder-depth: must be at least 0, got -3\n"
     assert not x_out.exists()
+
+
+# CPython's int() refuses a text past 4,300 digits; an integer flag still reads
+# it, as a graph file reads an index.
+BIG_TEXT, BIG = "2" + "0" * 5000, 2 * 10**5000
+
+
+def test_paper_example_takes_parameters_past_the_digit_limit(capsys):
+    code, out, err = run(capsys, "paper-example", "--m", BIG_TEXT, "--n", "3", "--r", "5",
+                         "--s", "7", "--ladder-depth", "1")
+    assert (code, err) == (0, "")
+    report = replay_deformation(ExampleParams(BIG, 3, 5, 7))
+    for i, indices in enumerate(report.index_tuples):
+        assert f"indices {i}: {' '.join(map(index_str, indices))}\n" in out
+    assert "endpoint_matches: true\n" in out and "shape_ok: true\n" in out
+
+
+def test_random_takes_a_seed_past_the_digit_limit(capsys):
+    code, out, err = run(capsys, "random", "--vertices", "3", "--edges", "4", "--seed", BIG_TEXT)
+    assert (code, err) == (0, "")
+    assert out == serialize_graph(random_graph(RandomGraphSpec(3, 4), BIG))
+
+
+def test_equiv_takes_an_index_cap_past_the_digit_limit(capsys, x_file):
+    args = build_parser().parse_args(["equiv", "--max-index", BIG_TEXT, x_file, x_file])
+    assert _budget(args).max_abs_index == BIG
+    assert run(capsys, "equiv", "--max-index", BIG_TEXT, x_file, x_file)[0] == 0
+
+
+@pytest.mark.parametrize("text, value", [
+    ("-3", -3), (" +1_2 ", 12), ("007", 7), (f" +{BIG_TEXT[:2]}_{BIG_TEXT[2:]} ", BIG),
+], ids=["negative", "sign-and-underscore", "leading-zeros", "long"])
+def test_an_integer_flag_reads_what_int_reads_at_any_length(text, value):
+    assert build_parser().parse_args(["random", "--vertices", "1", "--edges", "0",
+                                      "--seed", text]).seed == value
+
+
+@pytest.mark.parametrize("text", [
+    "1e5", "1.5", "NaN", BIG_TEXT + "e5", BIG_TEXT + ".5", BIG_TEXT + "_", "0x" + BIG_TEXT,
+], ids=["exponent", "fraction", "nan", "long-exponent", "long-fraction", "long-underscore",
+        "long-hex"])
+def test_an_integer_flag_rejects_a_non_integer_form_at_any_length(capsys, text):
+    code, out, err = run(capsys, "paper-example", "--m", text, "--n", "3", "--r", "5",
+                         "--s", "7")
+    assert (code, out, err) == (64, "", f"error: argument --m: invalid int value: {text!r}\n")
 
 
 def test_usage_errors(capsys):

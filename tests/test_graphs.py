@@ -121,7 +121,7 @@ def test_a_renaming_that_keeps_the_ids_order_keeps_the_shape(g):
 
 def test_loops_whose_index_signs_differ_have_different_shapes():
     g, h = (graph_from_parts(["A"], [("l", "A", "A", 2, i)]) for i in (3, -3))
-    assert g.shape() == (1, ((0, 0, 2, 3),)) and h.shape() == (1, ((0, 0, -3, 2),))
+    assert g.shape() == (1, 0, 0, 2, 3) and h.shape() == (1, 0, 0, -3, 2)
     assert canonical_certificate(g) != canonical_certificate(h)
 
 

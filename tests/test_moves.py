@@ -380,6 +380,25 @@ def test_move_conservation_and_round_trip(g):
     assert is_isomorphic(back, g)
 
 
+@settings(max_examples=80, deadline=None)
+@given(connected_graphs(max_vertices=5, max_extra_edges=2))
+def test_a_move_keeps_each_edge_it_leaves_unchanged_as_the_same_object(g):
+    # Graphs a search keeps share the edges their moves did not touch: a
+    # collapse's edges away from the absorbed vertex, an expansion's edges
+    # with no moved end, and every edge of a slide but the moving one.
+    for move in neighbor_moves(g, "deform", ExpansionBounds(max_n=9)):
+        if isinstance(move, Collapse):
+            e = g.edge(move.edge)
+            dead = e.v1 if move.survivor == e.v0 else e.v0
+            kept = [f for f in g.edges if dead not in (f.v0, f.v1)]
+        elif isinstance(move, Expansion):
+            kept = [f for f in g.edges if f.eid not in {end.edge for end in move.moved_ends}]
+        else:
+            kept = [f for f in g.edges if f.eid != move.moving_end.edge]
+        h = apply_move(g, move)
+        assert all(any(f is k for k in h.edges) for f in kept), move
+
+
 @settings(max_examples=60, deadline=None)
 @given(connected_graphs(max_vertices=4, max_extra_edges=2), st.integers(0, 2**32))
 def test_transported_moves_apply_across_an_isomorphism(g, seed):

@@ -155,6 +155,19 @@ def test_every_public_field_is_read_outside_its_definition():
     assert unread == UNREAD_FIELDS
 
 
+def test_every_dataclass_is_slotted():
+    # A search stores thousands of moves and the ladder thousands of levels;
+    # a slotted record carries no per-instance __dict__.
+    classes = [getattr(importlib.import_module(f"gbsdeform.{path.stem}"), node.name)
+               for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef) and any(
+                   "dataclass" in ast.unparse(decorator) for decorator in node.decorator_list)]
+    assert classes
+    for cls in classes:
+        assert "__slots__" in vars(cls), cls
+        assert not hasattr(object.__new__(cls), "__dict__"), cls
+
+
 def test_every_python_block_of_the_readme_runs():
     # Each block runs in a fresh namespace, compiled at its README line numbers.
     text = (ROOT / "README.md").read_text()
