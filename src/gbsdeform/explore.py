@@ -7,9 +7,11 @@ its frontier emptied and no cap fired; only then is it the whole class.  Each
 search keeps one ``_Names`` for both of its sides, freed when it returns.
 
 ``decide_equivalence`` first asks ``invariants.refute``, whose reasons rest on
-an ``invariant``, then grows two sides, smaller frontier first.  A side's last
-layer can meet only the other root, so the move kinds that cannot reach its
-vertex count wait until the search has found no meeting.  The move classes:
+an ``invariant``, then grows two sides, smaller frontier first.  A move shifts
+the vertex count by at most 1, so a result at depth k whose count is more than
+``max_depth - k`` from the other root's can meet nothing within the depth
+bound, nor can any class reached through it: the move kind that would build it
+waits until the search has found no meeting.  The move classes:
 
   slide   - slide moves only; enumeration is complete, so a closed side
             decides distinctness on its own: the class is ``exhausted``.
@@ -33,7 +35,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .canonical import SizeCapError, canonical_certificate, class_invariant, graph_isomorphism
-from .graphs import EdgeIndexedGraph
+from .graphs import EdgeIndexedGraph, _repr, _require_counts
 from .invariants import refute
 from .moves import (
     Collapse, Expansion, ExpansionBounds, Move, Slide, apply_move, enumerate_collapses,
@@ -59,6 +61,11 @@ class Budget:
     max_nodes: int = 100_000
     max_abs_index: int = 1_000_000
     expansion: ExpansionBounds = ExpansionBounds()
+
+    def __post_init__(self) -> None:
+        _require_counts(self, "max_depth", "max_nodes", "max_abs_index")
+        if not isinstance(self.expansion, ExpansionBounds):
+            raise ValueError(f"expansion must be an ExpansionBounds, got {_repr(self.expansion)}")
 
 
 def _kinds(move_class: str, bounds: ExpansionBounds) -> tuple[tuple, ...]:
@@ -118,12 +125,16 @@ class _Side:
             self.root: (g, 0, None, None)}
         self.frontier: list[Name] = [self.root]
         self.depth = 0
-        self.caps: set[str] = set()     # "index", "size", "node": caps that bound the side
-        self.parked: list[Name] = []    # last layer's frontier, whose waiting kinds drain builds
+        self.capped: set[tuple[str, int]] = set()   # (cap, the layer it bounded)
+
+    @property
+    def caps(self) -> set[str]:
+        """"index", "size", "node": the caps that bound the side."""
+        return {cap for cap, _ in self.capped}
 
     @property
     def closed(self) -> bool:
-        return not self.frontier and not self.caps
+        return not self.frontier and not self.capped
 
     @property
     def growing(self) -> bool:
@@ -133,37 +144,46 @@ class _Side:
                 and "node" not in self.caps)
 
     def advance(self) -> Iterator[tuple]:
-        """The next layer's steps (parent name, parent, move), lazily.  A side
-        holding more than ``max_nodes`` classes refuses the layer: it records
-        ``"node"`` and yields nothing.
-
-        ``decide_equivalence`` builds each side with the other root's vertex
-        count as its ``size``.  In the layer at the depth bound a step can meet
-        only the other root, so of a parent's move kinds only the one whose
-        vertex shift reaches ``size`` is built; the layer's parents are parked
-        by name, and the other kinds wait unbuilt for ``drain``."""
+        """The next layer's steps (parent name, parent, move), lazily, or none if the
+        side holds more than ``max_nodes`` classes: it records ``"node"``.  A step
+        into layer k whose result's vertex count is more than ``max_depth - k`` from
+        ``size``, the other root's, waits for ``drain``: a move shifts the count by
+        at most 1, so no class the other side holds within the depth left is that far."""
         if len(self.visited) > self.budget.max_nodes:
-            self.caps.add("node")
+            self.capped.add(("node", self.depth + 1))
             return
         frontier, self.frontier, self.depth = self.frontier, [], self.depth + 1
-        if self.size is not None and self.depth == self.budget.max_depth:
-            self.parked = frontier
         yield from self._steps(frontier, waiting=False)
 
-    def drain(self) -> Iterator[tuple]:
-        """The waiting kinds' steps, in the order ``advance`` would have built them."""
-        parked, self.parked = self.parked, []
-        return self._steps(parked, waiting=True)
+    def drain(self) -> None:
+        """Once no meeting is found, run the waiting steps layer by layer, from
+        every class held one layer up, near or far, so no move runs twice.  The
+        node cap counts the classes above each layer, and ``depth``, ``frontier``
+        and ``caps`` end as if no step had waited."""
+        layers: dict[int, list[Name]] = {}
+        for name, entry in self.visited.items():
+            layers.setdefault(entry[1], []).append(name)
+        held, self.depth, self.frontier = 1, 0, [self.root]
+        while self.frontier and self.depth < self.budget.max_depth:
+            if held > self.budget.max_nodes:    # no layer past this one would have run
+                self.capped = {cap for cap in self.capped if cap[1] <= self.depth}
+                self.capped.add(("node", self.depth + 1))
+                return
+            parents, self.frontier = self.frontier, layers.get(self.depth + 1, [])
+            self.depth += 1
+            for _ in self.grow(self._steps(parents, waiting=True)):
+                pass
+            held += len(self.frontier)
 
     def _steps(self, parents: list[Name], waiting: bool) -> Iterator[tuple]:
         """(parent name, parent, move), parent by parent and kinds in order, of the
-        kinds that wait (``waiting``) or of those that do not.  The one test: in the
-        layer at the depth bound, a kind whose vertex shift misses ``size`` waits."""
-        last = self.size is not None and self.depth == self.budget.max_depth
+        kinds that wait (``waiting``) or not: the vertex-count bound's one test."""
+        left = self.budget.max_depth - self.depth
         for name_u in parents:
             gu = self.visited[name_u][0]
             for shift, enumerate_kind in self.kinds:
-                if (last and len(gu.vertices) + shift != self.size) == waiting:
+                far = self.size is not None and abs(len(gu.vertices) + shift - self.size) > left
+                if far == waiting:
                     for move in enumerate_kind(gu):
                         yield name_u, gu, move
 
@@ -172,12 +192,12 @@ class _Side:
         for name_u, gu, move in steps:
             h = apply_move(gu, move)
             if h.max_abs_index() > self.budget.max_abs_index:
-                self.caps.add("index")
+                self.capped.add(("index", self.depth))
                 continue
             try:
                 name_h = self.name(h)
             except SizeCapError:
-                self.caps.add("size")
+                self.capped.add(("size", self.depth))
                 continue
             if name_h not in self.visited:
                 self.visited[name_h] = (h, self.depth, name_u, move)
@@ -258,9 +278,8 @@ def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
             if (name in other.visited
                     and side.visited[name][1] + other.visited[name][1] <= budget.max_depth):
                 return Verdict("equivalent", path=_stitch(fwd, bwd, name), evidence="path")
-    for side in (fwd, bwd):             # no meeting: the parked kinds run
-        for _ in side.grow(side.drain()):
-            pass
+    for side in (fwd, bwd):             # no meeting: the waiting steps run
+        side.drain()
 
     if move_class == "slide":
         if fwd.closed or bwd.closed:

@@ -71,6 +71,15 @@ def _repr(x, text=repr) -> str:
         return f"[{inner}]" if isinstance(x, list) else f"({inner})"
 
 
+def _require_counts(record, *fields: str) -> None:
+    """Raise ValueError naming the first of the record's fields that is not an
+    ``int`` of at least 0; a ``bool`` is not a count."""
+    for field in fields:
+        value = getattr(record, field)
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{field} must be an int of at least 0, got {_repr(value)}")
+
+
 def parse_index(text: str) -> int:
     """The integer an ASCII ``-?[1-9][0-9]*`` text spells; ValueError otherwise.
     The one integer grammar, for graph files and move scripts alike; past the

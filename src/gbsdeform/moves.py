@@ -20,7 +20,8 @@ from math import gcd, isqrt
 from typing import ClassVar
 
 from .graphs import (_IDENT_RE, Edge, EdgeIndexedGraph, End, InvalidGraphError, Isomorphism,
-                     ParseError, _content_lines, _repr, index_str, parse_index)
+                     ParseError, _content_lines, _repr, _require_counts, index_str,
+                     parse_index)
 
 __all__ = [
     "IllegalMoveError",
@@ -103,6 +104,9 @@ class ExpansionBounds:
 
     max_n: int = 6
     max_subset_size: int = 3
+
+    def __post_init__(self) -> None:
+        _require_counts(self, "max_n", "max_subset_size")
 
 
 def _fresh_id(taken, base: str) -> str:

@@ -176,6 +176,24 @@ def test_deform_equivalence_of_the_example_pair(x, y):
     assert is_isomorphic(g, y)
 
 
+# Each field is checked where the budget is built: a search adds and compares
+# them, so a value that is not a count would fail deep inside it, or read as
+# an exhausted budget.
+@pytest.mark.parametrize("field, value", [
+    ("max_depth", "3"), ("max_depth", -1), ("max_depth", 2.0), ("max_nodes", -5),
+    ("max_nodes", -10**5000), ("max_abs_index", True),
+], ids=["text", "negative", "float", "negative-nodes", "long-negative", "bool"])
+def test_a_budget_field_that_is_not_a_count_is_rejected(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an int of at least 0, got "):
+        Budget(**{field: value})
+
+
+def test_a_budget_takes_zero_counts_and_only_expansion_bounds():
+    assert Budget(0, 0, 0, ExpansionBounds(0, 0)).max_depth == 0
+    with pytest.raises(ValueError, match="^expansion must be an ExpansionBounds, got "):
+        Budget(expansion=(6, 3))
+
+
 @pytest.mark.parametrize("search", [
     lambda g: explore_class(g, "bogus", Budget(max_depth=0)),
     lambda g: decide_equivalence(g, g, "bogus", Budget(max_depth=0)),
@@ -406,6 +424,20 @@ def test_a_last_layer_with_no_meeting_still_decides_the_reason(g1, g2, move_clas
     assert (verdict.reason, verdict.evidence) == (reason, evidence)
 
 
+def test_a_node_cap_found_by_drain_drops_the_caps_of_the_layers_it_refuses():
+    # Holding only the 38 classes in reach, the forward side passes the node
+    # cap of 40 and builds layer 3, where a result passes the index cap.  With
+    # its far classes drained it holds more than 40 classes above layer 3, so
+    # a search with nothing waiting refuses that layer: only the node cap bounds it.
+    g1 = parse_graph("vertex v0\nvertex v1\nedge e1 v0 v1 -6 -2\nedge e2 v0 v1 -3 -4")
+    g2 = parse_graph("vertex v0\nvertex v1\nedge e1 v0 v1 -4 -6\nedge e2 v1 v0 1 2")
+    budget = Budget(max_depth=3, max_nodes=40, max_abs_index=60,
+                    expansion=ExpansionBounds(max_n=3, max_subset_size=2))
+    verdict = decide_equivalence(g1, g2, "deform", budget)
+    assert (verdict.kind, verdict.reason) == ("unknown", "budget exhausted (node cap)")
+    assert explore_class(g1, "deform", budget).caps == {"node"}
+
+
 P1_TEXT = "vertex v0\nvertex v1\nvertex v2\nedge e1 v0 v1 1 11\nedge e2 v1 v2 1 11\n"
 P2_TEXT = "vertex v0\nvertex v1\nvertex v2\nedge e1 v0 v1 1 -1\nedge e2 v1 v2 -1 13\n"
 
@@ -424,16 +456,21 @@ def test_closed_classes_that_share_a_class_past_the_depth_bound_are_equivalent()
     assert canonical_certificate(g) == canonical_certificate(g2)
 
 
-@pytest.mark.parametrize("g1, g2, move_class", [
+@pytest.mark.parametrize("g1, g2, move_class, max_depth", [
     ("vertex A\nvertex B\nvertex C\nedge a A B 2 4\nedge b B C 2 4\nedge c A C 2 2\n"
      "edge l A A 2 4",
      "vertex A\nvertex B\nvertex C\nedge a A B 2 4\nedge b B C 2 4\nedge c A C 2 2\n"
-     "edge l A A 2 8", "slide"),
-    (X_TEXT, "vertex A\nvertex B\nedge l A A 30 5\nedge t A B 21 7", "deform"),
-], ids=["slide", "deform"])
-def test_a_search_with_no_meeting_applies_each_move_once(monkeypatch, g1, g2, move_class):
-    # Both last layers defer the moves that cannot reach the other root and
-    # run them once the search has failed, each move enumerated and applied once.
+     "edge l A A 2 8", "slide", 2),
+    (X_TEXT, "vertex A\nvertex B\nedge l A A 30 5\nedge t A B 21 7", "deform", 2),
+    # At depth 3 steps wait in the layers before the last too, and drain
+    # builds from the far classes they make.
+    (X_TEXT, "vertex A\nvertex B\nedge l A A 30 5\nedge t A B 21 7", "deform", 3),
+], ids=["slide", "deform", "deform-depth-3"])
+def test_a_search_with_no_meeting_applies_each_move_once(monkeypatch, g1, g2, move_class,
+                                                         max_depth):
+    # Each layer defers the moves that cannot reach the other root within the
+    # depth left, and drain runs them once the search has failed: each move is
+    # enumerated and applied once.
     applied = []
 
     def recorded(g, move):
@@ -443,11 +480,11 @@ def test_a_search_with_no_meeting_applies_each_move_once(monkeypatch, g1, g2, mo
     monkeypatch.setattr(explore, "apply_move", recorded)
     kinds, built = counted_enumerators(monkeypatch)
     verdict = decide_equivalence(parse_graph(g1), parse_graph(g2), move_class,
-                                 Budget(max_depth=2))
+                                 Budget(max_depth=max_depth))
     assert verdict.reason == "budget exhausted (depth)"
     assert applied and len(set(applied)) == len(applied)
-    # A last layer builds each parked kind only when it drains: every
-    # (graph, kind) is enumerated once, and every move built is applied.
+    # A waiting kind is built only when it drains: every (graph, kind) is
+    # enumerated once, and every move built is applied.
     assert kinds and len(set(kinds)) == len(kinds)
     assert sum(built) == len(applied)
 
@@ -472,17 +509,16 @@ def counted_enumerators(monkeypatch):
     return kinds, built
 
 
-# The paper search, as ``gbsdeform equiv`` runs it: its two depth-4 layers
-# build only the moves that can reach the other root, so every move built is
-# applied (building every move of every parent would make 38,534).  It names
-# the 1,884 classes it meets by invariant bucket, and builds a form only for a
-# shape whose bucket already holds another shape: 8 forms, two for each of the
-# 4 buckets that two of its 1,886 shapes share (in two of them the shapes are
-# one class); the stitch's endpoint check is a memo hit.  Naming every shape
-# by its certificate would build 1,886 forms, and a memo that caught only
-# label-equal graphs 3,730.
-PAPER_SEARCH_MOVES = 5134
-PAPER_SEARCH_FORMS = 8
+# The paper search, as ``gbsdeform equiv`` runs it: each layer builds only the
+# moves whose results stay within the depth left of the other root's vertex
+# count, so every move built is applied (5,134 moves while only the depth-4
+# layers held moves back, and 38,534 when every move of every parent was
+# built).  It names the 306 classes it meets by invariant bucket, and builds a
+# form only for a shape whose bucket already holds another shape: no two of
+# its 306 shapes share a bucket, so it builds none (8 while it met 1,886
+# shapes); the stitch's endpoint check is a memo hit.
+PAPER_SEARCH_MOVES = 1278
+PAPER_SEARCH_FORMS = 0
 
 
 def test_the_paper_search_builds_only_the_moves_it_applies(monkeypatch, capsys, tmp_path,
@@ -508,8 +544,10 @@ def test_the_paper_search_builds_only_the_moves_it_applies(monkeypatch, capsys, 
 # The paper search's tracemalloc peak, a ceiling on what it keeps per class:
 # 3.28-3.42 MB on Python 3.10-3.13 while it held nested shape keys, parked
 # (name, graph, enumerator) tuples, a fresh edge for each one a move left
-# unchanged and a __dict__ per move; 1.97-2.04 MB since it holds each once.
-PAPER_SEARCH_PEAK_BYTES = 2_500_000
+# unchanged and a __dict__ per move; 1.97-2.04 MB once it held each once; and
+# 0.334-0.364 MB since it holds only the classes still in reach of the other
+# root's vertex count.  The ceiling is 24 % above the highest of those.
+PAPER_SEARCH_PEAK_BYTES = 450_000
 
 
 def test_the_paper_search_keeps_its_peak_memory_under_a_ceiling():
@@ -576,15 +614,17 @@ def test_a_search_computes_each_roots_shape_once(monkeypatch, x, g2, move_class,
 # A fixed corpus of decide_equivalence pairs: random graphs with 1-3 vertices,
 # the second either drawn with the first's Betti number or the first moved by
 # up to three random moves and relabeled.  The digest was taken from the
-# search that checks the node cap between layers.
+# search that checks the node cap between layers and, at every layer, holds
+# back the steps whose results are out of reach of the other root's vertex
+# count; the node cap counts only the classes a side holds.
 DIFFERENTIAL_PAIRS = 400
-DIFFERENTIAL_SHA256 = "7d5325620d4e72088e27073ba759941b991342ae9ee4d383966369d6c9fd05ba"
+DIFFERENTIAL_SHA256 = "02a66106e93554ffbd0889b09c15fe58f382fe32712c66bef01ede1180d3f04d"
 # The corpus's verdicts counted by (move class, kind, evidence): a change that
 # decides an unknown pair shows here as counts that move.
 DIFFERENTIAL_COVERAGE = {
-    ("deform", "equivalent", "path"): 145,
+    ("deform", "equivalent", "path"): 146,
     ("deform", "distinct", "bounds"): 3,
-    ("deform", "unknown", None): 52,
+    ("deform", "unknown", None): 51,
     ("slide", "equivalent", "path"): 147,
     ("slide", "distinct", "exhausted"): 47,
     ("slide", "unknown", None): 6,
@@ -679,13 +719,67 @@ def test_verdicts_agree_with_the_meeting_oracle_with_no_node_cap():
             assert least <= len(v.path) <= budget.max_depth, i
 
 
+def test_the_vertex_count_bound_changes_no_verdict_when_no_node_cap_applies(monkeypatch):
+    # With every node cap lifted, a search whose steps never wait (a side with
+    # no ``size``) gives every pair the same kind, reason and evidence.
+    def outcomes():
+        for g1, g2, move_class, budget in differential_corpus():
+            v = decide_equivalence(g1, g2, move_class, replace(budget, max_nodes=10**6))
+            if v.path is not None:
+                g = g1
+                for move in v.path:
+                    g = apply_move(g, move)
+                assert canonical_certificate(g) == canonical_certificate(g2)
+                assert len(v.path) <= budget.max_depth
+            yield v.kind, v.reason, v.evidence
+
+    bounded = list(outcomes())
+    init = explore._Side.__init__
+
+    def unbounded(self, g, kinds, budget, name, size=None):
+        init(self, g, kinds, budget, name)
+
+    monkeypatch.setattr(explore._Side, "__init__", unbounded)
+    assert list(outcomes()) == bounded
+
+
+def test_a_search_with_no_meeting_ends_each_side_as_its_class_search(monkeypatch):
+    # Once no meeting is found, drain finishes each side: it holds what
+    # explore_class finds from its root down to the layer where the search
+    # stopped, and has the same caps and closedness.  A side whose node cap
+    # counted only the classes in reach can hold more, below that layer.
+    sides = []
+    init = explore._Side.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        sides.append(self)
+
+    monkeypatch.setattr(explore._Side, "__init__", recorded)
+    checked = Counter()
+    for g1, g2, move_class, budget in differential_corpus():
+        sides.clear()
+        v = decide_equivalence(g1, g2, move_class, budget)
+        if v.kind == "equivalent" and len(v.path) <= budget.max_depth:
+            continue                    # a meeting, or equal roots
+        for side, root in zip(sides, (g1, g2)):
+            report = explore_class(root, move_class, budget)
+            depths = {canonical_certificate(graph): depth
+                      for graph, depth, _, _ in side.visited.values() if depth <= side.depth}
+            assert depths == report.depths
+            assert (side.caps, side.closed) == (report.caps, report.closed)
+            checked["node" in report.caps] += 1
+    assert checked == {False: 203, True: 11}
+
+
 # A corpus under tiny node caps, where the cap decides which layers run:
 # random graphs with 1-3 vertices, each paired with itself moved by up to
 # three random moves and relabeled, over every combination of the budgets
 # below.  The digest was taken from the search that checks the node cap
-# between layers.
+# between layers and holds back, at every layer, the steps out of reach of the
+# other root's vertex count.
 NODE_CAP_PAIRS = 3000
-NODE_CAP_SHA256 = "b12a8c05c5c8555d4758f6d6c5e01a900ad949c0d9498bf4ef169d583b3b43ec"
+NODE_CAP_SHA256 = "48c9536d1b7b9b757f5618a9b65d4049527a3f68124b8fce9ba1aac4d6f05c3b"
 NODE_CAP_BUDGETS = tuple(
     Budget(max_depth=depth, max_nodes=nodes, max_abs_index=index,
            expansion=ExpansionBounds(max_n=max_n, max_subset_size=subset))

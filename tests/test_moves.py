@@ -208,6 +208,14 @@ def test_an_expansion_past_the_int_str_limit_divides_and_names_the_index():
                                f"{index_str(factor)}")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_n", -1), ("max_n", False), ("max_subset_size", "3"), ("max_subset_size", 1.0),
+])
+def test_an_expansion_bound_that_is_not_a_count_is_rejected(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an int of at least 0, got "):
+        ExpansionBounds(**{field: value})
+
+
 def test_invert_collapse_restores_up_to_signs(diagram4):
     move = Collapse(edge="u", survivor="B")
     out = apply_move(diagram4, move)
@@ -267,10 +275,10 @@ def expansion_factors(d, max_n):
 
 def test_expansion_factors_match_trial_division_of_every_candidate():
     # Squares, where a divisor is its own cofactor, and bounds on each side
-    # of the square root and of d.
+    # of the square root and of d.  ExpansionBounds refuses a negative bound.
     for d in [*range(1, 130), 2 * 3 * 5 * 7 * 11, 97 * 97, 2**20, 10**6]:
         root = isqrt(d)
-        for max_n in {-1, 0, 1, 2, 3, root - 1, root, root + 1, 2 * root, d - 1, d, d + 1}:
+        for max_n in {0, 1, 2, 3, root - 1, root, root + 1, 2 * root, d - 1, d, d + 1}:
             naive = [n for n in range(2, min(max_n, d) + 1) if d % n == 0]
             assert expansion_factors(d, max_n) == naive, (d, max_n)
 
