@@ -68,6 +68,8 @@ class ExampleParams:
 
 def free_edge_index(p: ExampleParams, k: int) -> int:
     """Index of the non-loop edge at the loop vertex on ladder level k >= 0."""
+    if type(k) is not int:
+        raise ValueError(f"ladder level must be an int, got k={_repr(k)}")
     if k < 0:
         raise ValueError(f"ladder level must be at least 0, got k={_repr(k)}")
     return p.r * p.m ** (k + 2) * p.n ** k
@@ -203,6 +205,8 @@ def verify_slide_ladder(p: ExampleParams, depth: int) -> LadderCertificate:
     labelled differently, goes through ``is_isomorphic``, which builds a
     canonical form only on a tie, so no index becomes text.  Only levels k-1,
     k, k+1 are held."""
+    if type(depth) is not int:
+        raise ValueError(f"ladder depth must be an int, got {_repr(depth)}")
     if depth < 0:
         raise ValueError(f"ladder depth must be at least 0, got {_repr(depth)}")
     if not p.m_n_incomparable:

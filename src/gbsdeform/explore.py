@@ -1,17 +1,18 @@
 """Bounded search over move graphs, keyed by class name.
 
-``_Side`` runs every search and decides every cap.  A started layer is
-admitted whole, so no verdict depends on the order of a layer's steps, and a
-class of at most ``max_nodes`` members still closes.  A side is *closed* when
-its frontier emptied and no cap fired; only then is it the whole class.  Each
-search keeps one ``_Names`` for both of its sides, freed when it returns.
+``_search`` is every search's one loop: it walks the layers of each ``_Side``,
+which decides every cap.  A started layer is admitted whole, so no verdict
+depends on the order of a layer's steps, and a class of at most ``max_nodes``
+members still closes.  A side is *closed* when its frontier emptied and no cap
+fired; only then is it the whole class.  Each search keeps one ``_Names`` for
+both of its sides, freed when it returns.
 
 ``decide_equivalence`` first asks ``invariants.refute``, whose reasons rest on
-an ``invariant``, then grows two sides, smaller frontier first.  A move shifts
-the vertex count by at most 1, so a result at depth k whose count is more than
-``max_depth - k`` from the other root's can meet nothing within the depth
-bound, nor can any class reached through it: the move kind that would build it
-waits until the search has found no meeting.  The move classes:
+an ``invariant``, then grows two sides.  A move shifts the vertex count by at
+most 1, so a result at depth k whose count is more than ``max_depth - k`` from
+the other root's can meet nothing within the depth bound, nor can any class
+reached through it: the move kind that would build it waits until no meeting is
+found, when each side reruns from its root.  The move classes:
 
   slide   - slide moves only; enumeration is complete, so a closed side
             decides distinctness on its own: the class is ``exhausted``.
@@ -113,7 +114,7 @@ class _Names:
 
 
 class _Side:
-    """One breadth-first search from a root graph, keyed by class name."""
+    """One BFS from a root graph, by class name; ``_search``, every search's loop, walks it."""
 
     def __init__(self, g: EdgeIndexedGraph, kinds: tuple[tuple, ...], budget: Budget,
                  name: _Names, size: int | None = None):
@@ -123,9 +124,13 @@ class _Side:
         # name -> (graph as reached, depth, parent name, move from parent)
         self.visited: dict[Name, tuple[EdgeIndexedGraph, int, Name | None, Move | None]] = {
             self.root: (g, 0, None, None)}
-        self.frontier: list[Name] = [self.root]
+        self.layers: list[list[Name]] = [[self.root]]  # names by depth, new ones last
         self.depth = 0
         self.capped: set[tuple[str, int]] = set()   # (cap, the layer it bounded)
+
+    @property
+    def frontier(self) -> list[Name]:
+        return self.layers[self.depth]
 
     @property
     def caps(self) -> set[str]:
@@ -143,41 +148,21 @@ class _Side:
         return (bool(self.frontier) and self.depth < self.budget.max_depth
                 and "node" not in self.caps)
 
-    def advance(self) -> Iterator[tuple]:
+    def advance(self, waiting: bool = False) -> Iterator[tuple]:
         """The next layer's steps (parent name, parent, move), lazily, or none if the
-        side holds more than ``max_nodes`` classes: it records ``"node"``.  A step
-        into layer k whose result's vertex count is more than ``max_depth - k`` from
-        ``size``, the other root's, waits for ``drain``: a move shifts the count by
-        at most 1, so no class the other side holds within the depth left is that far."""
-        if len(self.visited) > self.budget.max_nodes:
+        side holds more than ``max_nodes`` classes down to ``depth``: it records
+        ``"node"`` and drops the caps of the layers it refuses.  A step into layer k
+        whose result's vertex count is more than ``max_depth - k`` from ``size``, the
+        other root's, waits (runs only if ``waiting``): a move shifts the count by at
+        most 1, so no class the other side holds within the depth left is that far."""
+        held = len(self.visited) - sum(map(len, self.layers[self.depth + 1:]))  # O(1) but in reruns
+        if held > self.budget.max_nodes:
+            self.capped = {cap for cap in self.capped if cap[1] <= self.depth}
             self.capped.add(("node", self.depth + 1))
             return
-        frontier, self.frontier, self.depth = self.frontier, [], self.depth + 1
-        yield from self._steps(frontier, waiting=False)
-
-    def drain(self) -> None:
-        """Once no meeting is found, run the waiting steps layer by layer, from
-        every class held one layer up, near or far, so no move runs twice.  The
-        node cap counts the classes above each layer, and ``depth``, ``frontier``
-        and ``caps`` end as if no step had waited."""
-        layers: dict[int, list[Name]] = {}
-        for name, entry in self.visited.items():
-            layers.setdefault(entry[1], []).append(name)
-        held, self.depth, self.frontier = 1, 0, [self.root]
-        while self.frontier and self.depth < self.budget.max_depth:
-            if held > self.budget.max_nodes:    # no layer past this one would have run
-                self.capped = {cap for cap in self.capped if cap[1] <= self.depth}
-                self.capped.add(("node", self.depth + 1))
-                return
-            parents, self.frontier = self.frontier, layers.get(self.depth + 1, [])
-            self.depth += 1
-            for _ in self.grow(self._steps(parents, waiting=True)):
-                pass
-            held += len(self.frontier)
-
-    def _steps(self, parents: list[Name], waiting: bool) -> Iterator[tuple]:
-        """(parent name, parent, move), parent by parent and kinds in order, of the
-        kinds that wait (``waiting``) or not: the vertex-count bound's one test."""
+        parents, self.depth = self.layers[self.depth], self.depth + 1
+        if self.depth == len(self.layers):
+            self.layers.append([])
         left = self.budget.max_depth - self.depth
         for name_u in parents:
             gu = self.visited[name_u][0]
@@ -215,14 +200,22 @@ class _Side:
             name = parent
 
 
+def _search(sides: list[_Side], waiting: bool = False) -> Iterator[tuple]:
+    """Every search's loop: grow the side with the smaller frontier, ties to the
+    first, until none grows; yield (side, parent, name) per uncapped result."""
+    while growing := [s for s in sides if s.growing]:
+        side = min(growing, key=lambda s: len(s.frontier))
+        for parent, name in side.grow(side.advance(waiting)):
+            yield side, parent, name
+
+
 def explore_class(g: EdgeIndexedGraph, move_class: str, budget: Budget) -> ExplorationReport:
     """BFS closure of g under one move class; each class is certified once, at the end."""
     side = _Side(g, _kinds(move_class, budget.expansion), budget, _Names())
     adjacency: dict[Name, set[Name]] = {side.root: set()}
-    while side.growing:
-        for parent, name in side.grow(side.advance()):
-            adjacency.setdefault(name, set()).add(parent)
-            adjacency[parent].add(name)
+    for _, parent, name in _search([side]):
+        adjacency.setdefault(name, set()).add(parent)
+        adjacency[parent].add(name)
     cert = {name: canonical_certificate(entry[0]) for name, entry in side.visited.items()}
     return ExplorationReport(
         members={cert[n]: entry[0] for n, entry in side.visited.items()},
@@ -271,15 +264,15 @@ def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
     if fwd.root == bwd.root:
         return Verdict("equivalent", path=(), evidence="path")
 
-    while expandable := [s for s in (fwd, bwd) if s.growing]:
-        side = min(expandable, key=lambda s: (len(s.frontier), s is bwd))
+    for side, _, name in _search([fwd, bwd]):
         other = bwd if side is fwd else fwd
-        for _, name in side.grow(side.advance()):
-            if (name in other.visited
-                    and side.visited[name][1] + other.visited[name][1] <= budget.max_depth):
-                return Verdict("equivalent", path=_stitch(fwd, bwd, name), evidence="path")
-    for side in (fwd, bwd):             # no meeting: the waiting steps run
-        side.drain()
+        if (name in other.visited
+                and side.visited[name][1] + other.visited[name][1] <= budget.max_depth):
+            return Verdict("equivalent", path=_stitch(fwd, bwd, name), evidence="path")
+    for side in (fwd, bwd):             # no meeting: each side reruns its waiting steps
+        side.depth, side.capped = 0, {cap for cap in side.capped if cap[0] != "node"}
+        for _ in _search([side], waiting=True):
+            pass
 
     if move_class == "slide":
         if fwd.closed or bwd.closed:

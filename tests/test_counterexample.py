@@ -65,6 +65,18 @@ def test_free_edge_index_formula():
         free_edge_index(P, -1)
 
 
+@pytest.mark.parametrize("value", [1.5, 2.0, "3", True])
+def test_a_ladder_level_or_depth_must_be_an_int(value):
+    # A float level used to give a float index, and True to certify "depth True".
+    with pytest.raises(ValueError) as info:
+        free_edge_index(P, value)
+    assert str(info.value) == f"ladder level must be an int, got k={value!r}"
+    with pytest.raises(ValueError) as info:
+        verify_slide_ladder(P, value)
+    assert str(info.value) == f"ladder depth must be an int, got {value!r}"
+    assert not isinstance(info.value, LadderHypothesisError)
+
+
 def test_deformation_script_shape_and_tuples():
     report = replay_deformation(P)
     kinds = tuple(type(m) for m in report.moves)

@@ -101,6 +101,18 @@ def test_every_private_top_level_function_and_class_is_referenced():
     assert unreferenced == []
 
 
+def test_only_the_one_search_loop_walks_a_sides_layers():
+    # explore._search is every search's loop: outside it no code in src/ reads
+    # _Side.advance or _Side.grow, so no second loop can walk a side's layers.
+    readers = []
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            readers += [(path.name, getattr(top, "name", None)) for node in ast.walk(top)
+                        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                        and node.attr in ("advance", "grow")]
+    assert readers == [("explore.py", "_search")] * 2
+
+
 def _read_by_users() -> Counter[str]:
     return sum((_names_read(ast.parse(path.read_text())) for path in USERS), Counter())
 
