@@ -67,7 +67,7 @@ def test_free_edge_index_formula():
 
 @pytest.mark.parametrize("value", [1.5, 2.0, "3", True])
 def test_a_ladder_level_or_depth_must_be_an_int(value):
-    # A float level used to give a float index, and True to certify "depth True".
+    # Unchecked, a float level gives a float index and True certifies "depth True".
     with pytest.raises(ValueError) as info:
         free_edge_index(P, value)
     assert str(info.value) == f"ladder level must be an int, got k={value!r}"

@@ -98,7 +98,7 @@ def test_spec_rejects_a_count_or_range_that_is_not_ints(kwargs, message):
 
 @pytest.mark.parametrize("num_moves", [-3, 2.0, True])
 def test_rigidity_trial_rejects_a_move_count_that_is_not_a_count(num_moves):
-    # A negative count used to apply no move and pass.
+    # Unchecked, a negative count would apply no move and pass.
     with pytest.raises(ValueError) as info:
         rigidity_trial(2, 1, num_moves, 0)
     assert str(info.value) == f"num_moves must be an int of at least 0, got {num_moves!r}"
