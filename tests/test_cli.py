@@ -384,6 +384,20 @@ def test_random_unsatisfiable(capsys):
     assert "error:" in err
 
 
+# The library's messages a CLI user can reach, byte for byte: a count or
+# parameter the records refuse is bad data (65), not a usage error.
+@pytest.mark.parametrize("argv, message", [
+    ("random --vertices 0 --edges 0", "need at least one vertex"),
+    ("random --vertices 3 --edges 1", "3 vertices cannot be connected by 1 edges"),
+    ("random --vertices 2 --edges 1 --min-index 0", "index range must satisfy 1 <= lo <= hi"),
+    ("random --vertices 2 --edges 1 --min-index 5 --max-index 3",
+     "index range must satisfy 1 <= lo <= hi"),
+    ("paper-example --m 0 --n 3 --r 5 --s 7", "parameter m must be nonzero"),
+])
+def test_a_refused_record_prints_its_message_and_exits_65(capsys, argv, message):
+    assert run(capsys, *argv.split()) == (65, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("flag", ["--vertices", "--edges", "--min-index", "--max-index"])
 def test_negative_random_counts_are_usage_errors(capsys, flag):
     # argparse keeps a repeated flag's last value, so -2 replaces the 3 or 4
