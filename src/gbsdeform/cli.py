@@ -21,8 +21,9 @@ from .counterexample import (
     replay_deformation,
     verify_slide_ladder,
 )
-from .explore import MOVE_CLASSES, Budget, ExplorationReport, decide_equivalence, explore_class
+from .explore import Budget, ExplorationReport, decide_equivalence, explore_class
 from .graphs import dot_export, index_str, parse_graph, serialize_graph
+from .invariants import MOVE_CLASSES
 from .moves import (
     ExpansionBounds,
     analyze,

@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .canonical import is_isomorphic
-from .graphs import Edge, EdgeIndexedGraph, End, _repr
+from .graphs import Edge, EdgeIndexedGraph, End, _repr, _require_int
 from .moves import Collapse, Expansion, Move, Slide, apply_move, enumerate_slides
 
 __all__ = [
@@ -54,10 +54,8 @@ class ExampleParams:
 
     def __post_init__(self) -> None:
         for name in ("m", "n", "r", "s"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise TypeError(f"parameter {name} must be an int, got {type(value).__name__}")
-            if value == 0:
+            _require_int(f"parameter {name}", getattr(self, name), least=None)
+            if getattr(self, name) == 0:
                 raise ValueError(f"parameter {name} must be nonzero")
 
     @property
@@ -68,10 +66,7 @@ class ExampleParams:
 
 def free_edge_index(p: ExampleParams, k: int) -> int:
     """Index of the non-loop edge at the loop vertex on ladder level k >= 0."""
-    if type(k) is not int:
-        raise ValueError(f"ladder level must be an int, got k={_repr(k)}")
-    if k < 0:
-        raise ValueError(f"ladder level must be at least 0, got k={_repr(k)}")
+    _require_int("ladder level k", k)
     return p.r * p.m ** (k + 2) * p.n ** k
 
 
@@ -205,10 +200,7 @@ def verify_slide_ladder(p: ExampleParams, depth: int) -> LadderCertificate:
     labelled differently, goes through ``is_isomorphic``, which builds a
     canonical form only on a tie, so no index becomes text.  Only levels k-1,
     k, k+1 are held."""
-    if type(depth) is not int:
-        raise ValueError(f"ladder depth must be an int, got {_repr(depth)}")
-    if depth < 0:
-        raise ValueError(f"ladder depth must be at least 0, got {_repr(depth)}")
+    _require_int("ladder depth", depth)
     if not p.m_n_incomparable:
         raise LadderHypothesisError(
             f"need m and n to not divide each other, got m={_repr(p.m)}, n={_repr(p.n)}")

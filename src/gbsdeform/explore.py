@@ -36,8 +36,8 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .canonical import SizeCapError, canonical_certificate, class_invariant, graph_isomorphism
-from .graphs import EdgeIndexedGraph, _repr, _require_counts
-from .invariants import refute
+from .graphs import EdgeIndexedGraph, _repr, _require_int
+from .invariants import MOVE_CLASSES, refute
 from .moves import (
     Collapse, Expansion, ExpansionBounds, Move, Slide, apply_move, enumerate_collapses,
     enumerate_expansions, enumerate_slides, invert_move, transport_move,
@@ -47,12 +47,10 @@ __all__ = [
     "Budget",
     "ExplorationReport",
     "Verdict",
-    "MOVE_CLASSES",
     "explore_class",
     "decide_equivalence",
 ]
 
-MOVE_CLASSES = ("slide", "deform")
 Name = int | bytes                  # a class's name within one search (``_Names``)
 
 
@@ -64,7 +62,8 @@ class Budget:
     expansion: ExpansionBounds = ExpansionBounds()
 
     def __post_init__(self) -> None:
-        _require_counts(self, "max_depth", "max_nodes", "max_abs_index")
+        for field in ("max_depth", "max_nodes", "max_abs_index"):
+            _require_int(field, getattr(self, field))
         if not isinstance(self.expansion, ExpansionBounds):
             raise ValueError(f"expansion must be an ExpansionBounds, got {_repr(self.expansion)}")
 

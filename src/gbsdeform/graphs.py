@@ -71,13 +71,12 @@ def _repr(x, text=repr) -> str:
         return f"[{inner}]" if isinstance(x, list) else f"({inner})"
 
 
-def _require_counts(record, *fields: str) -> None:
-    """Raise ValueError naming the first of the record's fields that is not an
-    ``int`` of at least 0; a ``bool`` is not a count."""
-    for field in fields:
-        value = getattr(record, field)
-        if type(value) is not int or value < 0:
-            raise ValueError(f"{field} must be an int of at least 0, got {_repr(value)}")
+def _require_int(what: str, value, least: int | None = 0) -> None:
+    """The one check of an int a caller gives the library: ValueError naming ``what``
+    unless value is an ``int``, not a ``bool``, at least ``least`` unless that is None."""
+    if type(value) is not int or least is not None and value < least:
+        bound = "" if least is None else f" of at least {least}"
+        raise ValueError(f"{what} must be an int{bound}, got {_repr(value)}")
 
 
 def parse_index(text: str) -> int:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from .graphs import EdgeIndexedGraph
 
-__all__ = ["betti_number", "refute"]
+__all__ = ["MOVE_CLASSES", "betti_number", "refute"]
+
+MOVE_CLASSES = ("slide", "deform")
 
 
 def betti_number(g: EdgeIndexedGraph) -> int:
@@ -23,6 +25,8 @@ def betti_number(g: EdgeIndexedGraph) -> int:
 def refute(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph, move_class: str) -> str | None:
     """Why no move of the class joins g1 and g2, or None.  Checks the Betti
     number, then, as a slide keeps the vertices, a slide pair's vertex count."""
+    if move_class not in MOVE_CLASSES:
+        raise ValueError(f"unknown move class {move_class!r}")
     b1, b2 = betti_number(g1), betti_number(g2)
     if b1 != b2:
         return f"betti number differs ({b1} vs {b2})"

@@ -20,7 +20,7 @@ from math import gcd, isqrt
 from typing import ClassVar
 
 from .graphs import (_IDENT_RE, Edge, EdgeIndexedGraph, End, InvalidGraphError, Isomorphism,
-                     ParseError, _content_lines, _repr, _require_counts, index_str,
+                     ParseError, _content_lines, _repr, _require_int, index_str,
                      parse_index)
 
 __all__ = [
@@ -106,7 +106,8 @@ class ExpansionBounds:
     max_subset_size: int = 3
 
     def __post_init__(self) -> None:
-        _require_counts(self, "max_n", "max_subset_size")
+        _require_int("max_n", self.max_n)
+        _require_int("max_subset_size", self.max_subset_size)
 
 
 def _fresh_id(taken, base: str) -> str:

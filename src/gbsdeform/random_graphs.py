@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .canonical import is_isomorphic
-from .graphs import Edge, EdgeIndexedGraph, _repr, _require_counts
+from .graphs import Edge, EdgeIndexedGraph, _repr, _require_int
 from .moves import (
     ExpansionBounds,
     Move,
@@ -52,9 +52,10 @@ class RandomGraphSpec:
     require: str = "none"
 
     def __post_init__(self) -> None:
-        if type(self.num_vertices) is int and self.num_vertices < 1:
+        _require_int("num_vertices", self.num_vertices)
+        if self.num_vertices < 1:
             raise ValueError("need at least one vertex")
-        _require_counts(self, "num_vertices", "num_edges")
+        _require_int("num_edges", self.num_edges)
         if self.num_edges < self.num_vertices - 1:
             raise GenerationError(
                 f"{_repr(self.num_vertices)} vertices cannot be connected by "
@@ -140,8 +141,7 @@ class RigidityTrial:
 
 def rigidity_trial(num_vertices: int, num_edges: int, num_moves: int,
                    seed: int) -> RigidityTrial:
-    if type(num_moves) is not int or num_moves < 0:
-        raise ValueError(f"num_moves must be an int of at least 0, got {_repr(num_moves)}")
+    _require_int("num_moves", num_moves)
     # Start indices are 2..9 in absolute value; expansion factors go up to 9.
     spec = RandomGraphSpec(num_vertices, num_edges, (2, 9), "strongly_slide_free")
     bounds = ExpansionBounds(max_n=9)

@@ -393,7 +393,7 @@ def test_random_unsatisfiable(capsys):
     ("random --vertices 2 --edges 1 --min-index 5 --max-index 3",
      "index range must satisfy 1 <= lo <= hi"),
     ("paper-example --m 0 --n 3 --r 5 --s 7", "parameter m must be nonzero"),
-])
+], ids=["no-vertex", "too-few-edges", "index-below-1", "index-range-reversed", "zero-parameter"])
 def test_a_refused_record_prints_its_message_and_exits_65(capsys, argv, message):
     assert run(capsys, *argv.split()) == (65, "", f"error: {message}\n")
 

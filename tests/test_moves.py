@@ -208,14 +208,6 @@ def test_an_expansion_past_the_int_str_limit_divides_and_names_the_index():
                                f"{index_str(factor)}")
 
 
-@pytest.mark.parametrize("field, value", [
-    ("max_n", -1), ("max_n", False), ("max_subset_size", "3"), ("max_subset_size", 1.0),
-])
-def test_an_expansion_bound_that_is_not_a_count_is_rejected(field, value):
-    with pytest.raises(ValueError, match=f"^{field} must be an int of at least 0, got "):
-        ExpansionBounds(**{field: value})
-
-
 def test_invert_collapse_restores_up_to_signs(diagram4):
     move = Collapse(edge="u", survivor="B")
     out = apply_move(diagram4, move)

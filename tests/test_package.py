@@ -1,13 +1,17 @@
-"""The package's public names, what importing its CLI loads, that its source
-holds no dead artifacts, that README's examples run, and the benchmark tracer's
-view of its layers."""
+"""The package's public names, its input contract, what importing its CLI
+loads, that its source holds no dead artifacts, that README's examples run, and
+the benchmark tracer's view of its layers."""
 
 import ast
+import dataclasses
+import functools
 import importlib
+import inspect
 import re
 import subprocess
 import sys
 import textwrap
+import typing
 from collections import Counter
 from pathlib import Path
 
@@ -34,6 +38,66 @@ def test_package_exports_every_name_in_each_module_all(name):
     missing = [n for n in module.__all__
                if getattr(gbsdeform, n, None) is not getattr(module, n)]
     assert missing == []
+
+
+def _int_inputs() -> dict[str, tuple]:
+    """id -> (a call given one bad value, the name its error carries) for each
+    int a caller gives the library: the ``int`` fields of every record a public
+    function takes, found from its type hints (a move is checked against its
+    graph by ``apply_move``), and the ladder level, ladder depth and move count."""
+    moves = set(typing.get_args(gbsdeform.Move))
+    records = set()
+    for module in MODULES:
+        for name in importlib.import_module(f"gbsdeform.{module}").__all__:
+            if inspect.isfunction(fn := getattr(gbsdeform, name)):
+                records |= {t for arg, hint in typing.get_type_hints(fn).items()
+                            if arg != "return" for t in typing.get_args(hint) or (hint,)
+                            if dataclasses.is_dataclass(t) and t not in moves}
+    p = gbsdeform.ExampleParams(2, 3, 5, 7)
+    cases = {}
+    for label, name, call in [
+            ("free_edge_index.k", "k", functools.partial(gbsdeform.free_edge_index, p)),
+            ("verify_slide_ladder.depth", "depth",
+             functools.partial(gbsdeform.verify_slide_ladder, p)),
+            ("rigidity_trial.num_moves", "num_moves",
+             lambda n: gbsdeform.rigidity_trial(1, 0, n, 0))]:
+        cases |= {f"{label}={bad!r}": (functools.partial(call, bad), name)
+                  for bad in (2.0, True, "3", -1)}
+    for cls in sorted(records, key=lambda cls: cls.__name__):
+        hints = typing.get_type_hints(cls)
+        ints = [f.name for f in dataclasses.fields(cls) if hints[f.name] is int]
+        # Each case sets one int field; the others are 1, every other field
+        # its default.  The paper's parameters are nonzero, other ints counts.
+        make = functools.partial(cls, **dict.fromkeys(ints, 1))
+        out = 0 if cls is gbsdeform.ExampleParams else -1
+        cases |= {f"{cls.__name__}.{name}={bad!r}": (functools.partial(make, **{name: bad}), name)
+                  for name in ints for bad in (2.0, True, "3", out)}
+    return cases
+
+
+INT_INPUTS = _int_inputs()
+
+
+@pytest.mark.parametrize("call, name", INT_INPUTS.values(), ids=INT_INPUTS)
+def test_a_bad_int_input_is_refused_by_name(call, name):
+    # The one input contract (README): a record checks its own fields and a
+    # function its scalar arguments, where they are given, so a float, a bool,
+    # a text or a value out of range never reaches a search or the ladder.
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert name in re.findall(r"\w+", str(info.value))
+
+
+def test_no_module_raises_a_type_error():
+    # Every error a caller can cause is a ValueError, which the CLI reports as
+    # bad data (exit 65); a TypeError would pass a caller that catches those.
+    raised = [f"{path.name}:{node.lineno}" for path in SOURCES
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Raise) and node.exc is not None
+              and "TypeError" in {name.id for name in ast.walk(node.exc)
+                                  if isinstance(name, ast.Name)}]
+    assert raised == []
 
 
 def test_the_cli_imports_only_the_standard_library_and_defers_heavy_modules():

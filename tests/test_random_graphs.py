@@ -75,11 +75,6 @@ def test_spec_rejects_bad_fields(kwargs, message):
 
 
 @pytest.mark.parametrize("kwargs,message", [
-    (dict(num_vertices=2.0, num_edges=1), "num_vertices must be an int of at least 0, got 2.0"),
-    (dict(num_vertices=True, num_edges=0), "num_vertices must be an int of at least 0, got True"),
-    (dict(num_vertices="3", num_edges=2), "num_vertices must be an int of at least 0, got '3'"),
-    (dict(num_vertices=2, num_edges=1.0), "num_edges must be an int of at least 0, got 1.0"),
-    (dict(num_vertices=1, num_edges=-1), "num_edges must be an int of at least 0, got -1"),
     (dict(num_vertices=2, num_edges=1, index_range=(2.5, 4)),
      "index_range must be a pair of ints, got (2.5, 4)"),
     (dict(num_vertices=2, num_edges=1, index_range=(2, True)),
@@ -88,20 +83,12 @@ def test_spec_rejects_bad_fields(kwargs, message):
     (dict(num_vertices=2, num_edges=1, index_range=(1, 2, 3)),
      "index_range must be a pair of ints, got (1, 2, 3)"),
 ])
-def test_spec_rejects_a_count_or_range_that_is_not_ints(kwargs, message):
+def test_spec_rejects_a_range_that_is_not_a_pair_of_ints(kwargs, message):
     # Each is refused where it is given, not later inside random_graph.
     with pytest.raises(ValueError) as info:
         RandomGraphSpec(**kwargs)
     assert str(info.value) == message
     assert not isinstance(info.value, GenerationError)
-
-
-@pytest.mark.parametrize("num_moves", [-3, 2.0, True])
-def test_rigidity_trial_rejects_a_move_count_that_is_not_a_count(num_moves):
-    # Unchecked, a negative count would apply no move and pass.
-    with pytest.raises(ValueError) as info:
-        rigidity_trial(2, 1, num_moves, 0)
-    assert str(info.value) == f"num_moves must be an int of at least 0, got {num_moves!r}"
 
 
 def test_rigidity_trial_on_a_point_stops_at_once():
