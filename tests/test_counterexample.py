@@ -59,6 +59,18 @@ def test_free_edge_index_formula():
     assert values == [20, 120, 720, 4320, 25920, 155520, 933120]
 
 
+@pytest.mark.parametrize("value", [1.5, 2.0, "3", True])
+def test_a_ladder_level_or_depth_must_be_an_int(value):
+    # Unchecked, a float level gives a float index and True certifies "depth True".
+    with pytest.raises(ValueError) as info:
+        free_edge_index(P, value)
+    assert str(info.value) == f"ladder level k must be an int of at least 0, got {value!r}"
+    with pytest.raises(ValueError) as info:
+        verify_slide_ladder(P, value)
+    assert str(info.value) == f"ladder depth must be an int of at least 0, got {value!r}"
+    assert not isinstance(info.value, LadderHypothesisError)
+
+
 def test_deformation_script_shape_and_tuples():
     report = replay_deformation(P)
     kinds = tuple(type(m) for m in report.moves)
@@ -119,6 +131,12 @@ def test_ladder_certificate_past_the_int_str_digit_limit():
     cert = verify_slide_ladder(p, 5600)
     assert cert.ok
     assert cert.levels[-1].index == free_edge_index(p, 5600)
+
+
+def test_negative_ladder_depth_is_an_error_not_a_skip():
+    with pytest.raises(ValueError, match="ladder depth must be an int of at least 0, got -3") as info:
+        verify_slide_ladder(P, -3)
+    assert not isinstance(info.value, LadderHypothesisError)
 
 
 def test_ladder_hypotheses_enforced():

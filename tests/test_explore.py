@@ -177,6 +177,18 @@ def test_deform_equivalence_of_the_example_pair(x, y):
     assert is_isomorphic(g, y)
 
 
+# Each field is checked where the budget is built: a search adds and compares
+# them, so a value that is not a count would fail deep inside it, or read as
+# an exhausted budget.
+@pytest.mark.parametrize("field, value", [
+    ("max_depth", "3"), ("max_depth", -1), ("max_depth", 2.0), ("max_nodes", -5),
+    ("max_nodes", -10**5000), ("max_abs_index", True),
+], ids=["text", "negative", "float", "negative-nodes", "long-negative", "bool"])
+def test_a_budget_field_that_is_not_a_count_is_rejected(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an int of at least 0, got "):
+        Budget(**{field: value})
+
+
 def test_a_budget_takes_zero_counts_and_only_expansion_bounds():
     assert Budget(0, 0, 0, ExpansionBounds(0, 0)).max_depth == 0
     with pytest.raises(ValueError, match="^expansion must be an ExpansionBounds, got "):
