@@ -167,8 +167,16 @@ def index_tuple(g: EdgeIndexedGraph) -> tuple[int, ...]:
 
 @dataclass(frozen=True, slots=True)
 class LadderLevel:
-    index: int
+    """Level k of the ladder and its slide count.  It keeps k, not the index,
+    which has about 0.78*k digits; ``index`` computes one power on each read."""
+
+    params: ExampleParams
+    k: int
     move_count: int
+
+    @property
+    def index(self) -> int:
+        return free_edge_index(self.params, self.k)
 
 
 @dataclass(slots=True)
@@ -199,7 +207,8 @@ def verify_slide_ladder(p: ExampleParams, depth: int) -> LadderCertificate:
     this equality is the class equality the certificate claims.  Only Y,
     labelled differently, goes through ``is_isomorphic``, which builds a
     canonical form only on a tie, so no index becomes text.  Only levels k-1,
-    k, k+1 are held."""
+    k, k+1 are held as graphs; a certificate level keeps k and its move count,
+    and its ``index`` computes one power on each read."""
     _require_int("ladder depth", depth)
     if not p.m_n_incomparable:
         raise LadderHypothesisError(
@@ -209,14 +218,13 @@ def verify_slide_ladder(p: ExampleParams, depth: int) -> LadderCertificate:
     below, g = (), _level(p, free_edge_index(p, 0))
     levels = []
     shape_ok = y_absent = True
-    for _ in range(depth + 1):
-        index = g.edge("t").i0
-        above = _level(p, index * step)
+    for k in range(depth + 1):
+        above = _level(p, g.edge("t").i0 * step)
         slides = enumerate_slides(g)
         results = {apply_move(g, mv) for mv in slides}
         shape_ok = shape_ok and len(slides) == len(below) + 1 and results == {*below, above}
         y_absent = y_absent and not is_isomorphic(g, y)
-        levels.append(LadderLevel(index=index, move_count=len(slides)))
+        levels.append(LadderLevel(p, k, len(slides)))
         below, g = (g,), above
     return LadderCertificate(
         depth=depth,

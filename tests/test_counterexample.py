@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -131,6 +132,30 @@ def test_ladder_certificate_past_the_int_str_digit_limit():
     cert = verify_slide_ladder(p, 5600)
     assert cert.ok
     assert cert.levels[-1].index == free_edge_index(p, 5600)
+
+
+# The ladder certificate's tracemalloc peak at the benchmark's depth, 4,500:
+# 3.92 MB on Python 3.11 while each level kept its index, of about 0.78*k
+# digits, so that the memory it held grew x3.6 from depth 2,250 to 4,500;
+# 0.469 MB since a level keeps k and computes its index on each read, growing
+# x2.04.  The ceiling is 26 % above that reading; the growth bound fails a
+# certificate that holds memory quadratic in its depth under any ceiling.
+LADDER_PEAK_BYTES = 590_000
+LADDER_HELD_GROWTH = 2.2
+
+
+def test_the_ladder_keeps_its_memory_linear_in_its_depth():
+    held = {}
+    for depth in (2250, 4500):
+        tracemalloc.start()
+        try:
+            cert = verify_slide_ladder(P, depth)
+            held[depth], peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cert.ok
+    assert peak < LADDER_PEAK_BYTES
+    assert held[4500] <= LADDER_HELD_GROWTH * held[2250]
 
 
 def test_negative_ladder_depth_is_an_error_not_a_skip():
