@@ -7,6 +7,7 @@ with one result forced to fail.
 """
 
 import dataclasses
+import hashlib
 import importlib.util
 import re
 import subprocess
@@ -42,6 +43,18 @@ def test_ladder_table_prints_indices_past_the_int_str_limit():
     rows = proc.stdout.splitlines()
     assert len(rows) == 4
     assert all(": ok  indices: " in row for row in rows)
+
+
+# The whole stdout of `ladder_table.py --depth 40 --max-param 4`: eight
+# certified rows of 41 indices each and four skipped rows.
+LADDER_TABLE_SHA256 = "61ee4841af0d25b70e55f2c3a91239a0f59205a974fb513add87bebe2ee6a379"
+
+
+def test_ladder_table_output_is_pinned():
+    proc = run_script("ladder_table.py", "--depth", "40", "--max-param", "4")
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 12
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == LADDER_TABLE_SHA256
 
 
 def test_ladder_table_rejects_a_negative_depth():
