@@ -168,7 +168,7 @@ def index_tuple(g: EdgeIndexedGraph) -> tuple[int, ...]:
 @dataclass(frozen=True, slots=True)
 class LadderLevel:
     """Level k of the ladder and its slide count.  It keeps k, not the index,
-    which has about 0.78*k digits; ``index`` computes one power on each read."""
+    whose digits grow linearly in k; ``index`` computes one power on each read."""
 
     params: ExampleParams
     k: int
