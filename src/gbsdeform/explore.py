@@ -1,18 +1,19 @@
 """Bounded search over move graphs, keyed by class name.
 
-``_search`` is every search's one loop: it walks the layers of each ``_Side``,
-which decides every cap.  A started layer is admitted whole, so no verdict
-depends on the order of a layer's steps, and a class of at most ``max_nodes``
-members still closes.  A side is *closed* when its frontier emptied and no cap
-fired; only then is it the whole class.  Each search keeps one ``_Names`` for
-both of its sides, freed when it returns.
+``_search`` is every search's one loop: it grows each ``_Side`` a layer at a
+time, and the side decides every cap.  A started layer is admitted whole, so no
+verdict depends on the order of a layer's steps, and a class of at most
+``max_nodes`` members still closes.  A side is *closed* when its frontier
+emptied and no cap fired; only then is it the whole class.  Each search keeps
+one ``_Names`` for both of its sides, freed when it returns.
 
 ``decide_equivalence`` first asks ``invariants.refute``, whose reasons rest on
 an ``invariant``, then grows two sides.  A move shifts the vertex count by at
 most 1, so a result at depth k whose count is more than ``max_depth - k`` from
 the other root's can meet nothing within the depth bound, nor can any class
-reached through it: the move kind that would build it waits until no meeting is
-found, when each side reruns from its root.  The move classes:
+reached through it: the side skips the move kind that would build it.  When no
+meeting is found, each side that skipped a step is searched again from its root
+as its whole class, the search ``explore_class`` runs.  The move classes:
 
   slide   - slide moves only; enumeration is complete, so a closed side
             decides distinctness on its own: the class is ``exhausted``.
@@ -119,26 +120,18 @@ class _Side:
                  name: _Names, size: int | None = None):
         self.kinds, self.budget, self.size = kinds, budget, size  # size: other root's vertex count
         self.name = name                # shared by the search's sides
-        self.root = name(g)             # each root is named once per search, by its own side
+        self.root = name(g)             # a side rebuilt from its root names it through the memo
         # name -> (graph as reached, depth, parent name, move from parent)
         self.visited: dict[Name, tuple[EdgeIndexedGraph, int, Name | None, Move | None]] = {
             self.root: (g, 0, None, None)}
-        self.layers: list[list[Name]] = [[self.root]]  # names by depth, new ones last
+        self.frontier: list[Name] = [self.root]     # the names first reached at depth
         self.depth = 0
-        self.capped: set[tuple[str, int]] = set()   # (cap, the layer it bounded)
-
-    @property
-    def frontier(self) -> list[Name]:
-        return self.layers[self.depth]
-
-    @property
-    def caps(self) -> set[str]:
-        """"index", "size", "node": the caps that bound the side."""
-        return {cap for cap, _ in self.capped}
+        self.caps: set[str] = set()     # "index", "size", "node": the caps that bound the side
+        self.skipped = False            # advance left out a step out of reach of size
 
     @property
     def closed(self) -> bool:
-        return not self.frontier and not self.capped
+        return not self.frontier and not self.caps
 
     @property
     def growing(self) -> bool:
@@ -147,41 +140,37 @@ class _Side:
         return (bool(self.frontier) and self.depth < self.budget.max_depth
                 and "node" not in self.caps)
 
-    def advance(self, waiting: bool = False) -> Iterator[tuple]:
+    def advance(self) -> Iterator[tuple]:
         """The next layer's steps (parent name, parent, move), lazily, or none if the
-        side holds more than ``max_nodes`` classes down to ``depth``: it records
-        ``"node"`` and drops the caps of the layers it refuses.  A step into layer k
-        whose result's vertex count is more than ``max_depth - k`` from ``size``, the
-        other root's, waits (runs only if ``waiting``): a move shifts the count by at
-        most 1, so no class the other side holds within the depth left is that far."""
-        held = len(self.visited) - sum(map(len, self.layers[self.depth + 1:]))  # O(1) but in reruns
-        if held > self.budget.max_nodes:
-            self.capped = {cap for cap in self.capped if cap[1] <= self.depth}
-            self.capped.add(("node", self.depth + 1))
+        side holds more than ``max_nodes`` classes: it records ``"node"``.  A step into
+        layer k whose result's vertex count is more than ``max_depth - k`` from
+        ``size``, the other root's, is skipped: a move shifts the count by at most 1,
+        so no class the other side holds within the depth left is that far."""
+        if len(self.visited) > self.budget.max_nodes:
+            self.caps.add("node")
             return
-        parents, self.depth = self.layers[self.depth], self.depth + 1
-        if self.depth == len(self.layers):
-            self.layers.append([])
+        parents, self.frontier, self.depth = self.frontier, [], self.depth + 1
         left = self.budget.max_depth - self.depth
         for name_u in parents:
             gu = self.visited[name_u][0]
             for shift, enumerate_kind in self.kinds:
-                far = self.size is not None and abs(len(gu.vertices) + shift - self.size) > left
-                if far == waiting:
+                if self.size is not None and abs(len(gu.vertices) + shift - self.size) > left:
+                    self.skipped = True
+                else:
                     for move in enumerate_kind(gu):
                         yield name_u, gu, move
 
     def grow(self, steps: Iterable[tuple]) -> Iterator[tuple]:
-        """Apply steps at ``depth``; yield (parent, name) per uncapped result."""
+        """Apply steps at ``depth``; yield (parent, name) per result no cap drops."""
         for name_u, gu, move in steps:
             h = apply_move(gu, move)
             if h.max_abs_index() > self.budget.max_abs_index:
-                self.capped.add(("index", self.depth))
+                self.caps.add("index")
                 continue
             try:
                 name_h = self.name(h)
             except SizeCapError:
-                self.capped.add(("size", self.depth))
+                self.caps.add("size")
                 continue
             if name_h not in self.visited:
                 self.visited[name_h] = (h, self.depth, name_u, move)
@@ -199,12 +188,12 @@ class _Side:
             name = parent
 
 
-def _search(sides: list[_Side], waiting: bool = False) -> Iterator[tuple]:
+def _search(sides: list[_Side]) -> Iterator[tuple]:
     """Every search's loop: grow the side with the smaller frontier, ties to the
-    first, until none grows; yield (side, parent, name) per uncapped result."""
+    first, until none grows; yield (side, parent, name) per result no cap drops."""
     while growing := [s for s in sides if s.growing]:
         side = min(growing, key=lambda s: len(s.frontier))
-        for parent, name in side.grow(side.advance(waiting)):
+        for parent, name in side.grow(side.advance()):
             yield side, parent, name
 
 
@@ -263,15 +252,15 @@ def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
     if fwd.root == bwd.root:
         return Verdict("equivalent", path=(), evidence="path")
 
-    for side, _, name in _search([fwd, bwd]):
-        other = bwd if side is fwd else fwd
-        if (name in other.visited
-                and side.visited[name][1] + other.visited[name][1] <= budget.max_depth):
+    for _, _, name in _search([fwd, bwd]):
+        if (name in fwd.visited and name in bwd.visited
+                and fwd.visited[name][1] + bwd.visited[name][1] <= budget.max_depth):
             return Verdict("equivalent", path=_stitch(fwd, bwd, name), evidence="path")
-    for side in (fwd, bwd):             # no meeting: each side reruns its waiting steps
-        side.depth, side.capped = 0, {cap for cap in side.capped if cap[0] != "node"}
-        for _ in _search([side], waiting=True):
-            pass
+    # No meeting: a side that skipped a step is searched again as its whole class.
+    fwd, bwd = (_Side(g, kinds, budget, names) if side.skipped else side
+                for side, g in ((fwd, g1), (bwd, g2)))
+    for _ in _search([fwd, bwd]):
+        pass
 
     if move_class == "slide":
         if fwd.closed or bwd.closed:

@@ -79,7 +79,12 @@ class Expansion:
     new_edge: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "moved_ends", tuple(sorted(set(map(_as_end, self.moved_ends)))))
+        try:
+            ends = tuple(sorted(set(map(_as_end, self.moved_ends))))
+        except TypeError:               # not iterable, unhashable, or ids that do not sort
+            raise IllegalMoveError(f"moved ends {_repr(self.moved_ends)} are not "
+                                   "(edge, side) pairs of a str and an int") from None
+        object.__setattr__(self, "moved_ends", ends)
 
 
 @dataclass(frozen=True, slots=True)

@@ -111,6 +111,7 @@ def random_graph_from_rng(spec: RandomGraphSpec, rng: random.Random) -> EdgeInde
 
 def random_graph(spec: RandomGraphSpec, seed: int) -> EdgeIndexedGraph:
     """Reproducible connected multigraph; same spec and seed, same graph."""
+    _require_int("seed", seed, least=None)
     return random_graph_from_rng(spec, random.Random(seed))
 
 
@@ -142,6 +143,7 @@ class RigidityTrial:
 def rigidity_trial(num_vertices: int, num_edges: int, num_moves: int,
                    seed: int) -> RigidityTrial:
     _require_int("num_moves", num_moves)
+    _require_int("seed", seed, least=None)
     # Start indices are 2..9 in absolute value; expansion factors go up to 9.
     spec = RandomGraphSpec(num_vertices, num_edges, (2, 9), "strongly_slide_free")
     bounds = ExpansionBounds(max_n=9)

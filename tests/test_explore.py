@@ -404,20 +404,20 @@ def test_a_last_layer_meeting_near_the_node_cap_is_decided_in_full(g1, g2, budge
     ("vertex A\nvertex B\nedge l A A 30 5\nedge t A B 21 7", X_TEXT, "slide", 10**6,
      "slide class exhausted", "exhausted"),
     (X_TEXT, Y_TEXT, "slide", 10**6, "budget exhausted (depth)", None),
-    # No move of the path can reach one vertex, so all of them wait; their
-    # results are new, or past the index cap.
+    # No move of the path can reach one vertex, so the meeting search skips
+    # them all; the class searches' results are new, or past the index cap.
     ("vertex v0\nvertex v1\nvertex v2\nedge e1 v0 v1 -1 -1\nedge e2 v1 v2 1 1", "vertex u0",
      "deform", 10**6, "budget exhausted (depth)", None),
     ("vertex v0\nvertex v1\nvertex v2\nedge e1 v0 v1 5 1\nedge e2 v1 v2 -5 1\n"
      "edge e3 v0 v2 3 5", "vertex u0\nedge f0 u0 u0 3 -125",
      "deform", 100, "budget exhausted (depth, index cap)", None),
-    # Only slides keep the other root's 12 vertices, so collapses and
-    # expansions wait; the expansions' 13-vertex results, past the
-    # certificate's vertex cap, are dropped only in the no-meeting rerun.
+    # Only slides keep the other root's 12 vertices, so the meeting search
+    # skips collapses and expansions; the expansions' 13-vertex results, past
+    # the certificate's vertex cap, are dropped only in the class searches.
     (serialize_graph(_path(DEFAULT_SIZE_CAP, 2)), serialize_graph(_path(DEFAULT_SIZE_CAP, 3)),
      "deform", 100, "budget exhausted (depth, size cap)", None),
-], ids=["deform-closed", "slide-closed", "depth", "waiting-depth", "waiting-index-cap",
-        "waiting-size-cap"])
+], ids=["deform-closed", "slide-closed", "depth", "out-of-reach-depth",
+        "out-of-reach-index-cap", "out-of-reach-size-cap"])
 def test_a_last_layer_with_no_meeting_still_decides_the_reason(g1, g2, move_class,
                                                               max_abs_index, reason, evidence):
     verdict = decide_equivalence(parse_graph(g1), parse_graph(g2), move_class,
@@ -426,11 +426,12 @@ def test_a_last_layer_with_no_meeting_still_decides_the_reason(g1, g2, move_clas
     assert (verdict.reason, verdict.evidence) == (reason, evidence)
 
 
-def test_a_node_cap_found_by_the_rerun_drops_the_caps_of_the_layers_it_refuses():
+def test_a_node_cap_found_by_the_class_search_refuses_the_layer_of_an_index_cap():
     # Holding only the 38 classes in reach, the forward side passes the node
-    # cap of 40 and builds layer 3, where a result passes the index cap.  The
-    # no-meeting rerun builds its far classes too, so it holds more than 40
-    # classes above layer 3 and refuses that layer: only the node cap bounds it.
+    # cap of 40 and builds layer 3, where a result passes the index cap.  With
+    # no meeting, the forward root's class search builds its far classes too,
+    # so it holds more than 40 classes above layer 3 and refuses that layer:
+    # only the node cap bounds it.
     g1 = parse_graph("vertex v0\nvertex v1\nedge e1 v0 v1 -6 -2\nedge e2 v0 v1 -3 -4")
     g2 = parse_graph("vertex v0\nvertex v1\nedge e1 v0 v1 -4 -6\nedge e2 v1 v0 1 2")
     budget = Budget(max_depth=3, max_nodes=40, max_abs_index=60,
@@ -458,37 +459,60 @@ def test_closed_classes_that_share_a_class_past_the_depth_bound_are_equivalent()
     assert canonical_certificate(g) == canonical_certificate(g2)
 
 
-@pytest.mark.parametrize("g1, g2, move_class, max_depth", [
+@pytest.mark.parametrize("g1, g2, move_class, max_depth, total", [
     ("vertex A\nvertex B\nvertex C\nedge a A B 2 4\nedge b B C 2 4\nedge c A C 2 2\n"
      "edge l A A 2 4",
      "vertex A\nvertex B\nvertex C\nedge a A B 2 4\nedge b B C 2 4\nedge c A C 2 2\n"
-     "edge l A A 2 8", "slide", 2),
-    (X_TEXT, "vertex A\nvertex B\nedge l A A 30 5\nedge t A B 21 7", "deform", 2),
-    # At depth 3 steps wait in the layers before the last too, and the
-    # no-meeting rerun builds from the far classes they make.
-    (X_TEXT, "vertex A\nvertex B\nedge l A A 30 5\nedge t A B 21 7", "deform", 3),
+     "edge l A A 2 8", "slide", 2, 214),
+    (X_TEXT, "vertex A\nvertex B\nedge l A A 30 5\nedge t A B 21 7", "deform", 2, 346),
+    # At depth 3 steps are skipped in the layers before the last too, and the
+    # class searches build from the far classes they make.
+    (X_TEXT, "vertex A\nvertex B\nedge l A A 30 5\nedge t A B 21 7", "deform", 3, 2848),
 ], ids=["slide", "deform", "deform-depth-3"])
 def test_a_search_with_no_meeting_applies_each_move_once(monkeypatch, g1, g2, move_class,
-                                                         max_depth):
-    # Each layer defers the moves that cannot reach the other root within the
-    # depth left, and the rerun runs them once no meeting is found: each move is
-    # enumerated and applied once.
-    applied = []
+                                                         max_depth, total):
+    # Each layer skips the moves that cannot reach the other root within the
+    # depth left.  Once no meeting is found, each side that skipped a move is
+    # searched again from its root, as explore_class searches it: no side
+    # applies a move twice, and every move built is applied.
+    g1, g2 = parse_graph(g1), parse_graph(g2)
+    applied, stepped, sides = [], [], []
+    advance, init = explore._Side.advance, explore._Side.__init__
 
     def recorded(g, move):
         applied.append((g, move))
         return apply_move(g, move)
 
+    def recorded_steps(side):           # grow applies each step as it is drawn
+        for step in advance(side):
+            stepped.append((side, *step[1:]))
+            yield step
+
+    def recorded_init(self, *args):
+        init(self, *args)
+        sides.append(self)
+
     monkeypatch.setattr(explore, "apply_move", recorded)
+    monkeypatch.setattr(explore._Side, "advance", recorded_steps)
+    monkeypatch.setattr(explore._Side, "__init__", recorded_init)
     kinds, built = counted_enumerators(monkeypatch)
-    verdict = decide_equivalence(parse_graph(g1), parse_graph(g2), move_class,
-                                 Budget(max_depth=max_depth))
+    verdict = decide_equivalence(g1, g2, move_class, Budget(max_depth=max_depth))
     assert verdict.reason == "budget exhausted (depth)"
-    assert applied and len(set(applied)) == len(applied)
-    # A waiting kind is built only in the rerun: every (graph, kind) is
-    # enumerated once, and every move built is applied.
-    assert kinds and len(set(kinds)) == len(kinds)
-    assert sum(built) == len(applied)
+    assert [(g, move) for _, g, move in stepped] == applied
+    assert len(applied) == sum(built) == total
+    assert len(set(stepped)) == len(stepped)
+    skipped = [root for side, root in zip(sides, (g1, g2)) if side.skipped]
+    assert bool(skipped) == (move_class == "deform")
+    if not skipped:
+        # The slide class keeps the vertex count, so nothing is skipped and
+        # nothing searched again: every (graph, kind) is enumerated once.
+        assert len(sides) == 2 and len(set(applied)) == len(applied)
+        assert kinds and len(set(kinds)) == len(kinds)
+    rebuilt = Counter((g, move) for side, g, move in stepped if side in sides[2:])
+    applied.clear()
+    for root in skipped:
+        explore_class(root, move_class, Budget(max_depth=max_depth))
+    assert rebuilt == Counter(applied)
 
 
 def counted_enumerators(monkeypatch):
@@ -722,7 +746,7 @@ def test_verdicts_agree_with_the_meeting_oracle_with_no_node_cap():
 
 
 def test_the_vertex_count_bound_changes_no_verdict_when_no_node_cap_applies(monkeypatch):
-    # With every node cap lifted, a search whose steps never wait (a side with
+    # With every node cap lifted, a search that skips no step (a side with
     # no ``size``) gives every pair the same kind, reason and evidence.
     def outcomes():
         for g1, g2, move_class, budget in differential_corpus():
@@ -746,10 +770,9 @@ def test_the_vertex_count_bound_changes_no_verdict_when_no_node_cap_applies(monk
 
 
 def test_a_search_with_no_meeting_ends_each_side_as_its_class_search(monkeypatch):
-    # Once no meeting is found, the rerun finishes each side: it holds what
-    # explore_class finds from its root down to the layer where the search
-    # stopped, and has the same caps and closedness.  A side whose node cap
-    # counted only the classes in reach can hold more, below that layer.
+    # Once no meeting is found, the side the verdict reads for each root, the
+    # last one built for it, holds what explore_class finds from that root,
+    # at the same depths, and has the same caps and closedness.
     sides = []
     init = explore._Side.__init__
 
@@ -764,10 +787,11 @@ def test_a_search_with_no_meeting_ends_each_side_as_its_class_search(monkeypatch
         v = decide_equivalence(g1, g2, move_class, budget)
         if v.kind == "equivalent" and len(v.path) <= budget.max_depth:
             continue                    # a meeting, or equal roots
-        for side, root in zip(sides, (g1, g2)):
-            report = explore_class(root, move_class, budget)
+        last = {id(side.visited[side.root][0]): side for side in sides}
+        for root in (g1, g2):
+            side, report = last[id(root)], explore_class(root, move_class, budget)
             depths = {canonical_certificate(graph): depth
-                      for graph, depth, _, _ in side.visited.values() if depth <= side.depth}
+                      for graph, depth, _, _ in side.visited.values()}
             assert depths == report.depths
             assert (side.caps, side.closed) == (report.caps, report.closed)
             checked["node" in report.caps] += 1
@@ -836,8 +860,8 @@ def test_no_verdict_or_class_depends_on_the_order_of_a_layers_steps(monkeypatch)
     in_order = list(outcomes())
     advance, rng = explore._Side.advance, random.Random(21)
 
-    def shuffled(side, *args):          # the no-meeting rerun's layers too
-        steps = list(advance(side, *args))
+    def shuffled(side):                 # the class searches' layers too
+        steps = list(advance(side))
         rng.shuffle(steps)
         return iter(steps)
 

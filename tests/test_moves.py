@@ -155,18 +155,36 @@ def test_slide_built_from_tuples_formats_parses_and_inverts(x):
     assert invert_move(x, move) == Slide(End("t", 0), End("l", 0))
 
 
-@pytest.mark.parametrize("make, bad", [
-    pytest.param(lambda: Slide("t0", ("l", 0)), "'t0'", id="slide-moving-string"),
-    pytest.param(lambda: Slide(("t", 0), "l1"), "'l1'", id="slide-along-string"),
-    pytest.param(lambda: Slide(("t", 0, 1), End("l", 0)), r"\('t', 0, 1\)", id="slide-triple"),
-    pytest.param(lambda: Slide(End("t", 0), 5), "5", id="slide-int"),
-    pytest.param(lambda: Expansion("A", 2, ("t0",), "Q", "d"), "'t0'", id="expansion-string"),
+NOT_A_PAIR = "is not an (edge, side) pair"
+NOT_PAIRS = "are not (edge, side) pairs of a str and an int"
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: Slide("t0", ("l", 0)), f"move end 't0' {NOT_A_PAIR}",
+                 id="slide-moving-string"),
+    pytest.param(lambda: Slide(("t", 0), "l1"), f"move end 'l1' {NOT_A_PAIR}",
+                 id="slide-along-string"),
+    pytest.param(lambda: Slide(("t", 0, 1), End("l", 0)), f"move end ('t', 0, 1) {NOT_A_PAIR}",
+                 id="slide-triple"),
+    pytest.param(lambda: Slide(End("t", 0), 5), f"move end 5 {NOT_A_PAIR}", id="slide-int"),
+    pytest.param(lambda: Expansion("A", 2, ("t0",), "Q", "d"), f"move end 't0' {NOT_A_PAIR}",
+                 id="expansion-string"),
     pytest.param(lambda: Expansion("A", 2, (End("l", 0), ["t", 0, 1]), "Q", "d"),
-                 r"\['t', 0, 1\]", id="expansion-triple-list"),
+                 f"move end ['t', 0, 1] {NOT_A_PAIR}", id="expansion-triple-list"),
+    # Ends that cannot be sorted or hashed, and no collection of ends at all.
+    pytest.param(lambda: Expansion("A", 2, [("l", 0), (5, 0)], "C", "u"),
+                 f"moved ends [('l', 0), (5, 0)] {NOT_PAIRS}", id="expansion-int-edge-id"),
+    pytest.param(lambda: Expansion("A", 2, [("l", 0), ("l", "x")], "C", "u"),
+                 f"moved ends [('l', 0), ('l', 'x')] {NOT_PAIRS}", id="expansion-str-side"),
+    pytest.param(lambda: Expansion("A", 2, [(["l"], 0)], "C", "u"),
+                 f"moved ends [(['l'], 0)] {NOT_PAIRS}", id="expansion-list-edge-id"),
+    pytest.param(lambda: Expansion("A", 2, None, "C", "u"), f"moved ends None {NOT_PAIRS}",
+                 id="expansion-none"),
 ])
-def test_a_move_end_that_is_not_an_edge_side_pair_is_rejected(make, bad):
-    with pytest.raises(IllegalMoveError, match=rf"^move end {bad} is not an \(edge, side\) pair$"):
+def test_a_move_end_that_is_not_an_edge_side_pair_is_rejected(make, message):
+    with pytest.raises(IllegalMoveError) as info:
         make()
+    assert str(info.value) == message
 
 
 def test_a_move_keeps_its_ends_and_builds_them_from_pairs():

@@ -44,7 +44,7 @@ def _int_inputs() -> dict[str, tuple]:
     """id -> (a call given one bad value, the name its error carries) for each
     int a caller gives the library: the ``int`` fields of every record a public
     function takes, found from its type hints (a move is checked against its
-    graph by ``apply_move``), and the ladder level, ladder depth and move count."""
+    graph by ``apply_move``), and the ladder level, ladder depth, move count and seeds."""
     moves = set(typing.get_args(gbsdeform.Move))
     records = set()
     for module in MODULES:
@@ -54,15 +54,19 @@ def _int_inputs() -> dict[str, tuple]:
                             if arg != "return" for t in typing.get_args(hint) or (hint,)
                             if dataclasses.is_dataclass(t) and t not in moves}
     p = gbsdeform.ExampleParams(2, 3, 5, 7)
+    counts, seeds = (2.0, True, "3", -1), (2.0, True, "3", None)    # a seed may be negative
     cases = {}
-    for label, name, call in [
-            ("free_edge_index.k", "k", functools.partial(gbsdeform.free_edge_index, p)),
+    for label, name, call, bads in [
+            ("free_edge_index.k", "k", functools.partial(gbsdeform.free_edge_index, p), counts),
             ("verify_slide_ladder.depth", "depth",
-             functools.partial(gbsdeform.verify_slide_ladder, p)),
+             functools.partial(gbsdeform.verify_slide_ladder, p), counts),
             ("rigidity_trial.num_moves", "num_moves",
-             lambda n: gbsdeform.rigidity_trial(1, 0, n, 0))]:
-        cases |= {f"{label}={bad!r}": (functools.partial(call, bad), name)
-                  for bad in (2.0, True, "3", -1)}
+             lambda n: gbsdeform.rigidity_trial(1, 0, n, 0), counts),
+            ("random_graph.seed", "seed",
+             functools.partial(gbsdeform.random_graph, gbsdeform.RandomGraphSpec(1, 0)), seeds),
+            ("rigidity_trial.seed", "seed", functools.partial(gbsdeform.rigidity_trial, 1, 0, 0),
+             seeds)]:
+        cases |= {f"{label}={bad!r}": (functools.partial(call, bad), name) for bad in bads}
     for cls in sorted(records, key=lambda cls: cls.__name__):
         hints = typing.get_type_hints(cls)
         ints = [f.name for f in dataclasses.fields(cls) if hints[f.name] is int]
