@@ -1,19 +1,21 @@
 """Bounded search over move graphs, keyed by class name.
 
 ``_search`` is every search's one loop: it grows each ``_Side`` a layer at a
-time, and the side decides every cap.  A started layer is admitted whole, so no
-verdict depends on the order of a layer's steps, and a class of at most
-``max_nodes`` members still closes.  A side is *closed* when its frontier
-emptied and no cap fired; only then is it the whole class.  Each search keeps
-one ``_Names`` for both of its sides, freed when it returns.
+time until every frontier is empty.  The side decides every cap and names in its
+``caps`` each reason it is not its whole class; a stop empties its frontier.  A
+started layer is admitted whole, so no verdict depends on the order of a layer's
+steps, and a class of at most ``max_nodes`` members still closes.  A side is
+*closed* when its frontier emptied and no cap fired; only then is it the whole
+class.  Each search keeps one ``_Names`` for both of its sides, freed when it returns.
 
 ``decide_equivalence`` first asks ``invariants.refute``, whose reasons rest on
 an ``invariant``, then grows two sides.  A move shifts the vertex count by at
 most 1, so a result at depth k whose count is more than ``max_depth - k`` from
 the other root's can meet nothing within the depth bound, nor can any class
-reached through it: the side skips the move kind that would build it.  When no
-meeting is found, each side that skipped a step is searched again from its root
-as its whole class, the search ``explore_class`` runs.  The move classes:
+reached through it: the side leaves out the move kind that would build it, as
+``"reach"``.  When no meeting is found, each side with ``"reach"`` is searched
+again from its root as its whole class, the search ``explore_class`` runs.  The
+move classes:
 
   slide   - slide moves only; enumeration is complete, so a closed side
             decides distinctness on its own: the class is ``exhausted``.
@@ -87,7 +89,7 @@ class ExplorationReport:
     depths: dict[bytes, int]
     adjacency: dict[bytes, tuple[bytes, ...]]
     closed: bool
-    caps: frozenset[str]            # "index", "size", "node": caps that bound the search
+    caps: frozenset[str]            # "depth", "index", "size", "node": caps that bound the search
 
 
 class _Names:
@@ -126,28 +128,22 @@ class _Side:
             self.root: (g, 0, None, None)}
         self.frontier: list[Name] = [self.root]     # the names first reached at depth
         self.depth = 0
-        self.caps: set[str] = set()     # "index", "size", "node": the caps that bound the side
-        self.skipped = False            # advance left out a step out of reach of size
+        self.caps: set[str] = set()     # why the side is not its whole class, by name
 
     @property
     def closed(self) -> bool:
         return not self.frontier and not self.caps
 
-    @property
-    def growing(self) -> bool:
-        """A next layer is due: the frontier is not empty, the depth bound not
-        reached, and the node cap refused no layer."""
-        return (bool(self.frontier) and self.depth < self.budget.max_depth
-                and "node" not in self.caps)
-
     def advance(self) -> Iterator[tuple]:
-        """The next layer's steps (parent name, parent, move), lazily, or none if the
-        side holds more than ``max_nodes`` classes: it records ``"node"``.  A step into
-        layer k whose result's vertex count is more than ``max_depth - k`` from
-        ``size``, the other root's, is skipped: a move shifts the count by at most 1,
-        so no class the other side holds within the depth left is that far."""
-        if len(self.visited) > self.budget.max_nodes:
-            self.caps.add("node")
+        """The next layer's steps (parent name, parent, move), lazily.  At the depth
+        bound the side records ``"depth"``, else past ``max_nodes`` classes ``"node"``;
+        either stop empties the frontier and builds no step.  A step into layer k whose
+        result's vertex count is more than ``max_depth - k`` from ``size``, the other
+        root's, is left out and records ``"reach"``: a move shifts the count by at
+        most 1, so no class the other side holds within the depth left is that far."""
+        if self.depth >= self.budget.max_depth or len(self.visited) > self.budget.max_nodes:
+            self.caps.add("depth" if self.depth >= self.budget.max_depth else "node")
+            self.frontier = []
             return
         parents, self.frontier, self.depth = self.frontier, [], self.depth + 1
         left = self.budget.max_depth - self.depth
@@ -155,7 +151,7 @@ class _Side:
             gu = self.visited[name_u][0]
             for shift, enumerate_kind in self.kinds:
                 if self.size is not None and abs(len(gu.vertices) + shift - self.size) > left:
-                    self.skipped = True
+                    self.caps.add("reach")
                 else:
                     for move in enumerate_kind(gu):
                         yield name_u, gu, move
@@ -190,9 +186,9 @@ class _Side:
 
 def _search(sides: list[_Side]) -> Iterator[tuple]:
     """Every search's loop: grow the side with the smaller frontier, ties to the
-    first, until none grows; yield (side, parent, name) per result no cap drops."""
-    while growing := [s for s in sides if s.growing]:
-        side = min(growing, key=lambda s: len(s.frontier))
+    first, until every frontier is empty; yield (side, parent, name) per kept result."""
+    while live := [s for s in sides if s.frontier]:
+        side = min(live, key=lambda s: len(s.frontier))
         for parent, name in side.grow(side.advance()):
             yield side, parent, name
 
@@ -256,8 +252,8 @@ def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
         if (name in fwd.visited and name in bwd.visited
                 and fwd.visited[name][1] + bwd.visited[name][1] <= budget.max_depth):
             return Verdict("equivalent", path=_stitch(fwd, bwd, name), evidence="path")
-    # No meeting: a side that skipped a step is searched again as its whole class.
-    fwd, bwd = (_Side(g, kinds, budget, names) if side.skipped else side
+    # No meeting: a side that left out a step is searched again as its whole class.
+    fwd, bwd = (_Side(g, kinds, budget, names) if "reach" in side.caps else side
                 for side, g in ((fwd, g1), (bwd, g2)))
     for _ in _search([fwd, bwd]):
         pass
@@ -274,7 +270,5 @@ def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
             return Verdict("equivalent", path=_stitch(fwd, bwd, name), evidence="path")
         return Verdict("distinct", reason="deformation class exhausted within bounds",
                        evidence="bounds")
-    bounds = [f"{cap} cap" for cap in fwd.caps | bwd.caps]
-    if any(s.frontier and s.depth >= budget.max_depth for s in (fwd, bwd)):
-        bounds.append("depth")
+    bounds = [cap if cap == "depth" else f"{cap} cap" for cap in fwd.caps | bwd.caps]
     return Verdict("unknown", reason=f"budget exhausted ({', '.join(sorted(bounds))})")

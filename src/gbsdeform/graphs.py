@@ -112,6 +112,14 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+def _require_text(what: str, value, error: type[ParseError] = ParseError,
+                  line: int | None = None) -> None:
+    """The one check of a text a caller gives a parser: ``error`` naming ``what`` and
+    the value's type unless value is a ``str``."""
+    if not isinstance(value, str):
+        raise error(f"{what} must be a str, got {type(value).__name__}", line)
+
+
 class Edge(NamedTuple):
     """One geometric edge: an unordered pair of ends with indices.
 
@@ -264,10 +272,15 @@ def _check(vertices: tuple, edges: tuple[Edge, ...]) -> EdgeIndexedGraph:
 
 
 def graph_from_parts(vertices, edges) -> EdgeIndexedGraph:
-    """Build and check a graph from vertex ids and edges, each an ``Edge`` or an
-    (eid, v0, v1, i0, i1) tuple."""
-    if isinstance(vertices, str):
-        raise InvalidGraphError(f"vertices {vertices!r} is a string, not a collection of ids")
+    """Build and check a graph from a collection of vertex ids and one of edges, each
+    an ``Edge`` or an (eid, v0, v1, i0, i1) tuple.  A text is not a collection."""
+    for what, value in (("vertices", vertices), ("edges", edges)):
+        if isinstance(value, (str, bytes)):
+            raise InvalidGraphError(f"{what} {_repr(value)} is a string, not a collection")
+        try:
+            iter(value)
+        except TypeError:
+            raise InvalidGraphError(f"{what} {_repr(value)} is not a collection") from None
     parts = []
     for e in edges:
         if not isinstance(e, (tuple, list)) or len(e) != 5:
@@ -294,6 +307,7 @@ def parse_graph(text: str) -> EdgeIndexedGraph:
     to ``graph_from_parts``, which may come in any order.
     Errors carry the offending line number and, for a bad field, its column.
     """
+    _require_text("text", text)
     vertices: list[str] = []
     edges: list[Edge] = []
     seen_v: set[str] = set()

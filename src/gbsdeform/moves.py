@@ -20,8 +20,8 @@ from math import gcd, isqrt
 from typing import ClassVar
 
 from .graphs import (_IDENT_RE, Edge, EdgeIndexedGraph, End, InvalidGraphError, Isomorphism,
-                     ParseError, _content_lines, _repr, _require_int, index_str,
-                     parse_index)
+                     ParseError, _content_lines, _repr, _require_int, _require_text,
+                     index_str, parse_index)
 
 __all__ = [
     "IllegalMoveError",
@@ -79,8 +79,10 @@ class Expansion:
     new_edge: str
 
     def __post_init__(self) -> None:
+        # A text would iterate by character: it is refused as None is.
+        moved = None if isinstance(self.moved_ends, (str, bytes)) else self.moved_ends
         try:
-            ends = tuple(sorted(set(map(_as_end, self.moved_ends))))
+            ends = tuple(sorted(set(map(_as_end, moved))))
         except TypeError:               # not iterable, unhashable, or ids that do not sort
             raise IllegalMoveError(f"moved ends {_repr(self.moved_ends)} are not "
                                    "(edge, side) pairs of a str and an int") from None
@@ -437,6 +439,7 @@ def format_move(m: Move) -> str:
 
 
 def parse_move(line: str, lineno: int | None = None) -> Move:
+    _require_text("line", line, ScriptError, lineno)
     fields = line.split()
     if not fields:
         raise ScriptError("empty move", lineno)
@@ -469,4 +472,5 @@ def format_script(moves) -> str:
 
 
 def parse_script(text: str) -> tuple[Move, ...]:
+    _require_text("text", text, ScriptError)
     return tuple(parse_move(line, lineno) for lineno, line in _content_lines(text))

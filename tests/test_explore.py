@@ -104,21 +104,25 @@ def test_node_cap_marks_report_open(x):
     assert set(report.depths.values()) == {0, 1}
 
 
-def test_reading_growing_records_no_cap(x):
-    # A side past max_nodes still reads as growing, and reading it changes
-    # nothing; the refused advance() builds no step and records "node".
-    budget = Budget(max_depth=2, max_nodes=5, expansion=ExpansionBounds(max_n=10))
+@pytest.mark.parametrize("max_depth, max_nodes, cap", [
+    (1, 100, "depth"), (2, 5, "node"), (1, 5, "depth"),
+], ids=["depth", "node", "depth-before-node"])
+def test_a_stop_records_its_cap_and_empties_the_frontier(x, max_depth, max_nodes, cap):
+    # After one layer of 19 classes, the side is at the depth bound, past
+    # max_nodes, or both, when the depth bound is the one recorded.  The
+    # refused advance() builds no step, records the stop's cap, empties the
+    # frontier and keeps the depth; reading closed records nothing.
+    budget = Budget(max_depth=max_depth, max_nodes=max_nodes,
+                    expansion=ExpansionBounds(max_n=10))
     side = explore._Side(x, explore._kinds("deform", budget.expansion), budget,
                          explore._Names())
     for _ in side.grow(side.advance()):
         pass
-    frontier, depth = list(side.frontier), side.depth
-    assert len(side.visited) > budget.max_nodes
-    assert side.growing and side.growing
-    assert side.caps == set()
+    assert (len(side.visited), side.depth, side.caps) == (19, 1, set()) and side.frontier
+    assert not side.closed and side.caps == set()
     assert list(side.advance()) == []
-    assert side.caps == {"node"} and not side.growing
-    assert (side.frontier, side.depth) == (frontier, depth)
+    assert (side.caps, side.frontier, side.depth) == ({cap}, [], 1)
+    assert not side.closed
 
 
 @pytest.mark.parametrize("text, move_class, max_nodes", [
@@ -501,7 +505,7 @@ def test_a_search_with_no_meeting_applies_each_move_once(monkeypatch, g1, g2, mo
     assert [(g, move) for _, g, move in stepped] == applied
     assert len(applied) == sum(built) == total
     assert len(set(stepped)) == len(stepped)
-    skipped = [root for side, root in zip(sides, (g1, g2)) if side.skipped]
+    skipped = [root for side, root in zip(sides, (g1, g2)) if "reach" in side.caps]
     assert bool(skipped) == (move_class == "deform")
     if not skipped:
         # The slide class keeps the vertex count, so nothing is skipped and
@@ -831,8 +835,9 @@ def test_node_cap_verdicts_reasons_and_paths_match_the_pinned_corpus():
 # explore_class on the first graph of each corpus pair, under the pair's
 # move class and budget: every member's certificate, depth and neighbours,
 # and whether the class closed and which caps fired.  The digest was taken
-# from the search that checks the node cap between layers.
-EXPLORE_SHA256 = "d3c7c10a618b99b32586ae57a5538d13d3e18f4475325723d32c61866ddfb873"
+# from the search that checks the node cap between layers and records the
+# depth bound as the cap "depth" when it leaves a frontier.
+EXPLORE_SHA256 = "9fd6658ae09f81df6ced42c0356f1181ebe666e0d94b45264b5e94756fafac3b"
 
 
 def test_explore_class_matches_the_pinned_corpus():
@@ -843,6 +848,7 @@ def test_explore_class_matches_the_pinned_corpus():
             neighbours = " ".join(nb.hex() for nb in report.adjacency[cert])
             lines.append(f"{cert.hex()} {report.depths[cert]} {neighbours}")
         lines.append(f"{report.closed} {sorted(report.caps)}")
+        assert report.closed == (not report.caps)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == EXPLORE_SHA256
 

@@ -151,6 +151,8 @@ def test_parse_comments_blank_lines_and_tabs():
     ("vertex", "vertex declaration needs exactly one identifier", 1),
     ("vertex A B", "vertex declaration needs exactly one identifier", 1),
     ("vertex A\nedge e A 9B 1 2", "line 2, column 10: bad identifier '9B'", 2),
+    (b"vertex A\n", "^text must be a str, got bytes$", None),
+    (None, "^text must be a str, got NoneType$", None),
 ])
 def test_parse_errors_are_distinct(text, match, line):
     with pytest.raises(ParseError, match=match) as info:
@@ -209,6 +211,13 @@ def test_constructor_rejects_empty():
     (("A",), (Edge("e", "A", "B", 2, 3),), "edge 'e' uses undeclared vertex 'B'"),
     ("AB", (("e", "A", "B", 1, 1),), "vertices 'AB' is a string"),
     ("A", (), "vertices 'A' is a string"),
+    # A text is not a collection, nor is None: each is named whole.
+    (b"AB", (), r"^vertices b'AB' is a string, not a collection$"),
+    (("A",), "abcde", r"^edges 'abcde' is a string, not a collection$"),
+    (("A",), b"ab", r"^edges b'ab' is a string, not a collection$"),
+    (None, (), r"^vertices None is not a collection$"),
+    (("A",), None, r"^edges None is not a collection$"),
+    (("A",), 5, r"^edges 5 is not a collection$"),
 ])
 def test_graph_from_parts_rejects_malformed_input(vertices, edges, match):
     with pytest.raises(InvalidGraphError, match=match):

@@ -180,6 +180,11 @@ NOT_PAIRS = "are not (edge, side) pairs of a str and an int"
                  f"moved ends [(['l'], 0)] {NOT_PAIRS}", id="expansion-list-edge-id"),
     pytest.param(lambda: Expansion("A", 2, None, "C", "u"), f"moved ends None {NOT_PAIRS}",
                  id="expansion-none"),
+    # A text is not a collection of ends: it is named whole, not by a character.
+    pytest.param(lambda: Expansion("A", 2, "t0", "Q", "d"), f"moved ends 't0' {NOT_PAIRS}",
+                 id="expansion-text"),
+    pytest.param(lambda: Expansion("A", 2, b"ab", "Q", "d"), f"moved ends b'ab' {NOT_PAIRS}",
+                 id="expansion-bytes"),
 ])
 def test_a_move_end_that_is_not_an_edge_side_pair_is_rejected(make, message):
     with pytest.raises(IllegalMoveError) as info:
@@ -517,6 +522,9 @@ def test_script_round_trip_past_the_int_str_digit_limit():
     ("slide t:01 along l:1", "bad end"),
     ("slide a:b:0 along l:1", "bad end"),
     ("slide :0 along l:1", "bad end"),
+    (5, "line 1: line must be a str, got int"),
+    (b"wiggle A", "line 1: line must be a str, got bytes"),
+    (None, "line 1: line must be a str, got NoneType"),
 ])
 def test_script_errors(line, match):
     with pytest.raises(ScriptError, match=match):
@@ -526,6 +534,13 @@ def test_script_errors(line, match):
 def test_parse_script_reports_line():
     with pytest.raises(ScriptError, match="line 3"):
         parse_script("collapse e into B\n\nslide bad\n")
+
+
+@pytest.mark.parametrize("text, kind", [(b"collapse e into B\n", "bytes"), (None, "NoneType")])
+def test_a_script_that_is_not_a_str_is_a_script_error(text, kind):
+    with pytest.raises(ScriptError) as info:
+        parse_script(text)
+    assert (str(info.value), info.value.line) == (f"text must be a str, got {kind}", None)
 
 
 def test_a_script_error_is_a_parse_error_with_a_line_and_no_column():

@@ -181,6 +181,27 @@ def test_only_the_one_search_loop_walks_a_sides_layers():
     assert readers == [("explore.py", "_search")] * 2
 
 
+def _cap_records(tree: ast.AST) -> list[int]:
+    """Line of each call of a method of some ``.caps``: ``side.caps.add(...)`` and the like."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "caps"]
+
+
+def test_only_a_search_side_records_a_cap():
+    # explore._Side is the one place that records why a search side is not its
+    # whole class: every call that changes a ``caps`` in src/ lies in one of its
+    # methods.
+    found = [(path.name, line) for path in SOURCES
+             for line in _cap_records(ast.parse(path.read_text()))]
+    tree = ast.parse((ROOT / "src" / "gbsdeform" / "explore.py").read_text())
+    side = next(node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "_Side")
+    in_side = [("explore.py", line) for method in side.body
+               if isinstance(method, ast.FunctionDef) for line in _cap_records(method)]
+    assert in_side and sorted(found) == sorted(in_side)
+
+
 def _read_by_users() -> Counter[str]:
     return sum((_names_read(ast.parse(path.read_text())) for path in USERS), Counter())
 
