@@ -21,15 +21,13 @@ determined tuples in flat order up to the first open slot, then the bound
 (a, k+1, -m) on that slot, m the largest index at the rank-a vertex on an
 edge to an unranked one: below every entry that can fill the slot, above
 every determined entry that can stand there.  After McKay and Piperno,
-"Practical graph isomorphism, II" (2014), two rules prune:
-
-  sibling dominance - a completion of a strictly smaller staircase is below
-      every completion of a larger one, so at rank k only the candidates
-      (vertex, sign) with the least staircase are kept.  Only neighbours of
-      the first vertex with an open slot can fill it, so rank prefixes stay
-      connected, and the tuples a vertex fills there settle its sign.
-  rank 0 - the staircase is the loops, then (0, 1, -m): without loops, only
-      vertices carrying an end of maximal absolute index survive.
+"Practical graph isomorphism, II" (2014), sibling dominance prunes: a
+completion of a strictly smaller staircase is below every completion of a
+larger one, so at rank k only the candidates (vertex, sign) with the least
+staircase are kept.  Only neighbours of the first vertex with an open slot can
+fill it, so rank prefixes stay connected, and the tuples a vertex fills there
+settle its sign.  At rank 0 a staircase is the vertex's loops, then (0, 1, -m),
+so without loops only vertices carrying an end of maximal absolute index survive.
 
 A staircase above the best complete encoding is cut too.  Survivors are
 walked in the exhaustive walk's order, (tuples they determine, vertex,
@@ -159,11 +157,9 @@ def _search_min_encoding(g: EdgeIndexedGraph):
         return stair + [next((a, k + 1, x) for (x, w) in reach[u] if rank[w] < 0 and w != v)]
 
     def dfs(k: int) -> None:
-        # Dominance among siblings, first on a cheap prefix of the staircase.
+        # Past rank 0, dominance among siblings first on a cheap prefix of the staircase.
         if k == 0:
             picks = [(v, 1) for v in range(n)]
-            keys = [[(0, 0, p, q) for (p, q) in loops[v]] + [(0, 1, x) for (x, _) in reach[v][:1]]
-                    for v in range(n)]
         else:
             a0 = 0
             while len(blocks[a0]) == sizes[a0]:
@@ -178,9 +174,8 @@ def _search_min_encoding(g: EdgeIndexedGraph):
                 # The tuples each fills in block a0; (0,) is an open slot, above all.
                 keys = [sorted([(x, y * alpha[a0] * t) for (x, y) in nbr[v][u]]) + [(0,)]
                         for (v, t) in picks]
-        if len(picks) > 1:
-            low = min(keys)
-            picks = [pick for pick, key in zip(picks, keys) if key == low]
+                low = min(keys)
+                picks = [pick for pick, key in zip(picks, keys) if key == low]
         options = []
         for v, t in picks:
             mine = [(k, k, p, q) for (p, q) in loops[v]]
@@ -303,10 +298,8 @@ def graph_isomorphism(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph) -> Isomorphism
     f2 = canonical_form(g2)
     if f1.key != f2.key:
         return None
-    edge_map: dict[str, str] = {}
     end_map: dict[End, End] = {}
     for (_, e1, first1), (_, e2, first2) in zip(_edge_slots(g1, f1), _edge_slots(g2, f2)):
-        edge_map[e1] = e2
         end_map[End(e1, first1)] = End(e2, first2)
         end_map[End(e1, 1 - first1)] = End(e2, 1 - first2)
-    return Isomorphism(dict(zip(f1.order, f2.order)), edge_map, end_map)
+    return Isomorphism(dict(zip(f1.order, f2.order)), end_map)

@@ -163,9 +163,9 @@ class EdgeIndexedGraph:
     id-keyed content compare equal regardless of declaration order.  Loops
     and parallel edges are permitted.  The constructor checks nothing; build
     graphs from outside data with ``graph_from_parts``.  A graph keeps no
-    cache: ``edge`` and ``has_edge`` scan the edges, and ``end_table``, the
-    one per-vertex table of ends, and ``shape``, one flat tuple, are built on
-    each call and kept by nothing.
+    cache: ``edge`` scans the edges, and ``end_table``, the one per-vertex
+    table of ends, and ``shape``, one flat tuple, are built on each call and
+    kept by nothing.
     """
 
     vertices: tuple[str, ...]
@@ -180,12 +180,6 @@ class EdgeIndexedGraph:
             if e.eid == eid:
                 return e
         raise InvalidGraphError(f"no edge {_repr(eid)} in graph")
-
-    def has_edge(self, eid: str) -> bool:
-        for e in self.edges:
-            if e.eid == eid:
-                return True
-        return False
 
     def end_table(self) -> dict[str, list[tuple[str, int, int]]]:
         """(edge id, side, index) of each end at each vertex, sorted by (edge
@@ -216,21 +210,15 @@ class EdgeIndexedGraph:
             tuples.append((a, b, i, j) if (a, i) <= (b, j) else (b, a, j, i))
         return (len(self.vertices), *[x for edge in sorted(tuples) for x in edge])
 
-    def ends_at(self, v: str) -> tuple[End, ...]:
-        if v not in self.vertices:
-            raise InvalidGraphError(f"no vertex {_repr(v)} in graph")
-        return tuple(End(eid, side) for eid, side, _ in self.end_table()[v])
-
     def max_abs_index(self) -> int:
         return max((max(abs(i0), abs(i1)) for _, _, _, i0, i1 in self.edges), default=0)
 
 
 @dataclass(eq=False, slots=True)
 class Isomorphism:
-    """An equivalence witness g1 -> g2: vertex, edge and end correspondences."""
+    """An equivalence witness g1 -> g2: vertex and end correspondences."""
 
     vertex_map: dict[str, str]
-    edge_map: dict[str, str]
     end_map: dict[End, End]
 
 

@@ -117,19 +117,15 @@ class ExpansionBounds:
         _require_int("max_subset_size", self.max_subset_size)
 
 
-def _fresh_id(taken, base: str) -> str:
-    name, k = base, 2
-    while taken(name):
-        name, k = f"{base}{k}", k + 1
-    return name
-
-
-def _fresh_vertex_id(g: EdgeIndexedGraph) -> str:
-    return _fresh_id(g.vertices.__contains__, "w")
-
-
-def _fresh_edge_id(g: EdgeIndexedGraph) -> str:
-    return _fresh_id(g.has_edge, "x")
+def _fresh_ids(g: EdgeIndexedGraph) -> tuple[str, str]:
+    """The first of w, w2, w3, ... and of x, x2, x3, ... that g does not use."""
+    fresh = []
+    for base, taken in (("w", g.vertices), ("x", [e.eid for e in g.edges])):
+        name, k = base, 2
+        while name in taken:
+            name, k = f"{base}{k}", k + 1
+        fresh.append(name)
+    return fresh[0], fresh[1]
 
 
 def _require_end(g: EdgeIndexedGraph, end: End) -> Edge:
@@ -196,7 +192,7 @@ def _apply_expansion(g: EdgeIndexedGraph, m: Expansion) -> EdgeIndexedGraph:
         raise IllegalMoveError(f"no vertex {_repr(m.vertex)} in graph")
     if m.new_vertex in g.vertices:
         raise IllegalMoveError(f"new vertex id {m.new_vertex!r} already in use")
-    if g.has_edge(m.new_edge):
+    if any(e.eid == m.new_edge for e in g.edges):
         raise IllegalMoveError(f"new edge id {m.new_edge!r} already in use")
     moved: dict[str, dict[int, int]] = {}   # edge id -> moved side -> its new index
     for end in m.moved_ends:
@@ -256,7 +252,7 @@ def invert_move(g: EdgeIndexedGraph, m: Move) -> Move:
     """
     if isinstance(m, Collapse):     # _collapse_parts is the collapse's legality check
         dead, n_surv, eps = _collapse_parts(g, m)
-        moved = tuple(end for end in g.ends_at(dead) if end.edge != m.edge)
+        moved = tuple(End(eid, side) for eid, side, _ in g.end_table()[dead] if eid != m.edge)
         return Expansion(vertex=m.survivor, n=n_surv * eps, moved_ends=moved,
                          new_vertex=dead, new_edge=m.edge)
     apply_move(g, m)  # legality check of an expansion or slide; errors propagate
@@ -268,13 +264,12 @@ def invert_move(g: EdgeIndexedGraph, m: Move) -> Move:
 def transport_move(m: Move, iso: Isomorphism, target: EdgeIndexedGraph) -> Move:
     """Rewrite a move's identifiers through an isomorphism onto target."""
     if isinstance(m, Collapse):
-        return Collapse(edge=iso.edge_map[m.edge], survivor=iso.vertex_map[m.survivor])
+        return Collapse(edge=iso.end_map[End(m.edge, 0)].edge, survivor=iso.vertex_map[m.survivor])
     if isinstance(m, Slide):
         return Slide(moving_end=iso.end_map[m.moving_end], along=iso.end_map[m.along])
     if isinstance(m, Expansion):
-        return Expansion(vertex=iso.vertex_map[m.vertex], n=m.n,
-                         moved_ends=tuple(iso.end_map[e] for e in m.moved_ends),
-                         new_vertex=_fresh_vertex_id(target), new_edge=_fresh_edge_id(target))
+        return Expansion(iso.vertex_map[m.vertex], m.n,
+                         tuple(iso.end_map[e] for e in m.moved_ends), *_fresh_ids(target))
     raise IllegalMoveError(f"unknown move {_repr(m)}")
 
 
@@ -314,8 +309,7 @@ def enumerate_expansions(g: EdgeIndexedGraph, bounds: ExpansionBounds) -> list[E
     deliberately excluded (sign flips and collapsible appendages add nothing
     but fanout).  Fresh ids are derived deterministically from the graph.
     """
-    new_v = _fresh_vertex_id(g)
-    new_e = _fresh_edge_id(g)
+    new_v, new_e = _fresh_ids(g)
     out = []
     factors: dict[int, list[int]] = {}     # subset gcd -> its factors
     for v, ends in g.end_table().items():

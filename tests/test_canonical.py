@@ -192,10 +192,15 @@ def test_isomorphism_witness_maps_structure():
     iso = graph_isomorphism(g, h)
     assert iso is not None
     assert sorted(iso.vertex_map.values()) == list(h.vertices)
-    for eid, target in iso.edge_map.items():
-        e, f = g.edge(eid), h.edge(target)
+    targets = []
+    for e in g.edges:
+        image0, image1 = (iso.end_map[End(e.eid, side)] for side in (0, 1))
+        assert image0.edge == image1.edge
+        f = h.edge(image0.edge)
+        targets.append(f.eid)
         assert {abs(e.i0), abs(e.i1)} == {abs(f.i0), abs(f.i1)}
         assert iso.vertex_map[e.v0] in (f.v0, f.v1)
+    assert sorted(targets) == [f.eid for f in h.edges]
     assert graph_isomorphism(g, parse_graph(Y_TEXT)) is None
 
 
@@ -300,14 +305,17 @@ def _assert_scramble_is_class_equal(g, seed):
     assert canonical_form(h).key == canonical_form(g).key
     iso = graph_isomorphism(g, h)
     assert iso is not None
-    assert sorted(iso.edge_map.values()) == sorted(e.eid for e in h.edges)
+    # Each edge's two end images lie on one edge of h, and those edges cover h once.
+    targets = []
     for e in g.edges:
         images = [iso.end_map[End(e.eid, side)] for side in (0, 1)]
-        assert {image.edge for image in images} == {iso.edge_map[e.eid]}
+        assert images[0].edge == images[1].edge
+        targets.append(images[0].edge)
         assert {image.side for image in images} == {0, 1}
         for side, image in enumerate(images):
             assert h.edge(image.edge).endpoint(image.side) == iso.vertex_map[e.endpoint(side)]
             assert abs(h.edge(image.edge).index(image.side)) == abs(e.index(side))
+    assert sorted(targets) == [e.eid for e in h.edges]
 
 
 def test_certificate_is_class_equal_on_random_tie_heavy_graphs_up_to_the_cap():

@@ -74,7 +74,7 @@ def test_graph_has_slots_and_no_dict_after_lookups_and_a_move():
     # A graph holds its vertices and edges and nothing else: no lookup and
     # no move leaves a table on it.
     g = parse_graph(X_TEXT)
-    g.edge("t"), g.has_edge("zz"), g.ends_at("A"), g.end_table()
+    g.edge("t"), g.end_table(), g.shape()
     apply_move(g, Expansion("A", 2, (End("t", 0),), "Q", "d"))
     assert not hasattr(g, "__dict__")
 
@@ -83,8 +83,7 @@ def test_graph_has_slots_and_no_dict_after_lookups_and_a_move():
 @given(connected_graphs(max_vertices=5, max_extra_edges=3))
 def test_lookups_and_the_end_table_agree_with_the_edges(g):
     for e in g.edges:
-        assert g.edge(e.eid) is e and g.has_edge(e.eid)
-    assert not g.has_edge("absent")
+        assert g.edge(e.eid) is e
     with pytest.raises(InvalidGraphError, match="no edge 'absent'"):
         g.edge("absent")
     table = g.end_table()
@@ -93,7 +92,6 @@ def test_lookups_and_the_end_table_agree_with_the_edges(g):
         ends = sorted((e.eid, side, e.index(side))
                       for e in g.edges for side in (0, 1) if e.endpoint(side) == v)
         assert table[v] == ends
-        assert g.ends_at(v) == tuple(End(eid, side) for eid, side, _ in ends)
 
 
 @settings(max_examples=400, deadline=None)
@@ -170,12 +168,6 @@ def test_parse_error_column_is_the_field_position(text, line, column):
     with pytest.raises(ParseError) as info:
         parse_graph(text)
     assert (info.value.line, info.value.column) == (line, column)
-
-
-def test_ends_at_rejects_an_unknown_vertex():
-    with pytest.raises(InvalidGraphError) as info:
-        parse_graph(X_TEXT).ends_at("Z")
-    assert str(info.value) == "no vertex 'Z' in graph"
 
 
 def test_parse_rejects_disconnected():

@@ -465,7 +465,7 @@ def test_empty_subset_expansion_applies_but_is_not_enumerated(x):
     assert (d.v0, d.v1, d.i0, d.i1) == ("B", "Q", 5, 1)
     assert all(m.moved_ends for m in enumerate_expansions(x, BOUNDS))
     # factor 1 is likewise legal to apply, just never enumerated
-    assert len(apply_move(x, Expansion("B", 1, (End("t", 1),), "Q", "d")).ends_at("Q")) == 2
+    assert len(apply_move(x, Expansion("B", 1, (End("t", 1),), "Q", "d")).end_table()["Q"]) == 2
 
 
 @settings(max_examples=60, deadline=None)

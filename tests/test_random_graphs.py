@@ -45,7 +45,8 @@ def test_generator_requirements():
     g = random_graph(ssf_spec, 1)
     e = g.edges[0]
     if not e.is_loop:
-        assert len(g.ends_at(e.v0)) == 1 and len(g.ends_at(e.v1)) == 1
+        table = g.end_table()
+        assert len(table[e.v0]) == 1 and len(table[e.v1]) == 1
     else:
         assert e.i1 % e.i0 != 0 and e.i0 % e.i1 != 0
     report = analyze(g)
