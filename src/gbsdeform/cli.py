@@ -59,7 +59,7 @@ def _bool(value: bool) -> str:
 
 def _read(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc

@@ -4,9 +4,9 @@
 time until every frontier is empty.  The side decides every cap and names in its
 ``caps`` each reason it is not its whole class; a stop empties its frontier.  A
 started layer is admitted whole, so no verdict depends on the order of a layer's
-steps, and a class of at most ``max_nodes`` members still closes.  A side is
-*closed* when its frontier emptied and no cap fired; only then is it the whole
-class.  Each search keeps one ``_Names`` for both of its sides, freed when it returns.
+steps, and a class of at most ``max_nodes`` members still closes.  A walked side
+is *closed* when its ``caps`` name no cap; only then is it the whole class.
+Each search keeps one ``_Names`` for both of its sides, freed when it returns.
 
 ``decide_equivalence`` first asks ``invariants.refute``, whose reasons rest on
 an ``invariant``, then grows two sides.  A move shifts the vertex count by at
@@ -71,25 +71,16 @@ class Budget:
             raise ValueError(f"expansion must be an ExpansionBounds, got {_repr(self.expansion)}")
 
 
-def _kinds(move_class: str, bounds: ExpansionBounds) -> tuple[tuple, ...]:
-    """(vertex shift, enumerator) of each move kind of the class: collapses,
-    slides, expansions.  Each call reads the module's bindings."""
-    if move_class not in MOVE_CLASSES:
-        raise ValueError(f"unknown move class {move_class!r}")
-    slides = (Slide.vertex_shift, enumerate_slides)
-    if move_class == "slide":
-        return (slides,)
-    return ((Collapse.vertex_shift, enumerate_collapses), slides,
-            (Expansion.vertex_shift, lambda g: enumerate_expansions(g, bounds)))
-
-
 @dataclass(slots=True)
 class ExplorationReport:
     members: dict[bytes, EdgeIndexedGraph]
     depths: dict[bytes, int]
     adjacency: dict[bytes, tuple[bytes, ...]]
-    closed: bool
     caps: frozenset[str]            # "depth", "index", "size", "node": caps that bound the search
+
+    @property
+    def closed(self) -> bool:
+        return not self.caps
 
 
 class _Names:
@@ -118,9 +109,16 @@ class _Names:
 class _Side:
     """One BFS from a root graph, by class name; ``_search``, every search's loop, walks it."""
 
-    def __init__(self, g: EdgeIndexedGraph, kinds: tuple[tuple, ...], budget: Budget,
+    def __init__(self, g: EdgeIndexedGraph, move_class: str, budget: Budget,
                  name: _Names, size: int | None = None):
-        self.kinds, self.budget, self.size = kinds, budget, size  # size: other root's vertex count
+        if move_class not in MOVE_CLASSES:
+            raise ValueError(f"unknown move class {move_class!r}")
+        # Enumerators are read here, not at import: tests and the benchmark's tracer replace them.
+        slides = (Slide.vertex_shift, enumerate_slides)
+        self.kinds = (slides,) if move_class == "slide" else (
+            (Collapse.vertex_shift, enumerate_collapses), slides,
+            (Expansion.vertex_shift, lambda h: enumerate_expansions(h, budget.expansion)))
+        self.budget, self.size = budget, size       # size: the other root's vertex count
         self.name = name                # shared by the search's sides
         self.root = name(g)             # a side rebuilt from its root names it through the memo
         # name -> (graph as reached, depth, parent name, move from parent)
@@ -129,10 +127,6 @@ class _Side:
         self.frontier: list[Name] = [self.root]     # the names first reached at depth
         self.depth = 0
         self.caps: set[str] = set()     # why the side is not its whole class, by name
-
-    @property
-    def closed(self) -> bool:
-        return not self.frontier and not self.caps
 
     def advance(self) -> Iterator[tuple]:
         """The next layer's steps (parent name, parent, move), lazily.  At the depth
@@ -186,18 +180,17 @@ class _Side:
 
 def _search(sides: list[_Side]) -> Iterator[tuple]:
     """Every search's loop: grow the side with the smaller frontier, ties to the
-    first, until every frontier is empty; yield (side, parent, name) per kept result."""
+    first, until every frontier is empty; yield (parent, name) per kept result."""
     while live := [s for s in sides if s.frontier]:
         side = min(live, key=lambda s: len(s.frontier))
-        for parent, name in side.grow(side.advance()):
-            yield side, parent, name
+        yield from side.grow(side.advance())
 
 
 def explore_class(g: EdgeIndexedGraph, move_class: str, budget: Budget) -> ExplorationReport:
     """BFS closure of g under one move class; each class is certified once, at the end."""
-    side = _Side(g, _kinds(move_class, budget.expansion), budget, _Names())
+    side = _Side(g, move_class, budget, _Names())
     adjacency: dict[Name, set[Name]] = {side.root: set()}
-    for _, parent, name in _search([side]):
+    for parent, name in _search([side]):
         adjacency.setdefault(name, set()).add(parent)
         adjacency[parent].add(name)
     cert = {name: canonical_certificate(entry[0]) for name, entry in side.visited.items()}
@@ -205,7 +198,6 @@ def explore_class(g: EdgeIndexedGraph, move_class: str, budget: Budget) -> Explo
         members={cert[n]: entry[0] for n, entry in side.visited.items()},
         depths={cert[n]: entry[1] for n, entry in side.visited.items()},
         adjacency={cert[n]: tuple(sorted(cert[m] for m in nb)) for n, nb in adjacency.items()},
-        closed=side.closed,
         caps=frozenset(side.caps),
     )
 
@@ -238,30 +230,29 @@ def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
     """Equivalent with a replayable path, Distinct with a reason, or Unknown.
     When both classes close with no meeting within the depth bound but share a
     class, the path runs through it and can be longer than that bound."""
-    kinds = _kinds(move_class, budget.expansion)
     if reason := refute(g1, g2, move_class):
         return Verdict("distinct", reason=reason, evidence="invariant")
 
     names = _Names()
-    fwd = _Side(g1, kinds, budget, names, len(g2.vertices))
-    bwd = _Side(g2, kinds, budget, names, len(g1.vertices))
+    fwd = _Side(g1, move_class, budget, names, len(g2.vertices))
+    bwd = _Side(g2, move_class, budget, names, len(g1.vertices))
     if fwd.root == bwd.root:
         return Verdict("equivalent", path=(), evidence="path")
 
-    for _, _, name in _search([fwd, bwd]):
+    for _, name in _search([fwd, bwd]):
         if (name in fwd.visited and name in bwd.visited
                 and fwd.visited[name][1] + bwd.visited[name][1] <= budget.max_depth):
             return Verdict("equivalent", path=_stitch(fwd, bwd, name), evidence="path")
     # No meeting: a side that left out a step is searched again as its whole class.
-    fwd, bwd = (_Side(g, kinds, budget, names) if "reach" in side.caps else side
+    fwd, bwd = (_Side(g, move_class, budget, names) if "reach" in side.caps else side
                 for side, g in ((fwd, g1), (bwd, g2)))
     for _ in _search([fwd, bwd]):
         pass
 
     if move_class == "slide":
-        if fwd.closed or bwd.closed:
+        if not fwd.caps or not bwd.caps:
             return Verdict("distinct", reason="slide class exhausted", evidence="exhausted")
-    elif fwd.closed and bwd.closed:
+    elif not fwd.caps and not bwd.caps:
         shared = fwd.visited.keys() & bwd.visited.keys()
         if shared:
             # Depth ties go to the least certificate: int and bytes names do not order.

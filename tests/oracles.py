@@ -2,15 +2,17 @@
 
 Each one answers a question the library answers by a pruned search, by the
 plainest search there is: every vertex bijection and sign vector for the
-canonical certificate, and a whole class explored from each root for the
-meeting of a two-sided equivalence search.
+canonical certificate, a whole class explored from each root for the
+meeting of a two-sided equivalence search, and integer elimination for the
+fundamental group's abelianization.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import replace
-from itertools import permutations, product
+from itertools import combinations, permutations, product
+from math import gcd
 
 from gbsdeform import Budget, EdgeIndexedGraph, SizeCapError, explore_class
 from gbsdeform.canonical import _loop_slot
@@ -84,3 +86,47 @@ def least_meeting_sum(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph, move_class: st
     depths1 = explore_class(g1, move_class, lifted).depths
     depths2 = explore_class(g2, move_class, lifted).depths
     return min((depths1[c] + depths2[c] for c in depths1.keys() & depths2.keys()), default=None)
+
+
+def abelianization(g: EdgeIndexedGraph) -> tuple[int, tuple[int, ...]]:
+    """H1 of g's fundamental group as (free rank, invariant factors), each
+    factor above 1 and dividing the next.
+
+    H1 is Z^betti, one generator per edge off a spanning tree, plus the
+    cokernel of one relation per edge on the vertex generators: i*e_v - j*e_w
+    for an edge (v, w) with indices (i, j), and (i - j)*e_v for a loop.  The
+    relation matrix is diagonalized by integer row and column operations, and
+    the diagonal turned into a divisibility chain by gcd and lcm; no integer
+    is factored."""
+    col = {v: k for k, v in enumerate(g.vertices)}
+    rows = []
+    for e in g.edges:
+        row = [0] * len(col)
+        row[col[e.v0]] += e.i0
+        row[col[e.v1]] -= e.i1
+        rows.append(row)
+    diagonal = []
+    while rows := [row for row in rows if any(row)]:
+        # Pivot on the least entry; reduce its row and column by it, and pivot
+        # again on any remainder, which is less, until both are clear.
+        r, c = min(((r, c) for r, row in enumerate(rows) for c, a in enumerate(row) if a),
+                   key=lambda rc: abs(rows[rc[0]][rc[1]]))
+        pivot_row, p = rows[r], rows[r][c]
+        for k, row in enumerate(rows):
+            if k != r and row[c]:
+                q = row[c] // p
+                rows[k] = [a - q * b for a, b in zip(row, pivot_row)]
+        for j, a in enumerate(pivot_row):
+            if j != c and a:
+                q = a // p
+                for row in rows:
+                    row[j] -= q * row[c]
+        if not any(a for j, a in enumerate(rows[r]) if j != c) and \
+                not any(row[c] for k, row in enumerate(rows) if k != r):
+            diagonal.append(abs(p))
+            rows = [row[:c] + row[c + 1:] for k, row in enumerate(rows) if k != r]
+    for i, j in combinations(range(len(diagonal)), 2):
+        d = gcd(diagonal[i], diagonal[j])
+        diagonal[i], diagonal[j] = d, diagonal[i] * diagonal[j] // d
+    betti = len(g.edges) - len(g.vertices) + 1
+    return betti + len(col) - len(diagonal), tuple(d for d in diagonal if d > 1)

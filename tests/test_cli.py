@@ -114,6 +114,22 @@ def test_module_entry_point_passes_the_exit_code_on(tmp_path, x_file):
     assert "cannot read" in proc.stderr
 
 
+def test_a_byte_order_mark_at_the_start_of_a_file_is_dropped(capsys, tmp_path):
+    # Editors on some systems write UTF-8 with a leading byte-order mark; the
+    # graph and the script read as they would without it.  A mark anywhere
+    # else is text, and the parser refuses it.
+    graph, script = tmp_path / "X.gbs", tmp_path / "moves.txt"
+    graph.write_bytes(b"\xef\xbb\xbf" + X_TEXT.encode())
+    script.write_bytes(b"\xef\xbb\xbfslide t:0 along l:1\n")
+    expected = canonical_certificate(parse_graph(X_TEXT)).hex()
+    assert run(capsys, "canon", str(graph)) == (0, expected + "\n", "")
+    code, out, _ = run(capsys, "apply", str(graph), "--script", str(script))
+    assert code == 0 and "edge t A B 120 7" in out
+    graph.write_bytes(b"vertex A\n\xef\xbb\xbfvertex B\n")
+    assert run(capsys, "canon", str(graph)) == (
+        65, "", "error: line 2, column 1: unknown declaration '\\ufeffvertex'\n")
+
+
 def test_apply_script_round_trip(capsys, tmp_path, x_file):
     script = tmp_path / "moves.txt"
     script.write_text("slide t:0 along l:1\n")
