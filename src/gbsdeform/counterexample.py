@@ -13,8 +13,9 @@ collapse), replayed and checked here.  When neither of m, n divides the
 other, the slide class of X is a ray X_0, X_1, ... whose free-edge index at
 level k is r*m^(k+2)*n^k, and Y appears nowhere on it; ``verify_slide_ladder``
 certifies that shape level by level up to a chosen depth.  It compares each
-level's slide results with its neighbours as values, and Y through
-``is_isomorphic``, so no index becomes decimal text.
+level's slide results with its neighbours as an ordered list of values, and Y
+through ``is_isomorphic``, so no index becomes decimal text and no graph is
+hashed.
 """
 
 from __future__ import annotations
@@ -201,31 +202,39 @@ class LadderCertificate:
 def verify_slide_ladder(p: ExampleParams, depth: int) -> LadderCertificate:
     """Check the ladder shape for levels 0..depth, where depth >= 0.
 
-    Level k must admit exactly one slide (k = 0) or exactly two, whose
-    results are, as values, levels k-1 and k+1, each level's index being the
-    last one's times m*n.  A slide result is label for label its level, so
-    this equality is the class equality the certificate claims.  Only Y,
-    labelled differently, goes through ``is_isomorphic``, which builds a
-    canonical form only on a tie, so no index becomes text.  Only levels k-1,
-    k, k+1 are held as graphs; a certificate level keeps k and its move count,
-    and its ``index`` computes one power on each read."""
+    Level k's slide results, in ``enumerate_slides``' order, must be the list
+    [level k-1, level k+1], or [level 1] at k = 0, each level's index I_k being
+    the last one's times m*n.  That order is fixed: slides are listed by moving
+    end, then carrier end, and only t:0 can move (|m|, |n| >= 2).  Along l:0 it
+    needs m*n*r | I_k and gives level k-1; along l:1 it gives level k+1; l:0
+    sorts first; and at k = 0 m*n*r does not divide r*m^2, as n does not divide
+    m.  A list equal to [*below, above] is equal to it as a set, so the ordered
+    check is the stricter one, and it hashes no graph: a hash reads every digit
+    of an index.  A slide result is label for label its level, so this equality
+    is the class equality the certificate claims.  Only Y, labelled
+    differently, goes through ``is_isomorphic``, which builds a canonical form
+    only on a tie, so no index becomes text.  Only levels k-1, k, k+1 are held
+    as graphs; the loop carries I_k as an int, and a certificate level keeps k
+    and its move count, and its ``index`` computes one power on each read."""
     _require_int("ladder depth", depth)
     if not p.m_n_incomparable:
         raise LadderHypothesisError(
             f"need m and n to not divide each other, got m={_repr(p.m)}, n={_repr(p.n)}")
     y = example_graph("Y", p)
     step = p.m * p.n
-    below, g = (), _level(p, free_edge_index(p, 0))
+    index = free_edge_index(p, 0)
+    below, g = [], _level(p, index)
     levels = []
     shape_ok = y_absent = True
     for k in range(depth + 1):
-        above = _level(p, g.edge("t").i0 * step)
+        index *= step
+        above = _level(p, index)
         slides = enumerate_slides(g)
-        results = {apply_move(g, mv) for mv in slides}
-        shape_ok = shape_ok and len(slides) == len(below) + 1 and results == {*below, above}
+        results = [apply_move(g, mv) for mv in slides]
+        shape_ok = shape_ok and results == [*below, above]
         y_absent = y_absent and not is_isomorphic(g, y)
         levels.append(LadderLevel(p, k, len(slides)))
-        below, g = (g,), above
+        below, g = [g], above
     return LadderCertificate(
         depth=depth,
         levels=tuple(levels),

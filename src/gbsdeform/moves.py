@@ -141,12 +141,12 @@ def _require_end(g: EdgeIndexedGraph, end: End) -> Edge:
 
 def apply_move(g: EdgeIndexedGraph, m: Move) -> EdgeIndexedGraph:
     """Apply one move, checking every precondition; returns a new graph."""
+    if isinstance(m, Slide):            # first: the ladder applies only slides
+        return _apply_slide(g, m)
     if isinstance(m, Collapse):
         return _apply_collapse(g, m)
     if isinstance(m, Expansion):
         return _apply_expansion(g, m)
-    if isinstance(m, Slide):
-        return _apply_slide(g, m)
     raise IllegalMoveError(f"unknown move {_repr(m)}")
 
 
@@ -219,27 +219,24 @@ def _apply_expansion(g: EdgeIndexedGraph, m: Expansion) -> EdgeIndexedGraph:
 def _apply_slide(g: EdgeIndexedGraph, m: Slide) -> EdgeIndexedGraph:
     moving, along = m.moving_end, m.along
     f = _require_end(g, moving)
-    a = _require_end(g, along)
-    if f.eid == a.eid:
+    fid, f0, f1, fi0, fi1 = f
+    aid, a0, a1, ai0, ai1 = _require_end(g, along)
+    if fid == aid:
         raise IllegalMoveError(
             f"cannot slide edge {moving.edge!r} along itself")
-    v = f.endpoint(moving.side)
-    if a.endpoint(along.side) != v:
+    v, i_m = (f1, fi1) if moving.side else (f0, fi0)
+    near, i_a, far_vertex, i_far = (a1, ai1, a0, ai0) if along.side else (a0, ai0, a1, ai1)
+    if near != v:
         raise IllegalMoveError(
-            f"ends {moving} (at {v!r}) and {along} (at {a.endpoint(along.side)!r}) "
-            "do not share a vertex")
-    i_m = f.index(moving.side)
-    i_a = a.index(along.side)
+            f"ends {moving} (at {v!r}) and {along} (at {near!r}) do not share a vertex")
     quotient, rest = divmod(i_m, i_a)
     if rest:
         raise IllegalMoveError(
             f"carrier index {index_str(i_a)} does not divide moving index {index_str(i_m)}")
-    far_vertex = a.endpoint(1 - along.side)
-    new_index = quotient * a.index(1 - along.side)
-    if moving.side == 0:
-        new_f = Edge(f.eid, far_vertex, f.v1, new_index, f.i1)
+    if moving.side:
+        new_f = Edge(fid, f0, far_vertex, fi0, quotient * i_far)
     else:
-        new_f = Edge(f.eid, f.v0, far_vertex, f.i0, new_index)
+        new_f = Edge(fid, far_vertex, f1, quotient * i_far, fi1)
     return EdgeIndexedGraph(g.vertices, [new_f if e is f else e for e in g.edges])
 
 
@@ -290,7 +287,7 @@ def enumerate_collapses(g: EdgeIndexedGraph) -> list[Collapse]:
 def enumerate_slides(g: EdgeIndexedGraph) -> list[Slide]:
     """All legal slides, sorted by moving end then carrier end: ordered pairs
     of distinct-edge ends at one vertex with the carrier index dividing the
-    moving index."""
+    moving index.  ``verify_slide_ladder`` relies on this order."""
     out = []
     for ends in g.end_table().values():
         for edge_m, side_m, i_m in ends:

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 
 from gbsdeform import (
     Collapse,
+    EdgeIndexedGraph,
     Expansion,
     Slide,
     analyze,
@@ -236,6 +237,33 @@ def test_ladder_shape_check_fires_on_a_wrong_slide(monkeypatch, wrong):
     monkeypatch.setattr(counterexample, "apply_move", slide)
     cert = verify_slide_ladder(P, 6)
     assert not cert.shape_ok and cert.y_absent
+
+
+@pytest.mark.parametrize("edit", [lambda slides: slides[1:], lambda slides: slides[:1] + slides],
+                         ids=["dropped", "repeated"])
+def test_ladder_shape_check_fires_on_a_dropped_or_repeated_slide(monkeypatch, edit):
+    # The ordered list comparison also checks the slide count: level 3 loses
+    # its first slide, or lists it twice.
+    real = counterexample.enumerate_slides
+
+    def slides(g):
+        found = real(g)
+        return edit(found) if g.edge("t").i0 == free_edge_index(P, 3) else found
+
+    monkeypatch.setattr(counterexample, "enumerate_slides", slides)
+    cert = verify_slide_ladder(P, 6)
+    assert not cert.shape_ok and cert.y_absent
+
+
+def test_the_ladder_hashes_no_graph(monkeypatch):
+    # A graph's hash reads every digit of its indices, about 3,500 of them at
+    # the benchmark's depth; the ladder compares each level's slide results
+    # with its neighbours as an ordered list.
+    def unhashable(g):
+        raise AssertionError("a graph was hashed")
+
+    monkeypatch.setattr(EdgeIndexedGraph, "__hash__", unhashable)
+    assert verify_slide_ladder(P, 50).ok
 
 
 @pytest.mark.parametrize("level, absent", [(0, False), (6, False), (7, True)])

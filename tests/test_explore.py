@@ -670,18 +670,20 @@ def test_a_search_computes_each_roots_shape_once(monkeypatch, x, g2, move_class,
 # up to three random moves and relabeled.  The digest was taken from the
 # search that checks the node cap between layers and, at every layer, holds
 # back the steps whose results are out of reach of the other root's vertex
-# count; the node cap counts only the classes a side holds.
+# count; the node cap counts only the classes a side holds; and ``refute``
+# checks the abelianization before either side is built.
 DIFFERENTIAL_PAIRS = 400
-DIFFERENTIAL_SHA256 = "02a66106e93554ffbd0889b09c15fe58f382fe32712c66bef01ede1180d3f04d"
+DIFFERENTIAL_SHA256 = "7ac424129ae52ecf2ce4bcf556e2560260b285dd174e9a7bba58cc006c309457"
 # The corpus's verdicts counted by (move class, kind, evidence): a change that
 # decides an unknown pair shows here as counts that move.
 DIFFERENTIAL_COVERAGE = {
     ("deform", "equivalent", "path"): 146,
-    ("deform", "distinct", "bounds"): 3,
-    ("deform", "unknown", None): 51,
+    ("deform", "distinct", "invariant"): 36,
+    ("deform", "unknown", None): 18,
     ("slide", "equivalent", "path"): 147,
-    ("slide", "distinct", "exhausted"): 47,
-    ("slide", "unknown", None): 6,
+    ("slide", "distinct", "invariant"): 44,
+    ("slide", "distinct", "exhausted"): 8,
+    ("slide", "unknown", None): 1,
 }
 DIFFERENTIAL_BUDGETS = (
     Budget(max_depth=2, max_nodes=4, max_abs_index=100,
@@ -740,12 +742,14 @@ def test_verdicts_reasons_and_paths_match_the_pinned_corpus():
     lines, coverage = [], Counter()
     for g1, g2, move_class, budget in differential_corpus():
         v = decide_equivalence(g1, g2, move_class, budget)
-        # No pair is refuted: g2 is drawn with g1's Betti number and vertex
-        # count, or is g1 moved within the class, so a distinct verdict rests
-        # on a closed search.
-        evidence = {"equivalent": "path", "unknown": None,
-                    "distinct": {"slide": "exhausted", "deform": "bounds"}[move_class]}
-        assert v.evidence == evidence[v.kind], (v, move_class)
+        # g2 is drawn with g1's Betti number and vertex count, or is g1 moved
+        # within the class, so only the abelianization refutes a pair, and
+        # every other distinct verdict rests on a closed search.
+        evidence = {"equivalent": {"path"}, "unknown": {None},
+                    "distinct": {"invariant", {"slide": "exhausted", "deform": "bounds"}[move_class]}}
+        assert v.evidence in evidence[v.kind], (v, move_class)
+        if v.evidence == "invariant":
+            assert v.reason.startswith("abelianization differs ("), v
         coverage[move_class, v.kind, v.evidence] += 1
         path = None if v.path is None else format_script(v.path)
         lines.append(f"{v.kind} | {v.reason} | {path}")
