@@ -5,7 +5,8 @@ import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
-from itertools import combinations, islice
+from itertools import combinations, islice, zip_longest
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -665,15 +666,42 @@ def test_a_search_computes_each_roots_shape_once(monkeypatch, x, g2, move_class,
     assert shapes == [x, g2][:computed]
 
 
-# A fixed corpus of decide_equivalence pairs: random graphs with 1-3 vertices,
-# the second either drawn with the first's Betti number or the first moved by
-# up to three random moves and relabeled.  The digest was taken from the
-# search that checks the node cap between layers and, at every layer, holds
-# back the steps whose results are out of reach of the other root's vertex
-# count; the node cap counts only the classes a side holds; and ``refute``
-# checks the abelianization before either side is built.
+# The pinned verdict corpora are text files in tests/data, compared whole with
+# what the search gives today, so a change that moves a verdict shows as a diff
+# of the lines it moved.  After such a change, rewrite a file from the
+# repository root with
+#   PYTHONPATH=src:tests python -c 'import test_explore; test_explore.rewrite_corpus("differential")'
+# (or "node_cap"), and say with the change why each line of its diff moved.
+CORPUS_DIR = Path(__file__).resolve().parent / "data"
+
+
+def corpus_line(v: Verdict) -> str:
+    path = None if v.path is None else format_script(v.path)
+    return f"{v.kind} | {v.reason} | {path}"
+
+
+def assert_matches_corpus(name, lines):
+    """Whole-text equality of the lines with tests/data/<name>.txt; a mismatch
+    names the first line of the file that differs."""
+    pinned, text = (CORPUS_DIR / f"{name}.txt").read_text(encoding="utf-8"), "\n".join(lines)
+    if text != pinned:
+        pairs = enumerate(zip_longest(pinned.split("\n"), text.split("\n")), 1)
+        number, (want, got) = next((n, pair) for n, pair in pairs if pair[0] != pair[1])
+        pytest.fail(f"tests/data/{name}.txt line {number}: pinned {want!r}, got {got!r}")
+
+
+def rewrite_corpus(name):
+    """Write what the search gives today to tests/data/<name>.txt."""
+    lines = {"differential": lambda: [corpus_line(v) for _, v in differential_verdicts()],
+             "node_cap": node_cap_lines}[name]()
+    (CORPUS_DIR / f"{name}.txt").write_text("\n".join(lines), encoding="utf-8")
+
+
+# A fixed corpus of decide_equivalence pairs, pinned in
+# tests/data/differential.txt: random graphs with 1-3 vertices, the second
+# either drawn with the first's Betti number or the first moved by up to three
+# random moves and relabeled.
 DIFFERENTIAL_PAIRS = 400
-DIFFERENTIAL_SHA256 = "7ac424129ae52ecf2ce4bcf556e2560260b285dd174e9a7bba58cc006c309457"
 # The corpus's verdicts counted by (move class, kind, evidence): a change that
 # decides an unknown pair shows here as counts that move.
 DIFFERENTIAL_COVERAGE = {
@@ -738,10 +766,15 @@ def differential_corpus():
         yield g1, g2, move_class, budget
 
 
+def differential_verdicts():
+    """(move class, verdict) for each pair of the corpus."""
+    for g1, g2, move_class, budget in differential_corpus():
+        yield move_class, decide_equivalence(g1, g2, move_class, budget)
+
+
 def test_verdicts_reasons_and_paths_match_the_pinned_corpus():
     lines, coverage = [], Counter()
-    for g1, g2, move_class, budget in differential_corpus():
-        v = decide_equivalence(g1, g2, move_class, budget)
+    for move_class, v in differential_verdicts():
         # g2 is drawn with g1's Betti number and vertex count, or is g1 moved
         # within the class, so only the abelianization refutes a pair, and
         # every other distinct verdict rests on a closed search.
@@ -751,10 +784,8 @@ def test_verdicts_reasons_and_paths_match_the_pinned_corpus():
         if v.evidence == "invariant":
             assert v.reason.startswith("abelianization differs ("), v
         coverage[move_class, v.kind, v.evidence] += 1
-        path = None if v.path is None else format_script(v.path)
-        lines.append(f"{v.kind} | {v.reason} | {path}")
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == DIFFERENTIAL_SHA256
+        lines.append(corpus_line(v))
+    assert_matches_corpus("differential", lines)
     assert coverage == DIFFERENTIAL_COVERAGE
 
 
@@ -833,14 +864,11 @@ def test_a_search_with_no_meeting_ends_each_side_as_its_class_search(monkeypatch
     assert checked == {False: 53, True: 1}
 
 
-# A corpus under tiny node caps, where the cap decides which layers run:
-# random graphs with 1-3 vertices, each paired with itself moved by up to
-# three random moves and relabeled, over every combination of the budgets
-# below.  The digest was taken from the search that checks the node cap
-# between layers and holds back, at every layer, the steps out of reach of the
-# other root's vertex count.
+# A corpus under tiny node caps, where the cap decides which layers run,
+# pinned in tests/data/node_cap.txt: random graphs with 1-3 vertices, each
+# paired with itself moved by up to three random moves and relabeled, over
+# every combination of the budgets below.
 NODE_CAP_PAIRS = 3000
-NODE_CAP_SHA256 = "48c9536d1b7b9b757f5618a9b65d4049527a3f68124b8fce9ba1aac4d6f05c3b"
 NODE_CAP_BUDGETS = tuple(
     Budget(max_depth=depth, max_nodes=nodes, max_abs_index=index,
            expansion=ExpansionBounds(max_n=max_n, max_subset_size=subset))
@@ -848,8 +876,7 @@ NODE_CAP_BUDGETS = tuple(
     for max_n, subset in ((2, 1), (3, 2)))
 
 
-def test_node_cap_verdicts_reasons_and_paths_match_the_pinned_corpus():
-    lines = []
+def node_cap_lines():
     for i in range(NODE_CAP_PAIRS):
         seed = 10_000 + i
         rng = random.Random(seed)
@@ -857,10 +884,11 @@ def test_node_cap_verdicts_reasons_and_paths_match_the_pinned_corpus():
         budget = NODE_CAP_BUDGETS[i // 2 % len(NODE_CAP_BUDGETS)]
         g1 = _random_small_graph(rng)
         v = decide_equivalence(g1, _moved_copy(rng, g1, move_class, seed), move_class, budget)
-        path = None if v.path is None else format_script(v.path)
-        lines.append(f"{i} {v.kind} | {v.reason} | {path}")
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == NODE_CAP_SHA256
+        yield f"{i} {corpus_line(v)}"
+
+
+def test_node_cap_verdicts_reasons_and_paths_match_the_pinned_corpus():
+    assert_matches_corpus("node_cap", list(node_cap_lines()))
 
 
 # explore_class on the first graph of each corpus pair, under the pair's
