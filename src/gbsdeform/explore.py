@@ -9,13 +9,11 @@ is *closed* when its ``caps`` name no cap; only then is it the whole class.
 Each search keeps one ``_Names`` for both of its sides, freed when it returns.
 
 ``decide_equivalence`` first asks ``invariants.refute``, whose reasons rest on
-an ``invariant``, then grows two sides.  A move shifts the vertex count by at
-most 1, so a result at depth k whose count is more than ``max_depth - k`` from
-the other root's can meet nothing within the depth bound, nor can any class
-reached through it: the side leaves out the move kind that would build it, as
-``"reach"``.  When no meeting is found, each side with ``"reach"`` is searched
-again from its root as its whole class, the search ``explore_class`` runs.  The
-move classes:
+an ``invariant``, then grows two sides in one search.  A move shifts the vertex
+count by at most 1, so a result at depth k whose count is more than
+``max_depth - k`` from the other root's can meet nothing within the depth
+bound, nor can any class reached through it: the side leaves out the move kind
+that would build it, and records ``"depth"``.  The move classes:
 
   slide   - slide moves only; enumeration is complete, so a closed side
             decides distinctness on its own: the class is ``exhausted``.
@@ -23,14 +21,16 @@ move classes:
             expansion followed by a collapse, so this class generates the
             elementary-deformation relation; keeping slides as single steps
             makes short deformations discoverable within small budgets.
-            Expansion factors above the bound are never enumerated, so the
-            step relation is not symmetric and distinctness is only claimed
-            when both sides close, relative to the ``bounds``.
+            Expansion factors above the bound are never enumerated, so no
+            search decides distinctness.  With no meeting, both roots are
+            reduced (``moves.reduce_graph``): reduced graphs of one class
+            join the roots by collapses and their inverses, a path that can
+            be longer than the depth bound.
 
 An ``equivalent`` verdict's ``path`` replays from the first graph and ends
-canon-equal to the second: its back half inverts the second side's moves and
-transports them across an explicit isomorphism of the meeting graphs
-(``moves.transport_move``).
+canon-equal to the second: its back half inverts the second graph's steps and
+transports them across an explicit isomorphism of the graphs where the halves
+meet (``moves.transport_move``).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .graphs import EdgeIndexedGraph, _repr, _require_int
 from .invariants import MOVE_CLASSES, refute
 from .moves import (
     Collapse, Expansion, ExpansionBounds, Move, Slide, apply_move, enumerate_collapses,
-    enumerate_expansions, enumerate_slides, invert_move, transport_move,
+    enumerate_expansions, enumerate_slides, invert_move, reduce_graph, transport_move,
 )
 
 __all__ = [
@@ -133,7 +133,7 @@ class _Side:
         bound the side records ``"depth"``, else past ``max_nodes`` classes ``"node"``;
         either stop empties the frontier and builds no step.  A step into layer k whose
         result's vertex count is more than ``max_depth - k`` from ``size``, the other
-        root's, is left out and records ``"reach"``: a move shifts the count by at
+        root's, is left out and records ``"depth"``: a move shifts the count by at
         most 1, so no class the other side holds within the depth left is that far."""
         if self.depth >= self.budget.max_depth or len(self.visited) > self.budget.max_nodes:
             self.caps.add("depth" if self.depth >= self.budget.max_depth else "node")
@@ -145,7 +145,7 @@ class _Side:
             gu = self.visited[name_u][0]
             for shift, enumerate_kind in self.kinds:
                 if self.size is not None and abs(len(gu.vertices) + shift - self.size) > left:
-                    self.caps.add("reach")
+                    self.caps.add("depth")
                 else:
                     for move in enumerate_kind(gu):
                         yield name_u, gu, move
@@ -207,14 +207,15 @@ class Verdict:
     kind: str                       # equivalent | distinct | unknown
     path: tuple[Move, ...] | None = None
     reason: str | None = None
-    evidence: str | None = None     # path | invariant | exhausted | bounds; None if unknown
+    evidence: str | None = None     # path | invariant | exhausted; None if unknown
 
 
-def _stitch(fwd: _Side, bwd: _Side, name: Name) -> tuple[Move, ...]:
-    """Forward path to the meeting point, then inverted transported back half."""
-    path = [move for (_, move, _) in fwd.chain(name)]
-    cur = fwd.visited[name][0]
-    for before, move, after in reversed(bwd.chain(name)):
+def _stitch(fwd: _Side, bwd: _Side, front: list[tuple], back: list[tuple]) -> tuple[Move, ...]:
+    """The front steps from fwd's root, then the back steps from bwd's root,
+    inverted in reverse and transported; both halves end in one class."""
+    path = [move for (_, move, _) in front]
+    cur = front[-1][2] if front else fwd.visited[fwd.root][0]
+    for before, move, after in reversed(back):
         inverse = invert_move(before, move)
         iso = graph_isomorphism(after, cur)
         assert iso is not None, "meeting graphs must share a class"
@@ -225,11 +226,19 @@ def _stitch(fwd: _Side, bwd: _Side, name: Name) -> tuple[Move, ...]:
     return tuple(path)
 
 
+def _reduced(side: _Side) -> tuple[list[tuple], Name]:
+    """The collapse steps from the side's root to a reduced graph, and its name."""
+    g, steps = side.visited[side.root][0], []
+    for move in reduce_graph(g)[1]:
+        steps.append((g, move, g := apply_move(g, move)))
+    return steps, side.name(g) if steps else side.root
+
+
 def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
                        move_class: str, budget: Budget) -> Verdict:
     """Equivalent with a replayable path, Distinct with a reason, or Unknown.
-    When both classes close with no meeting within the depth bound but share a
-    class, the path runs through it and can be longer than that bound."""
+    A deform pair with no meeting within the depth bound whose reduced graphs
+    share a class gets a path through them, which can be longer than that bound."""
     if reason := refute(g1, g2, move_class):
         return Verdict("distinct", reason=reason, evidence="invariant")
 
@@ -242,24 +251,14 @@ def decide_equivalence(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph,
     for _, name in _search([fwd, bwd]):
         if (name in fwd.visited and name in bwd.visited
                 and fwd.visited[name][1] + bwd.visited[name][1] <= budget.max_depth):
-            return Verdict("equivalent", path=_stitch(fwd, bwd, name), evidence="path")
-    # No meeting: a side that left out a step is searched again as its whole class.
-    fwd, bwd = (_Side(g, move_class, budget, names) if "reach" in side.caps else side
-                for side, g in ((fwd, g1), (bwd, g2)))
-    for _ in _search([fwd, bwd]):
-        pass
-
-    if move_class == "slide":
-        if not fwd.caps or not bwd.caps:
-            return Verdict("distinct", reason="slide class exhausted", evidence="exhausted")
-    elif not fwd.caps and not bwd.caps:
-        shared = fwd.visited.keys() & bwd.visited.keys()
-        if shared:
-            # Depth ties go to the least certificate: int and bytes names do not order.
-            name = min(shared, key=lambda n: (fwd.visited[n][1] + bwd.visited[n][1],
-                                              canonical_certificate(fwd.visited[n][0])))
-            return Verdict("equivalent", path=_stitch(fwd, bwd, name), evidence="path")
-        return Verdict("distinct", reason="deformation class exhausted within bounds",
-                       evidence="bounds")
-    bounds = [cap if cap == "depth" else f"{cap} cap" for cap in fwd.caps | bwd.caps]
-    return Verdict("unknown", reason=f"budget exhausted ({', '.join(sorted(bounds))})")
+            path = _stitch(fwd, bwd, fwd.chain(name), bwd.chain(name))
+            return Verdict("equivalent", path=path, evidence="path")
+    if move_class == "deform":
+        (front, end), (back, other_end) = _reduced(fwd), _reduced(bwd)
+        if end == other_end:
+            return Verdict("equivalent", path=_stitch(fwd, bwd, front, back), evidence="path")
+    elif not fwd.caps or not bwd.caps:
+        return Verdict("distinct", reason="slide class exhausted", evidence="exhausted")
+    # Two deform sides with no cap are closed only within the expansions enumerated.
+    caps = sorted(cap if cap == "depth" else f"{cap} cap" for cap in fwd.caps | bwd.caps)
+    return Verdict("unknown", reason=f"budget exhausted ({', '.join(caps) or 'expansion bounds'})")

@@ -30,6 +30,7 @@ from gbsdeform import (
     is_isomorphic,
     parse_graph,
     refute,
+    reduce_graph,
     serialize_graph,
 )
 from gbsdeform import explore
@@ -423,48 +424,58 @@ def test_a_last_layer_meeting_near_the_node_cap_is_decided_in_full(g1, g2, budge
     assert (None if verdict.path is None else format_script(verdict.path)) == script
 
 
-@pytest.mark.parametrize("g1, g2, move_class, max_abs_index, reason, evidence", [
-    # Both loops' groups abelianize to Z + Z, and neither has a move.
+@pytest.mark.parametrize("g1, g2, move_class, max_abs_index, kind, reason, evidence", [
+    # Both loops' groups abelianize to Z + Z, and neither has a move; the last
+    # layer leaves out the collapses and expansions, which change the vertex
+    # count, so each side names the depth bound.
     ("vertex A\nedge e A A 1 1", "vertex A\nedge e A A 7 7", "deform", 10**6,
-     "deformation class exhausted within bounds", "bounds"),
+     "unknown", "budget exhausted (depth)", None),
     ("vertex A\nvertex B\nedge l A A 30 5\nedge t A B 21 7", X_TEXT, "slide", 10**6,
-     "slide class exhausted", "exhausted"),
-    (X_TEXT, Y_TEXT, "slide", 10**6, "budget exhausted (depth)", None),
+     "distinct", "slide class exhausted", "exhausted"),
+    (X_TEXT, Y_TEXT, "slide", 10**6, "unknown", "budget exhausted (depth)", None),
     # No move of the path can reach one vertex, so the meeting search skips
-    # them all; the class searches' results are new, or past the index cap.
+    # them all; the path collapses to a point, so the reduced graphs decide.
     ("vertex v0\nvertex v1\nvertex v2\nedge e1 v0 v1 -1 -1\nedge e2 v1 v2 1 1", "vertex u0",
-     "deform", 10**6, "budget exhausted (depth)", None),
+     "deform", 10**6, "equivalent", None, "path"),
     ("vertex v0\nvertex v1\nvertex v2\nedge e1 v0 v1 5 1\nedge e2 v1 v2 -5 1\n"
      "edge e3 v0 v2 3 5", "vertex u0\nedge f0 u0 u0 3 -125",
-     "deform", 100, "budget exhausted (depth, index cap)", None),
+     "deform", 100, "equivalent", None, "path"),
     # Only slides keep the other root's 12 vertices, so the meeting search
-    # skips collapses and expansions; the expansions' 13-vertex results, past
-    # the certificate's vertex cap, are dropped only in the class searches.
+    # skips collapses and expansions, and builds no 13-vertex result that
+    # would pass the certificate's vertex cap.
     (serialize_graph(_path(DEFAULT_SIZE_CAP, 2)),
      serialize_graph(_path(DEFAULT_SIZE_CAP, 2, (4, 2))),
-     "deform", 100, "budget exhausted (depth, size cap)", None),
+     "deform", 100, "unknown", "budget exhausted (depth)", None),
 ], ids=["deform-closed", "slide-closed", "depth", "out-of-reach-depth",
         "out-of-reach-index-cap", "out-of-reach-size-cap"])
-def test_a_last_layer_with_no_meeting_still_decides_the_reason(g1, g2, move_class,
-                                                              max_abs_index, reason, evidence):
+def test_a_last_layer_with_no_meeting_still_decides_the_reason(g1, g2, move_class, max_abs_index,
+                                                              kind, reason, evidence):
     verdict = decide_equivalence(parse_graph(g1), parse_graph(g2), move_class,
                                  Budget(max_depth=1, max_abs_index=max_abs_index))
-    assert verdict.kind == ("unknown" if reason.startswith("budget") else "distinct")
-    assert (verdict.reason, verdict.evidence) == (reason, evidence)
+    assert (verdict.kind, verdict.reason, verdict.evidence) == (kind, reason, evidence)
+
+
+def test_deform_sides_that_close_with_no_meeting_name_the_expansion_bounds():
+    # Neither loop has a move, so at depth 2 both sides close with no cap.  A
+    # deform class is closed only within the expansions enumerated (no factor
+    # 1, none above max_n), so the pair stays unknown and names those bounds.
+    g1, g2 = loop(1, 1), loop(7, 7)
+    verdict = decide_equivalence(g1, g2, "deform", Budget(max_depth=2))
+    assert (verdict.kind, verdict.reason) == ("unknown", "budget exhausted (expansion bounds)")
 
 
 def test_a_node_cap_found_by_the_class_search_refuses_the_layer_of_an_index_cap():
     # Holding only the 38 classes in reach, the forward side passes the node
-    # cap of 40 and builds layer 3, where a result passes the index cap.  With
-    # no meeting, the forward root's class search builds its far classes too,
-    # so it holds more than 40 classes above layer 3 and refuses that layer:
-    # only the node cap bounds it.
+    # cap of 40 and builds layer 3, where a result passes the index cap.  The
+    # class search from the same root builds its far classes too, so it holds
+    # more than 40 classes above layer 3 and refuses that layer: only the node
+    # cap bounds it.  A search with no meeting reads its own sides' caps.
     g1 = parse_graph("vertex v0\nvertex v1\nedge e1 v0 v1 -6 -2\nedge e2 v0 v1 -3 -4")
     g2 = parse_graph("vertex v0\nvertex v1\nedge e1 v0 v1 -4 -6\nedge e2 v1 v0 -3 1")
     budget = Budget(max_depth=3, max_nodes=40, max_abs_index=60,
                     expansion=ExpansionBounds(max_n=3, max_subset_size=2))
     verdict = decide_equivalence(g1, g2, "deform", budget)
-    assert (verdict.kind, verdict.reason) == ("unknown", "budget exhausted (node cap)")
+    assert (verdict.kind, verdict.reason) == ("unknown", "budget exhausted (depth, index cap)")
     assert explore_class(g1, "deform", budget).caps == {"node"}
 
 
@@ -486,22 +497,70 @@ def test_closed_classes_that_share_a_class_past_the_depth_bound_are_equivalent()
     assert canonical_certificate(g) == canonical_certificate(g2)
 
 
+PATH3_TEXT = "vertex v0\nvertex v1\nvertex v2\nedge e1 v0 v1 -1 -1\nedge e2 v1 v2 1 1\n"
+
+
+@pytest.mark.parametrize("g1, g2, script", [
+    (PATH3_TEXT, "vertex u0", "collapse e1 into v0\ncollapse e2 into v0\n"),
+    ("vertex u0", PATH3_TEXT, "expand u0 1 as w x\nexpand u0 1 x:0 as w2 x2\n"),
+], ids=["only-g1-collapses", "only-g2-collapses"])
+def test_a_path_through_the_reduced_graphs_collapses_g1_and_inverts_g2s_collapses(g1, g2, script):
+    # At depth 1 no move reaches one vertex from three, so only the reduced
+    # graphs join the pair: g1's collapses, then g2's inverted in reverse.
+    g1, g2 = parse_graph(g1), parse_graph(g2)
+    verdict = decide_equivalence(g1, g2, "deform", Budget(max_depth=1))
+    assert (verdict.kind, verdict.evidence, format_script(verdict.path)) == (
+        "equivalent", "path", script)
+    g = g1
+    for move in verdict.path:
+        g = apply_move(g, move)
+    assert canonical_certificate(g) == canonical_certificate(g2)
+
+
+# Pairs the reduce rule alone decides: a random graph and itself moved by up to
+# three deform moves and relabeled, searched at depth 0, where the meeting
+# search builds no layer.
+REDUCED_PAIRS = 300
+
+
+def test_every_path_through_the_reduced_graphs_replays_to_the_second_graph():
+    outcomes = Counter()
+    for seed in range(REDUCED_PAIRS):
+        rng = random.Random(30_000 + seed)
+        g1 = _random_small_graph(rng)
+        g2 = _moved_copy(rng, g1, "deform", seed)
+        v = decide_equivalence(g1, g2, "deform", Budget(max_depth=0))
+        if not v.path:
+            outcomes[v.kind, v.path] += 1
+            continue
+        g = g1
+        for move in v.path:
+            g = apply_move(g, move)
+        assert canonical_certificate(g) == canonical_certificate(g2), seed
+        front, back = reduce_graph(g1)[1], reduce_graph(g2)[1]
+        assert v.path[:len(front)] == front and len(v.path) == len(front) + len(back), seed
+        outcomes["front" if front else "", "back" if back else ""] += 1
+    # Both ends of the stitch run empty: a reduced g1, and a reduced g2.
+    assert outcomes == {("equivalent", ()): 88, ("unknown", None): 20, ("front", "back"): 81,
+                        ("", "back"): 68, ("front", ""): 43}
+
+
 @pytest.mark.parametrize("g1, g2, move_class, max_depth, total", [
     ("vertex A\nvertex B\nvertex C\nedge a A B 2 4\nedge b B C 2 4\nedge c A C 2 2\n"
      "edge l A A 2 4",
      "vertex A\nvertex B\nvertex C\nedge a A B 2 4\nedge b B C 2 4\nedge c A C 2 2\n"
      "edge l A A 2 -2", "slide", 2, 200),
-    (X_TEXT, "vertex A\nvertex B\nedge l A A 30 5\nedge t A B 21 7", "deform", 2, 346),
-    # At depth 3 steps are skipped in the layers before the last too, and the
-    # class searches build from the far classes they make.
-    (X_TEXT, "vertex A\nvertex B\nedge l A A 30 5\nedge t A B 21 7", "deform", 3, 2848),
+    (X_TEXT, "vertex A\nvertex B\nedge l A A 30 5\nedge t A B 21 7", "deform", 2, 48),
+    # At depth 3 steps are skipped in the layers before the last too.
+    (X_TEXT, "vertex A\nvertex B\nedge l A A 30 5\nedge t A B 21 7", "deform", 3, 158),
 ], ids=["slide", "deform", "deform-depth-3"])
 def test_a_search_with_no_meeting_applies_each_move_once(monkeypatch, g1, g2, move_class,
                                                          max_depth, total):
     # Each layer skips the moves that cannot reach the other root within the
-    # depth left.  Once no meeting is found, each side that skipped a move is
-    # searched again from its root, as explore_class searches it: no side
-    # applies a move twice, and every move built is applied.
+    # depth left, and no side is searched again once no meeting is found: the
+    # two sides enumerate each (graph, kind) once, and every move built is
+    # applied once.  Both deform roots are reduced, so the reduced graphs are
+    # the roots and no collapse is applied to compare them.
     g1, g2 = parse_graph(g1), parse_graph(g2)
     applied, stepped, sides = [], [], []
     advance, init = explore._Side.advance, explore._Side.__init__
@@ -528,18 +587,8 @@ def test_a_search_with_no_meeting_applies_each_move_once(monkeypatch, g1, g2, mo
     assert [(g, move) for _, g, move in stepped] == applied
     assert len(applied) == sum(built) == total
     assert len(set(stepped)) == len(stepped)
-    skipped = [root for side, root in zip(sides, (g1, g2)) if "reach" in side.caps]
-    assert bool(skipped) == (move_class == "deform")
-    if not skipped:
-        # The slide class keeps the vertex count, so nothing is skipped and
-        # nothing searched again: every (graph, kind) is enumerated once.
-        assert len(sides) == 2 and len(set(applied)) == len(applied)
-        assert kinds and len(set(kinds)) == len(kinds)
-    rebuilt = Counter((g, move) for side, g, move in stepped if side in sides[2:])
-    applied.clear()
-    for root in skipped:
-        explore_class(root, move_class, Budget(max_depth=max_depth))
-    assert rebuilt == Counter(applied)
+    assert len(sides) == 2 and len(set(applied)) == len(applied)
+    assert kinds and len(set(kinds)) == len(kinds)
 
 
 def counted_enumerators(monkeypatch):
@@ -705,9 +754,9 @@ DIFFERENTIAL_PAIRS = 400
 # The corpus's verdicts counted by (move class, kind, evidence): a change that
 # decides an unknown pair shows here as counts that move.
 DIFFERENTIAL_COVERAGE = {
-    ("deform", "equivalent", "path"): 146,
+    ("deform", "equivalent", "path"): 157,
     ("deform", "distinct", "invariant"): 36,
-    ("deform", "unknown", None): 18,
+    ("deform", "unknown", None): 7,
     ("slide", "equivalent", "path"): 147,
     ("slide", "distinct", "invariant"): 44,
     ("slide", "distinct", "exhausted"): 8,
@@ -777,9 +826,9 @@ def test_verdicts_reasons_and_paths_match_the_pinned_corpus():
     for move_class, v in differential_verdicts():
         # g2 is drawn with g1's Betti number and vertex count, or is g1 moved
         # within the class, so only the abelianization refutes a pair, and
-        # every other distinct verdict rests on a closed search.
+        # every other distinct verdict rests on a closed slide search.
         evidence = {"equivalent": {"path"}, "unknown": {None},
-                    "distinct": {"invariant", {"slide": "exhausted", "deform": "bounds"}[move_class]}}
+                    "distinct": {"invariant", "exhausted"} if move_class == "slide" else {"invariant"}}
         assert v.evidence in evidence[v.kind], (v, move_class)
         if v.evidence == "invariant":
             assert v.reason.startswith("abelianization differs ("), v
@@ -810,7 +859,8 @@ def test_verdicts_agree_with_the_meeting_oracle_with_no_node_cap():
 
 def test_the_vertex_count_bound_changes_no_verdict_when_no_node_cap_applies(monkeypatch):
     # With every node cap lifted, a search that skips no step (a side with
-    # no ``size``) gives every pair the same kind, reason and evidence.
+    # no ``size``) gives every pair the same kind, reason and evidence.  A
+    # path longer than the depth bound is the one through the reduced graphs.
     def outcomes():
         for g1, g2, move_class, budget in differential_corpus():
             v = decide_equivalence(g1, g2, move_class, replace(budget, max_nodes=10**6))
@@ -819,7 +869,10 @@ def test_the_vertex_count_bound_changes_no_verdict_when_no_node_cap_applies(monk
                 for move in v.path:
                     g = apply_move(g, move)
                 assert canonical_certificate(g) == canonical_certificate(g2)
-                assert len(v.path) <= budget.max_depth
+                if len(v.path) > budget.max_depth:
+                    front, back = reduce_graph(g1)[1], reduce_graph(g2)[1]
+                    assert v.path[:len(front)] == front
+                    assert len(v.path) == len(front) + len(back)
             yield v.kind, v.reason, v.evidence
 
     bounded = list(outcomes())
@@ -832,11 +885,9 @@ def test_the_vertex_count_bound_changes_no_verdict_when_no_node_cap_applies(monk
     assert list(outcomes()) == bounded
 
 
-def test_a_search_with_no_meeting_ends_each_side_as_its_class_search(monkeypatch):
-    # Once no meeting is found, the side the verdict reads for each root, the
-    # last one built for it, holds what explore_class finds from that root,
-    # at the same depths, and has the same caps.  A pair whose groups'
-    # abelianizations differ is skipped: a refuter of them builds no side.
+def test_a_search_with_no_meeting_builds_only_its_two_sides(monkeypatch):
+    # One search phase: a pair the refuters leave builds one side from each
+    # root, and a search with no meeting builds no other side to decide it.
     sides = []
     init = explore._Side.__init__
 
@@ -847,21 +898,15 @@ def test_a_search_with_no_meeting_ends_each_side_as_its_class_search(monkeypatch
     monkeypatch.setattr(explore._Side, "__init__", recorded)
     checked = Counter()
     for g1, g2, move_class, budget in differential_corpus():
-        if abelianization(g1) != abelianization(g2):
-            continue
         sides.clear()
         v = decide_equivalence(g1, g2, move_class, budget)
-        if v.kind == "equivalent" and len(v.path) <= budget.max_depth:
-            continue                    # a meeting, or equal roots
-        last = {id(side.visited[side.root][0]): side for side in sides}
-        for root in (g1, g2):
-            side, report = last[id(root)], explore_class(root, move_class, budget)
-            depths = {canonical_certificate(graph): depth
-                      for graph, depth, _, _ in side.visited.values()}
-            assert depths == report.depths
-            assert side.caps == report.caps
-            checked["node" in report.caps] += 1
-    assert checked == {False: 53, True: 1}
+        roots = [side.visited[side.root][0] for side in sides]
+        assert len(roots) == (0 if v.evidence == "invariant" else 2)
+        assert all(root is g for root, g in zip(roots, (g1, g2)))
+        if v.evidence != "invariant" and (v.path is None or len(v.path) > budget.max_depth):
+            checked[move_class, v.kind] += 1
+    assert checked == {("deform", "equivalent"): 11, ("deform", "unknown"): 7,
+                       ("slide", "distinct"): 8, ("slide", "unknown"): 1}
 
 
 # A corpus under tiny node caps, where the cap decides which layers run,

@@ -181,6 +181,26 @@ def test_only_the_one_search_loop_walks_a_sides_layers():
     assert readers == [("explore.py", "_search")] * 2
 
 
+def test_a_decision_is_one_search_over_two_sides():
+    # decide_equivalence has one search phase: it builds one explore._Side per
+    # root and calls explore._search once, and no such call runs in a loop or a
+    # comprehension, so no second search of a side can come back unnoticed.
+    calls = Counter()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            loops = [node for node in ast.walk(top) if isinstance(node, (
+                ast.While, ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))]
+            loops += [stmt for node in ast.walk(top) if isinstance(node, ast.For)
+                      for stmt in node.body + node.orelse]
+            repeated = {id(node) for loop in loops for node in ast.walk(loop)}
+            calls += Counter((top.name, node.func.id, id(node) in repeated)
+                             for node in ast.walk(top) if isinstance(node, ast.Call)
+                             and getattr(node.func, "id", None) in ("_Side", "_search"))
+    assert calls == {("decide_equivalence", "_Side", False): 2,
+                     ("decide_equivalence", "_search", False): 1,
+                     ("explore_class", "_Side", False): 1, ("explore_class", "_search", False): 1}
+
+
 def _cap_records(tree: ast.AST) -> list[int]:
     """Line of each call of a method of some ``.caps``: ``side.caps.add(...)`` and the like."""
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
