@@ -42,8 +42,8 @@ from .canonical import SizeCapError, canonical_certificate, class_invariant, gra
 from .graphs import EdgeIndexedGraph, _repr, _require_int
 from .invariants import MOVE_CLASSES, refute
 from .moves import (
-    Collapse, Expansion, ExpansionBounds, Move, Slide, apply_move, enumerate_collapses,
-    enumerate_expansions, enumerate_slides, invert_move, reduce_graph, transport_move,
+    Collapse, Expansion, ExpansionBounds, Move, Slide, _reduction, apply_move,
+    enumerate_collapses, enumerate_expansions, enumerate_slides, invert_move, transport_move,
 )
 
 __all__ = [
@@ -227,10 +227,9 @@ def _stitch(fwd: _Side, bwd: _Side, front: list[tuple], back: list[tuple]) -> tu
 
 
 def _reduced(side: _Side) -> tuple[list[tuple], Name]:
-    """The collapse steps from the side's root to a reduced graph, and its name."""
-    g, steps = side.visited[side.root][0], []
-    for move in reduce_graph(g)[1]:
-        steps.append((g, move, g := apply_move(g, move)))
+    """The collapse steps from the side's root to a reduced graph, and its name:
+    the walk ``moves.reduce_graph`` reads, so no collapse is applied twice."""
+    g, steps = _reduction(side.visited[side.root][0])
     return steps, side.name(g) if steps else side.root
 
 

@@ -400,15 +400,21 @@ def analyze(g: EdgeIndexedGraph) -> PredicateReport:
     )
 
 
+def _reduction(g: EdgeIndexedGraph) -> tuple[EdgeIndexedGraph, list[tuple]]:
+    """Greedily collapse (first legal move each round) until reduced: the
+    reduced graph and the (graph before, collapse, graph after) steps.  The one
+    collapse walk: ``reduce_graph`` and ``explore._reduced`` both read it."""
+    steps = []
+    while cols := enumerate_collapses(g):
+        steps.append((g, cols[0], g := apply_move(g, cols[0])))
+    return g, steps
+
+
 def reduce_graph(g: EdgeIndexedGraph) -> tuple[EdgeIndexedGraph, tuple[Collapse, ...]]:
-    """Greedily collapse (first legal move each round) until reduced."""
-    script: list[Collapse] = []
-    while True:
-        cols = enumerate_collapses(g)
-        if not cols:
-            return g, tuple(script)
-        g = apply_move(g, cols[0])
-        script.append(cols[0])
+    """Greedily collapse until reduced: the reduced graph and its collapse
+    script, read off the one walk ``_reduction`` shares with ``explore``."""
+    g, steps = _reduction(g)
+    return g, tuple(move for _, move, _ in steps)
 
 
 def _parse_end(tok: str, lineno: int | None) -> End:

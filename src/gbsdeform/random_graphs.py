@@ -36,7 +36,7 @@ __all__ = [
     "rigidity_trial",
 ]
 
-REQUIREMENTS = ("none", "reduced", "strongly_slide_free")
+REQUIREMENTS = ("none", "reduced", "strongly_slide_free")   # "none" or a PredicateReport field
 MAX_RETRIES = 5000                      # samples drawn before GenerationError
 
 
@@ -90,20 +90,11 @@ def _sample(spec: RandomGraphSpec, rng: random.Random) -> EdgeIndexedGraph:
     return EdgeIndexedGraph(verts, built)
 
 
-def _satisfies(g: EdgeIndexedGraph, require: str) -> bool:
-    if require == "none":
-        return True
-    report = analyze(g)
-    if require == "reduced":
-        return report.reduced
-    return report.strongly_slide_free
-
-
 def random_graph_from_rng(spec: RandomGraphSpec, rng: random.Random) -> EdgeIndexedGraph:
     """Rejection-sample until the requirement holds, at most MAX_RETRIES tries."""
     for _ in range(MAX_RETRIES):
         g = _sample(spec, rng)
-        if _satisfies(g, spec.require):
+        if spec.require == "none" or getattr(analyze(g), spec.require):
             return g
     raise GenerationError(
         f"no graph satisfying {spec.require!r} found in {MAX_RETRIES} tries")

@@ -36,6 +36,7 @@ from gbsdeform import (
 from gbsdeform import explore
 from gbsdeform.canonical import DEFAULT_SIZE_CAP
 from gbsdeform.counterexample import ExampleParams, example_graph, verify_slide_ladder
+from gbsdeform.moves import _apply_collapse
 from gbsdeform.cli import adjacency_dot, dump_visited, main
 
 from oracles import abelianization, least_meeting_sum
@@ -495,6 +496,26 @@ def test_closed_classes_that_share_a_class_past_the_depth_bound_are_equivalent()
     for move in verdict.path:
         g = apply_move(g, move)
     assert canonical_certificate(g) == canonical_certificate(g2)
+
+
+def test_a_path_through_the_reduced_graphs_applies_each_collapse_once(monkeypatch):
+    # At depth 0 the sides build no layer, so every collapse applied is one of
+    # the reduced path's: the reduce walk applies each once, and the path
+    # reads its steps instead of applying its script again.
+    g1, g2 = parse_graph(P1_TEXT), parse_graph(P2_TEXT)
+    collapses = len(reduce_graph(g1)[1]) + len(reduce_graph(g2)[1])
+    applied = []
+
+    def counted(g, move):
+        applied.append(move)
+        return _apply_collapse(g, move)
+
+    monkeypatch.setattr("gbsdeform.moves._apply_collapse", counted)
+    verdict = decide_equivalence(g1, g2, "deform", Budget(max_depth=0))
+    assert (verdict.kind, verdict.evidence) == ("equivalent", "path")
+    assert format_script(verdict.path) == ("collapse e1 into v1\ncollapse e2 into v2\n"
+                                           "expand v2 13 as w x\nexpand w -1 x:1 as w2 x2\n")
+    assert len(applied) == collapses == 4
 
 
 PATH3_TEXT = "vertex v0\nvertex v1\nvertex v2\nedge e1 v0 v1 -1 -1\nedge e2 v1 v2 1 1\n"

@@ -201,6 +201,21 @@ def test_a_decision_is_one_search_over_two_sides():
                      ("explore_class", "_Side", False): 1, ("explore_class", "_search", False): 1}
 
 
+def test_explore_applies_a_move_only_to_grow_a_side_or_stitch_a_path():
+    # explore.py applies moves only in _Side.grow, which builds a layer, and in
+    # _stitch, which applies a path's transported back half.  A reduced path's
+    # collapses are the steps of moves._reduction, the one walk reduce_graph
+    # also reads, so no collapse is applied a second time to recover them.
+    tree = ast.parse((ROOT / "src" / "gbsdeform" / "explore.py").read_text())
+    functions = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    functions |= {f"{top.name}.{node.name}": node for top in tree.body
+                  if isinstance(top, ast.ClassDef) for node in top.body
+                  if isinstance(node, ast.FunctionDef)}
+    readers = Counter({name: _names_read(fn)["apply_move"] for name, fn in functions.items()})
+    assert +readers == {"_Side.grow": 1, "_stitch": 1}
+    assert _names_read(tree)["apply_move"] == 2
+
+
 def _cap_records(tree: ast.AST) -> list[int]:
     """Line of each call of a method of some ``.caps``: ``side.caps.add(...)`` and the like."""
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
