@@ -39,9 +39,9 @@ edge from the order and signs, and checks that the result is the encoding.
 The exhaustive oracles live with the tests, in ``tests/oracles.py``.  Nothing
 in this module is cached: a caller that meets a graph again keeps its own
 memo.  ``DEFAULT_SIZE_CAP`` is the single vertex cap on canonicalization and on
-``class_invariant``.
-``is_isomorphic`` builds forms only for graphs not label-equal that tie on
-vertex count and absolute index pairs.
+``class_invariant``.  ``graph_isomorphism`` is the one comparison: it builds
+forms only for graphs not label-equal that tie on vertex count and absolute
+index pairs, and ``is_isomorphic`` asks it for a yes or no.
 """
 
 from __future__ import annotations
@@ -236,26 +236,16 @@ def class_invariant(g: EdgeIndexedGraph) -> tuple[int, tuple]:
     _check_size(g)
     ends: dict[str, list[tuple[int, int, bool]]] = {v: [] for v in g.vertices}
     for _, v0, v1, i0, i1 in g.edges:
-        a, b, is_loop = abs(i0), abs(i1), v0 == v1
-        ends[v0].append((a, b, is_loop))
-        ends[v1].append((b, a, is_loop))
+        a, b, loop = abs(i0), abs(i1), v0 == v1
+        ends[v0].append((a, b, loop))
+        ends[v1].append((b, a, loop))
     return len(g.vertices), tuple(sorted(tuple(sorted(v_ends)) for v_ends in ends.values()))
 
 
 def is_isomorphic(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph) -> bool:
-    """Equivalence up to relabeling and sign flips, within the size cap.
-
-    Label-equal graphs are equivalent: the identity witnesses it.  Graphs
-    apart in vertex count or in their sorted per-edge pairs of absolute
-    indices are not: a relabeling keeps each edge's two indices together, and
-    a sign flip changes no absolute value.  A tie compares canonical keys."""
-    _check_size(g1)
-    _check_size(g2)
-    if g1 == g2:
-        return True
-    if len(g1.vertices) != len(g2.vertices) or _abs_pairs(g1) != _abs_pairs(g2):
-        return False
-    return canonical_form(g1).key == canonical_form(g2).key
+    """Whether ``graph_isomorphism`` finds a witness: equivalence up to
+    relabeling and sign flips, within the size cap."""
+    return graph_isomorphism(g1, g2) is not None
 
 
 def _abs_pairs(g: EdgeIndexedGraph) -> list[tuple[int, int]]:
@@ -273,7 +263,7 @@ def _edge_slots(g: EdgeIndexedGraph, form: CanonicalForm) -> list[tuple[tuple, s
     rank = {v: i for i, v in enumerate(form.order)}
     slots = []
     for e in g.edges:
-        if e.is_loop:
+        if e.v0 == e.v1:
             a = rank[e.v0]
             (x, y), first = _loop_slot(e.i0, e.i1)
             slots.append(((a, a, x, y), e.eid, first))
@@ -287,13 +277,25 @@ def _edge_slots(g: EdgeIndexedGraph, form: CanonicalForm) -> list[tuple[tuple, s
 
 
 def graph_isomorphism(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph) -> Isomorphism | None:
-    """An explicit equivalence witness, or None when the graphs differ.
+    """An explicit witness of equivalence up to relabeling and sign flips,
+    within the size cap, or None when the graphs differ.
 
+    Label-equal graphs are equivalent: the identity witnesses it.  Graphs
+    apart in vertex count or in their sorted per-edge pairs of absolute
+    indices are not: a relabeling keeps each edge's two indices together, and
+    a sign flip changes no absolute value.  Only a tie builds the two forms.
     Edges sharing a canonical tuple are interchangeable, so each form's edges
     are sorted by (tuple, identifier) and paired by position; any such
     pairing differs from any other by an automorphism composed with sign
     flips.  Equal keys give both forms the same multiset of tuples.
     """
+    _check_size(g1)
+    _check_size(g2)
+    if g1 == g2:
+        ends = [End(eid, side) for eid, *_ in g1.edges for side in (0, 1)]
+        return Isomorphism({v: v for v in g1.vertices}, dict(zip(ends, ends)))
+    if len(g1.vertices) != len(g2.vertices) or _abs_pairs(g1) != _abs_pairs(g2):
+        return None
     f1 = canonical_form(g1)
     f2 = canonical_form(g2)
     if f1.key != f2.key:

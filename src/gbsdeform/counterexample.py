@@ -148,7 +148,8 @@ def index_tuple(g: EdgeIndexedGraph) -> tuple[int, ...]:
     while queue:
         v = queue.popleft()
         for eid, side, _ in ends[v]:
-            w = g.edge(eid).endpoint(1 - side)
+            _, v0, v1, _, _ = g.edge(eid)
+            w = v0 if side else v1
             if w not in rank:
                 rank[w] = len(rank)
                 queue.append(w)

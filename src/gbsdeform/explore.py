@@ -107,12 +107,11 @@ class _Names:
 
 
 class _Side:
-    """One BFS from a root graph, by class name; ``_search``, every search's loop, walks it."""
+    """One BFS from a root graph, by class name; ``_search``, every search's loop, walks it.
+    Its callers check the move class first."""
 
     def __init__(self, g: EdgeIndexedGraph, move_class: str, budget: Budget,
                  name: _Names, size: int | None = None):
-        if move_class not in MOVE_CLASSES:
-            raise ValueError(f"unknown move class {move_class!r}")
         # Enumerators are read here, not at import: tests and the benchmark's tracer replace them.
         slides = (Slide.vertex_shift, enumerate_slides)
         self.kinds = (slides,) if move_class == "slide" else (
@@ -188,6 +187,8 @@ def _search(sides: list[_Side]) -> Iterator[tuple]:
 
 def explore_class(g: EdgeIndexedGraph, move_class: str, budget: Budget) -> ExplorationReport:
     """BFS closure of g under one move class; each class is certified once, at the end."""
+    if move_class not in MOVE_CLASSES:
+        raise ValueError(f"unknown move class {move_class!r}")
     side = _Side(g, move_class, budget, _Names())
     adjacency: dict[Name, set[Name]] = {side.root: set()}
     for parent, name in _search([side]):

@@ -124,7 +124,9 @@ class Edge(NamedTuple):
     """One geometric edge: an unordered pair of ends with indices.
 
     Side 0 refers to (v0, i0), side 1 to (v1, i1).  A NamedTuple like
-    ``End``: an edge equals, hashes like and unpacks to its field tuple.
+    ``End``, and only its five fields: an edge equals, hashes like and
+    unpacks to its field tuple, a loop is ``v0 == v1``, and an end's vertex
+    and index are read by position.
     """
 
     eid: str
@@ -132,16 +134,6 @@ class Edge(NamedTuple):
     v1: str
     i0: int
     i1: int
-
-    def endpoint(self, side: int) -> str:
-        return self.v0 if side == 0 else self.v1
-
-    def index(self, side: int) -> int:
-        return self.i0 if side == 0 else self.i1
-
-    @property
-    def is_loop(self) -> bool:
-        return self.v0 == self.v1
 
 
 class End(NamedTuple):

@@ -154,7 +154,7 @@ def _collapse_parts(g: EdgeIndexedGraph, m: Collapse) -> tuple[str, int, int]:
     """Check a collapse; return (absorbed vertex, survivor-side index,
     absorbed-side index)."""
     e = _require_end(g, End(m.edge, 0))
-    if e.is_loop:
+    if e.v0 == e.v1:
         raise IllegalMoveError(f"cannot collapse loop {m.edge!r}")
     if m.survivor == e.v0:
         dead, n_surv, eps = e.v1, e.i0, e.i1
@@ -196,11 +196,10 @@ def _apply_expansion(g: EdgeIndexedGraph, m: Expansion) -> EdgeIndexedGraph:
         raise IllegalMoveError(f"new edge id {m.new_edge!r} already in use")
     moved: dict[str, dict[int, int]] = {}   # edge id -> moved side -> its new index
     for end in m.moved_ends:
-        e = _require_end(g, end)
-        if e.endpoint(end.side) != m.vertex:
-            raise IllegalMoveError(
-                f"end {end} is at {e.endpoint(end.side)!r}, not at {m.vertex!r}")
-        idx = e.index(end.side)
+        _, v0, v1, i0, i1 = _require_end(g, end)
+        at, idx = (v1, i1) if end.side else (v0, i0)
+        if at != m.vertex:
+            raise IllegalMoveError(f"end {end} is at {at!r}, not at {m.vertex!r}")
         quotient, rest = divmod(idx, m.n)
         if rest:
             raise IllegalMoveError(
@@ -274,7 +273,7 @@ def enumerate_collapses(g: EdgeIndexedGraph) -> list[Collapse]:
     """All legal collapses, sorted by edge then survivor."""
     out = []
     for e in g.edges:
-        if e.is_loop:
+        if e.v0 == e.v1:
             continue
         if abs(e.i0) == 1:
             out.append(Collapse(edge=e.eid, survivor=e.v1))
@@ -363,9 +362,9 @@ def _geometry(g: EdgeIndexedGraph) -> str:
         return "point"
     if len(g.edges) == 1:
         e = g.edges[0]
-        if e.is_loop and abs(e.i0) == 1 and abs(e.i1) == 1:
+        if e.v0 == e.v1 and abs(e.i0) == 1 and abs(e.i1) == 1:
             return "line"
-        if not e.is_loop and abs(e.i0) == 2 and abs(e.i1) == 2:
+        if e.v0 != e.v1 and abs(e.i0) == 2 and abs(e.i1) == 2:
             return "line"
     return "general"
 

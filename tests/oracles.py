@@ -62,7 +62,7 @@ def oracle_min_encoding(g: EdgeIndexedGraph):
             tuples = []
             for e in g.edges:
                 a, b, x, y = rank[e.v0], rank[e.v1], e.i0, e.i1
-                if e.is_loop:
+                if e.v0 == e.v1:
                     p, q = _loop_slot(x, y)[0]
                     tuples.append((a, a, p, q))
                     continue

@@ -105,6 +105,34 @@ def scramble(g: EdgeIndexedGraph, seed: int) -> EdgeIndexedGraph:
     )
 
 
+def tree_stress_pair(seed: int) -> tuple[EdgeIndexedGraph, EdgeIndexedGraph]:
+    """Pair ``seed`` of ROADMAP's tree stress: two independent random trees on
+    3 or 4 vertices, the second relabeled by ``scramble(g2, seed)``.
+
+    Every draw comes from one ``random.Random(seed)``, g1's before g2's.  A tree
+    draws its vertex count, ``rng.choice((3, 4))``.  Then each vertex ``v{k}``,
+    k >= 1, gets its edge ``e{k}`` to a parent through five calls in this order:
+    the unit index ``rng.choice((1, -1))``; the other index's absolute value
+    ``rng.choice((1, 5, 7, 11, 13))`` and its sign ``rng.choice((1, -1))``; the
+    side that carries the unit index, ``rng.randrange(2)``; and the parent
+    ``v{rng.randrange(k)}``.  The parent's end is side 0.
+    """
+    rng = random.Random(seed)
+
+    def tree() -> EdgeIndexedGraph:
+        n = rng.choice((3, 4))
+        edges = []
+        for k in range(1, n):
+            unit = rng.choice((1, -1))
+            other = rng.choice((1, 5, 7, 11, 13)) * rng.choice((1, -1))
+            i0, i1 = (unit, other) if rng.randrange(2) == 0 else (other, unit)
+            edges.append((f"e{k}", f"v{rng.randrange(k)}", f"v{k}", i0, i1))
+        return graph_from_parts([f"v{k}" for k in range(n)], edges)
+
+    g1 = tree()
+    return g1, scramble(tree(), seed)
+
+
 def scramble_with_end_swaps(g: EdgeIndexedGraph, seed: int) -> EdgeIndexedGraph:
     """``scramble``, then read each edge from its other end with probability 1/2."""
     h = scramble(g, seed)

@@ -155,6 +155,22 @@ def test_is_isomorphic_canonicalizes_only_on_a_tie(canonical_form_calls):
     assert canonical_form_calls == []
 
 
+def test_graph_isomorphism_builds_forms_only_on_a_tie(canonical_form_calls):
+    # The one comparison: label-equal graphs get the identity, and graphs
+    # apart in vertex count or in absolute pairs get None, with no form built.
+    g = parse_graph(X_TEXT)
+    iso = graph_isomorphism(g, parse_graph(serialize_graph(g)))
+    assert iso.vertex_map == {"A": "A", "B": "B"}
+    assert iso.end_map == {End(eid, side): End(eid, side) for eid in "lt" for side in (0, 1)}
+    # The path A-B-C has X's absolute pairs (5, 30) and (7, 20) and 3 vertices.
+    path = parse_graph("vertex A\nvertex B\nvertex C\nedge l A B 30 5\nedge t B C 20 7\n")
+    assert graph_isomorphism(g, path) is None
+    assert graph_isomorphism(g, parse_graph(X_TEXT.replace("20 7", "20 9"))) is None
+    assert canonical_form_calls == []
+    h = scramble(g, 11)
+    assert graph_isomorphism(g, h) is not None and canonical_form_calls == [g, h]
+
+
 def _plain_multigraph_isomorphic(g1, g2):
     """Labeled multigraph isomorphism with signs taken literally."""
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
@@ -313,8 +329,8 @@ def _assert_scramble_is_class_equal(g, seed):
         targets.append(images[0].edge)
         assert {image.side for image in images} == {0, 1}
         for side, image in enumerate(images):
-            assert h.edge(image.edge).endpoint(image.side) == iso.vertex_map[e.endpoint(side)]
-            assert abs(h.edge(image.edge).index(image.side)) == abs(e.index(side))
+            assert h.edge(image.edge)[1 + image.side] == iso.vertex_map[e[1 + side]]
+            assert abs(h.edge(image.edge)[3 + image.side]) == abs(e[3 + side])
     assert sorted(targets) == [e.eid for e in h.edges]
 
 

@@ -41,7 +41,7 @@ from gbsdeform.cli import adjacency_dot, dump_visited, main
 
 from oracles import abelianization, least_meeting_sum
 from strategies import (X_TEXT, Y_TEXT, connected_graphs, ladder_level, loop, neighbor_moves,
-                        scramble)
+                        scramble, tree_stress_pair)
 
 P = ExampleParams(2, 3, 5, 7)
 DEFORM_BUDGET = Budget(max_depth=4, max_nodes=100_000, max_abs_index=100,
@@ -928,6 +928,24 @@ def test_a_search_with_no_meeting_builds_only_its_two_sides(monkeypatch):
             checked[move_class, v.kind] += 1
     assert checked == {("deform", "equivalent"): 11, ("deform", "unknown"): 7,
                        ("slide", "distinct"): 8, ("slide", "unknown"): 1}
+
+
+def test_the_tree_stress_decides_its_first_150_seeds_as_pinned():
+    # ROADMAP's tree stress, under its budget, with the generator fixed in
+    # strategies.tree_stress_pair; every path replays to a graph isomorphic to g2.
+    counts = Counter()
+    for seed in range(150):
+        g1, g2 = tree_stress_pair(seed)
+        budget = Budget(max_depth=2 + seed % 4, max_nodes=3000, max_abs_index=10**6,
+                        expansion=ExpansionBounds(max_n=3, max_subset_size=2))
+        v = decide_equivalence(g1, g2, "deform", budget)
+        counts[v.kind, v.evidence] += 1
+        g = g1
+        for move in v.path or ():
+            g = apply_move(g, move)
+        assert v.path is None or is_isomorphic(g, g2)
+    assert counts == {("equivalent", "path"): 97, ("distinct", "invariant"): 19,
+                      ("unknown", None): 34}
 
 
 # A corpus under tiny node caps, where the cap decides which layers run,

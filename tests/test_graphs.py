@@ -57,6 +57,13 @@ def test_an_edge_is_its_field_tuple():
     assert Edge(*fields) == e and e != Edge("e", "A", "B", 2, -3)
 
 
+def test_an_edge_defines_nothing_but_its_five_fields():
+    # A loop is v0 == v1 and an end is read by position, so Edge adds no
+    # method, and tuple's own methods keep their meaning.
+    assert {name for name in vars(Edge) if not name.startswith("_")} == set(Edge._fields)
+    assert Edge("e", "A", "B", 2, 3).index(3) == 4
+
+
 @settings(max_examples=150, deadline=None)
 @given(connected_graphs(max_vertices=5, max_extra_edges=3), st.integers(0, 2**16))
 def test_a_graph_built_in_shuffled_order_equals_the_original(g, seed):
@@ -89,8 +96,8 @@ def test_lookups_and_the_end_table_agree_with_the_edges(g):
     table = g.end_table()
     assert list(table) == list(g.vertices)
     for v in g.vertices:
-        ends = sorted((e.eid, side, e.index(side))
-                      for e in g.edges for side in (0, 1) if e.endpoint(side) == v)
+        ends = sorted((e.eid, side, e[3 + side])
+                      for e in g.edges for side in (0, 1) if e[1 + side] == v)
         assert table[v] == ends
 
 

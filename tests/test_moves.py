@@ -449,7 +449,7 @@ def test_perturbed_moves_are_rejected(g):
     for move in enumerate_collapses(g):
         edge = g.edge(move.edge)
         other = edge.v0 if move.survivor == edge.v1 else edge.v1
-        if abs(edge.index(0 if other == edge.v1 else 1)) != 1:
+        if abs(edge.i0 if other == edge.v1 else edge.i1) != 1:
             with pytest.raises(IllegalMoveError):
                 apply_move(g, Collapse(move.edge, other))
     for move in enumerate_expansions(g, ExpansionBounds(max_n=9))[:5]:

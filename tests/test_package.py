@@ -216,6 +216,16 @@ def test_explore_applies_a_move_only_to_grow_a_side_or_stitch_a_path():
     assert _names_read(tree)["apply_move"] == 2
 
 
+def test_only_graph_isomorphism_compares_canonical_keys():
+    # canonical.graph_isomorphism holds the one comparison rule and is_isomorphic
+    # asks it, so no other function of canonical.py reads a form's key.
+    tree = ast.parse((ROOT / "src" / "gbsdeform" / "canonical.py").read_text())
+    readers = Counter(getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
+                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                      and node.attr == "key")
+    assert readers == {"graph_isomorphism": 2}
+
+
 def _cap_records(tree: ast.AST) -> list[int]:
     """Line of each call of a method of some ``.caps``: ``side.caps.add(...)`` and the like."""
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)

@@ -44,7 +44,7 @@ def test_generator_requirements():
                                require="strongly_slide_free")
     g = random_graph(ssf_spec, 1)
     e = g.edges[0]
-    if not e.is_loop:
+    if e.v0 != e.v1:
         table = g.end_table()
         assert len(table[e.v0]) == 1 and len(table[e.v1]) == 1
     else:
