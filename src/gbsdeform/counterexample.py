@@ -20,7 +20,6 @@ hashed.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .canonical import is_isomorphic
@@ -141,18 +140,13 @@ def index_tuple(g: EdgeIndexedGraph) -> tuple[int, ...]:
     listed by (rank pair, index pair, id) with each pair read from the
     lower-ranked endpoint, loops in declaration side order.
     """
-    ends = g.end_table()
-    rank: dict[str, int] = {}
-    queue = deque([g.vertices[0]])
-    rank[g.vertices[0]] = 0
-    while queue:
-        v = queue.popleft()
-        for eid, side, _ in ends[v]:
-            _, v0, v1, _, _ = g.edge(eid)
-            w = v0 if side else v1
-            if w not in rank:
-                rank[w] = len(rank)
-                queue.append(w)
+    order = [g.vertices[0]]         # the breadth-first queue: it grows as it is read
+    for v in order:
+        for _, v0, v1, _, _ in g.edges:
+            for near, far in ((v0, v1), (v1, v0)):      # (edge id, side) order
+                if near == v and far not in order:
+                    order.append(far)
+    rank = {v: r for r, v in enumerate(order)}
     keyed = []
     for e in g.edges:
         r0, r1 = rank[e.v0], rank[e.v1]

@@ -10,8 +10,8 @@ Each search keeps one ``_Names`` for both of its sides, freed when it returns.
 
 ``decide_equivalence`` first asks ``invariants.refute``, whose reasons rest on
 an ``invariant``, then grows two sides in one search.  A move shifts the vertex
-count by at most 1, so a result at depth k whose count is more than
-``max_depth - k`` from the other root's can meet nothing within the depth
+count by at most 1 (``_Side.kinds``), so a result at depth k whose count is more
+than ``max_depth - k`` from the other root's can meet nothing within the depth
 bound, nor can any class reached through it: the side leaves out the move kind
 that would build it, and records ``"depth"``.  The move classes:
 
@@ -42,8 +42,8 @@ from .canonical import SizeCapError, canonical_certificate, class_invariant, gra
 from .graphs import EdgeIndexedGraph, _repr, _require_int
 from .invariants import MOVE_CLASSES, refute
 from .moves import (
-    Collapse, Expansion, ExpansionBounds, Move, Slide, _reduction, apply_move,
-    enumerate_collapses, enumerate_expansions, enumerate_slides, invert_move, transport_move,
+    ExpansionBounds, Move, _reduction, apply_move, enumerate_collapses, enumerate_expansions,
+    enumerate_slides, invert_move, transport_move,
 )
 
 __all__ = [
@@ -113,10 +113,10 @@ class _Side:
     def __init__(self, g: EdgeIndexedGraph, move_class: str, budget: Budget,
                  name: _Names, size: int | None = None):
         # Enumerators are read here, not at import: tests and the benchmark's tracer replace them.
-        slides = (Slide.vertex_shift, enumerate_slides)
+        slides = (0, enumerate_slides)      # (vertex-count change, enumerator), for the reach check
         self.kinds = (slides,) if move_class == "slide" else (
-            (Collapse.vertex_shift, enumerate_collapses), slides,
-            (Expansion.vertex_shift, lambda h: enumerate_expansions(h, budget.expansion)))
+            (-1, enumerate_collapses), slides,
+            (1, lambda h: enumerate_expansions(h, budget.expansion)))
         self.budget, self.size = budget, size       # size: the other root's vertex count
         self.name = name                # shared by the search's sides
         self.root = name(g)             # a side rebuilt from its root names it through the memo
@@ -151,9 +151,10 @@ class _Side:
 
     def grow(self, steps: Iterable[tuple]) -> Iterator[tuple]:
         """Apply steps at ``depth``; yield (parent, name) per result no cap drops."""
+        cap = self.budget.max_abs_index
         for name_u, gu, move in steps:
             h = apply_move(gu, move)
-            if h.max_abs_index() > self.budget.max_abs_index:
+            if any(abs(i0) > cap or abs(i1) > cap for *_, i0, i1 in h.edges):
                 self.caps.add("index")
                 continue
             try:

@@ -156,8 +156,8 @@ class EdgeIndexedGraph:
     and parallel edges are permitted.  The constructor checks nothing; build
     graphs from outside data with ``graph_from_parts``.  A graph keeps no
     cache: ``edge`` scans the edges, and ``end_table``, the one per-vertex
-    table of ends, and ``shape``, one flat tuple, are built on each call and
-    kept by nothing.
+    table of (edge id, side, index) ends, and ``shape``, one flat tuple, are
+    built on each call and kept by nothing.
     """
 
     vertices: tuple[str, ...]
@@ -201,9 +201,6 @@ class EdgeIndexedGraph:
             a, b = rank[v0], rank[v1]
             tuples.append((a, b, i, j) if (a, i) <= (b, j) else (b, a, j, i))
         return (len(self.vertices), *[x for edge in sorted(tuples) for x in edge])
-
-    def max_abs_index(self) -> int:
-        return max((max(abs(i0), abs(i1)) for _, _, _, i0, i1 in self.edges), default=0)
 
 
 @dataclass(eq=False, slots=True)

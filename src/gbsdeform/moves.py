@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, isqrt
-from typing import ClassVar
 
 from .graphs import (_IDENT_RE, Edge, EdgeIndexedGraph, End, InvalidGraphError, Isomorphism,
                      ParseError, _content_lines, _repr, _require_int, _require_text,
@@ -64,14 +63,12 @@ def _as_end(end) -> End:
 
 @dataclass(frozen=True, slots=True)
 class Collapse:
-    vertex_shift: ClassVar[int] = -1    # change in vertex count: the absorbed vertex goes
     edge: str
     survivor: str
 
 
 @dataclass(frozen=True, slots=True)
 class Expansion:
-    vertex_shift: ClassVar[int] = 1     # change in vertex count: new_vertex comes
     vertex: str
     n: int
     moved_ends: tuple[End, ...]
@@ -91,7 +88,6 @@ class Expansion:
 
 @dataclass(frozen=True, slots=True)
 class Slide:
-    vertex_shift: ClassVar[int] = 0
     moving_end: End
     along: End
 

@@ -66,6 +66,17 @@ def test_check_line_and_unknown(capsys, tmp_path):
     assert "jsj: UNKNOWN" in out
 
 
+def test_check_reads_both_sides_of_an_edge_for_unfoldedness(capsys, tmp_path):
+    # Every side-0 index is at least 2 in absolute value; the loop's side-1
+    # index 1 alone leaves the sufficient unfoldedness test inconclusive.
+    path = tmp_path / "side1.gbs"
+    path.write_text("vertex A\nvertex B\nedge l A A 6 1\nedge t A B 4 3\n")
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 2
+    assert "unfolded_sufficient: false" in out.splitlines()
+    assert "jsj: UNKNOWN" in out.splitlines()
+
+
 def test_moves_lists_legal_moves(capsys, x_file):
     code, out, _ = run(capsys, "moves", x_file)
     assert code == 0

@@ -226,6 +226,26 @@ def test_only_graph_isomorphism_compares_canonical_keys():
     assert readers == {"graph_isomorphism": 2}
 
 
+def test_each_fact_of_a_search_or_report_is_stated_where_it_is_read():
+    # A move kind's change in vertex count is stated in explore._Side.kinds,
+    # beside its enumerator, and the index cap is read in _Side.grow: so a move
+    # record holds only its fields and methods, and a graph's public methods are
+    # the three that several modules read.  index_tuple reads each edge once,
+    # off g.edges, not again through a lookup.
+    for cls in typing.get_args(gbsdeform.Move):
+        fields = {field.name for field in dataclasses.fields(cls)}
+        extra = [name for name, value in vars(cls).items() if not name.startswith("__")
+                 and name not in fields and not inspect.isfunction(value)]
+        assert extra == [], cls
+    methods = {name for name, value in vars(gbsdeform.EdgeIndexedGraph).items()
+               if not name.startswith("_") and inspect.isfunction(value)}
+    assert methods == {"edge", "end_table", "shape"}
+    tree = ast.parse(inspect.getsource(gbsdeform.index_tuple))
+    calls = [node.func.attr for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)]
+    assert not {"edge", "end_table"} & set(calls)
+
+
 def _cap_records(tree: ast.AST) -> list[int]:
     """Line of each call of a method of some ``.caps``: ``side.caps.add(...)`` and the like."""
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)

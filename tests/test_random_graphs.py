@@ -3,17 +3,21 @@ import hashlib
 import pytest
 
 from gbsdeform import (
+    ExampleParams,
     GenerationError,
     RandomGraphSpec,
     analyze,
     apply_move,
     betti_number,
+    deformation_moves,
+    example_graph,
     format_script,
     random_graph,
     reduce_graph,
     rigidity_trial,
     serialize_graph,
 )
+from gbsdeform import random_graphs
 
 from strategies import assert_valid
 
@@ -114,6 +118,21 @@ def test_rigidity_trials_pass_and_replay():
         again = rigidity_trial(nv, nv - 1 + seed % 2, num_moves=8, seed=seed)
         assert again.moves == trial.moves
         assert again.start == trial.start
+
+
+def test_a_rigidity_trial_fails_when_its_moved_graph_reduces_to_another_class(monkeypatch):
+    # The negative control: the trial draws X and then the paper's four moves,
+    # which end at Y.  Y is reduced and not X, so the trial must fail; a trial
+    # that never looked at its moved graph would pass.
+    p = ExampleParams(2, 3, 5, 7)
+    x, moves = example_graph("X", p), iter(deformation_moves(p))
+    monkeypatch.setattr(random_graphs, "random_graph_from_rng", lambda spec, rng: x)
+    monkeypatch.setattr(random_graphs, "random_legal_move",
+                        lambda g, rng, bounds: next(moves, None))
+    trial = rigidity_trial(2, 2, 4, 0)
+    assert trial.passed is False
+    assert trial.start == x
+    assert trial.moves == deformation_moves(p)
 
 
 def test_rigidity_trial_zero_moves():

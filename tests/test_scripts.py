@@ -139,3 +139,26 @@ def test_rigidity_sweep_exits_1_on_a_failed_trial(monkeypatch, capsys):
         assert parse_graph(textwrap.dedent(start)) == trial.start
         moves = "".join(line for line in moves.splitlines(True) if line.startswith("    "))
         assert parse_script(textwrap.dedent(moves)) == trial.moves
+
+
+@pytest.mark.parametrize("row", load_script("mutants.py").ROWS, ids=lambda row: row[0])
+def test_each_mutant_row_applies_once_and_names_tests_that_exist(row):
+    # The harness runs outside tier-1; this keeps its table from rotting: a
+    # refactor that moves a row's old text or renames one of its tests fails here.
+    root = SCRIPTS.parent
+    _, file, old, new, tests = row
+    assert old != new
+    assert (root / file).read_text().count(old) == 1
+    for test in tests:
+        path, _, name = test.partition("::")
+        assert re.search(rf"^def {name}\(", (root / path).read_text(), re.M), test
+
+
+def test_mutants_exits_1_on_a_survivor(monkeypatch, capsys):
+    script = load_script("mutants.py")
+    outcomes = iter(["killed", "survived"])
+    monkeypatch.setattr(script, "ROWS", script.ROWS[2:4])
+    monkeypatch.setattr(script, "run_row", lambda row: next(outcomes))
+    assert script.main() == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "M6: killed in 0.0s", "M8: survived in 0.0s", "1/2 rows killed"]
