@@ -60,6 +60,37 @@ ROWS = [
     # M26: collapses miss a -1 on side 1.
     ("M26", "src/gbsdeform/moves.py",
      "if abs(e.i1) == 1:", "if e.i1 == 1:", (RIGIDITY_FUZZ,)),
+    # M4: a search's names never split an invariant bucket.
+    ("M4", "src/gbsdeform/explore.py",
+     "name = name if cert == self.certs[name] else cert", "name = name",
+     ("tests/test_explore.py::test_two_classes_in_one_invariant_bucket_keep_apart",)),
+    # M7: ``minimal`` admits a leaf whose one end has a unit index.
+    ("M7", "src/gbsdeform/moves.py",
+     "abs(ends[0][2]) >= 2", "abs(ends[0][2]) >= 1",
+     ("tests/test_moves.py::test_analyze_minimal_vs_reduced",)),
+    # M10: slides skip carriers with a negative index.
+    ("M10", "src/gbsdeform/moves.py",
+     "if edge_a != edge_m and i_m % i_a == 0:",
+     "if edge_a != edge_m and i_a > 0 and i_m % i_a == 0:",
+     ("tests/test_explore.py::test_verdicts_reasons_and_paths_match_the_pinned_corpus",)),
+    # M19: strongly slide-free ignores ``minimal``.
+    ("M19", "src/gbsdeform/moves.py",
+     "ssf = minimal and not any(", "ssf = not any(",
+     ("tests/test_moves.py::test_predicate_consistency",)),
+    # M23: ``class_invariant`` drops the loop flag.
+    ("M23", "src/gbsdeform/canonical.py",
+     "a, b, loop = abs(i0), abs(i1), v0 == v1", "a, b, loop = abs(i0), abs(i1), False",
+     ("tests/test_canonical.py::test_class_invariant_reads_absolute_indices_and_loops",)),
+    # M27: expansions never move all of a vertex's ends.
+    ("M27", "src/gbsdeform/moves.py",
+     "for size in range(1, min(len(ends), bounds.max_subset_size) + 1):",
+     "for size in range(1, min(len(ends) - 1, bounds.max_subset_size) + 1):",
+     ("tests/test_moves.py::test_enumerate_expansions_factors",)),
+    # ``_shape`` drops the sign of the index at an edge's lower-ranked end.
+    ("shape-sign", "src/gbsdeform/canonical.py",
+     "tuples.append((a, b, i, j) if (a, i) <= (b, j) else (b, a, j, i))",
+     "tuples.append((a, b, abs(i), j) if (a, i) <= (b, j) else (b, a, abs(j), i))",
+     ("tests/test_graphs.py::test_loops_whose_index_signs_differ_have_different_shapes",)),
 ]
 
 

@@ -37,11 +37,11 @@ hands to path stitching, is the exhaustive walk's.  A form keeps only that
 order, those signs and the encoding; ``graph_isomorphism`` re-encodes each
 edge from the order and signs, and checks that the result is the encoding.
 The exhaustive oracles live with the tests, in ``tests/oracles.py``.  Nothing
-in this module is cached: a caller that meets a graph again keeps its own
-memo.  ``DEFAULT_SIZE_CAP`` is the single vertex cap on canonicalization and on
-``class_invariant``.  ``graph_isomorphism`` is the one comparison: it builds
-forms only for graphs not label-equal that tie on vertex count and absolute
-index pairs, and ``is_isomorphic`` asks it for a yes or no.
+in this module is cached: a caller keeps its own memo, as ``explore._Names``
+does by ``_shape``.  ``DEFAULT_SIZE_CAP`` is the single vertex cap on
+canonicalization and on ``class_invariant``.  ``graph_isomorphism`` is the one
+comparison: it builds forms only for graphs not label-equal that tie on vertex
+count and absolute index pairs, and ``is_isomorphic`` asks it for a yes or no.
 """
 
 from __future__ import annotations
@@ -183,11 +183,10 @@ def _search_min_encoding(g: EdgeIndexedGraph):
                                 for w, pairs in nbr[v].items() if rank[w] >= 0
                                 for (x, y) in pairs])
             options.append((v, t, elsewhere, mine))
-        if len(options) > 1 or best[0] is not None or k == n - 1:
-            stairs = [staircase(k, v, elsewhere, mine) for (v, _, elsewhere, mine) in options]
-            stair = min(stairs)
-            options = sorted((opt for key, opt in zip(stairs, options) if key == stair),
-                             key=lambda opt: (opt[2] + opt[3], opt[0], -opt[1]))
+        stairs = [staircase(k, v, elsewhere, mine) for (v, _, elsewhere, mine) in options]
+        stair = min(stairs)
+        options = sorted((opt for key, opt in zip(stairs, options) if key == stair),
+                         key=lambda opt: (opt[2] + opt[3], opt[0], -opt[1]))
         for v, t, elsewhere, mine in options:
             if best[0] is not None and stair > best[0][:len(stair)]:
                 return
@@ -240,6 +239,27 @@ def class_invariant(g: EdgeIndexedGraph) -> tuple[int, tuple]:
         ends[v0].append((a, b, loop))
         ends[v1].append((b, a, loop))
     return len(g.vertices), tuple(sorted(tuple(sorted(v_ends)) for v_ends in ends.values()))
+
+
+def _shape(g: EdgeIndexedGraph) -> tuple[int, ...]:
+    """(vertex count, a, b, i, j, a, b, i, j, ...), the sorted edge tuples laid
+    flat in one tuple: the graph relabeled, ids dropped.  Vertices rank by their
+    sorted (near index, far index, is loop) ends, ties by id; an edge (a, b, i, j)
+    is (rank a, rank b, index at a, index at b), a <= b and a loop's smaller index
+    first, and gives exactly 4 entries.  Equal shapes share a certificate."""
+    ends: dict[str, list[tuple[int, int, bool]]] = {v: [] for v in g.vertices}
+    for _, v0, v1, i0, i1 in g.edges:
+        ends[v0].append((i0, i1, v0 == v1))
+        ends[v1].append((i1, i0, v0 == v1))
+    for vertex_ends in ends.values():
+        vertex_ends.sort()
+    order = sorted(g.vertices, key=ends.__getitem__)        # stable: ties by id
+    rank = {v: r for r, v in enumerate(order)}
+    tuples = []
+    for _, v0, v1, i, j in g.edges:
+        a, b = rank[v0], rank[v1]
+        tuples.append((a, b, i, j) if (a, i) <= (b, j) else (b, a, j, i))
+    return (len(g.vertices), *[x for edge in sorted(tuples) for x in edge])
 
 
 def is_isomorphic(g1: EdgeIndexedGraph, g2: EdgeIndexedGraph) -> bool:

@@ -38,7 +38,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .canonical import SizeCapError, canonical_certificate, class_invariant, graph_isomorphism
+from .canonical import (SizeCapError, _shape, canonical_certificate, class_invariant,
+                        graph_isomorphism)
 from .graphs import EdgeIndexedGraph, _repr, _require_int
 from .invariants import MOVE_CLASSES, refute
 from .moves import (
@@ -94,7 +95,7 @@ class _Names:
 
     def __call__(self, g: EdgeIndexedGraph) -> Name:
         """g's name, from the memo when a graph of g's shape was met."""
-        key = g.shape()
+        key = _shape(g)
         if key not in self.memo:
             name = hash(class_invariant(g))
             first = self.firsts.setdefault(name, g)

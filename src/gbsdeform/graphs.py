@@ -154,10 +154,8 @@ class EdgeIndexedGraph:
     which is by id as ids are unique), so two graphs built from the same
     id-keyed content compare equal regardless of declaration order.  Loops
     and parallel edges are permitted.  The constructor checks nothing; build
-    graphs from outside data with ``graph_from_parts``.  A graph keeps no
-    cache: ``edge`` scans the edges, and ``end_table``, the one per-vertex
-    table of (edge id, side, index) ends, and ``shape``, one flat tuple, are
-    built on each call and kept by nothing.
+    graphs from outside data with ``graph_from_parts``.  A graph is its two
+    sorted fields: each table derived from it is built where it is read.
     """
 
     vertices: tuple[str, ...]
@@ -166,41 +164,6 @@ class EdgeIndexedGraph:
     def __init__(self, vertices, edges) -> None:
         object.__setattr__(self, "vertices", tuple(sorted(vertices)))
         object.__setattr__(self, "edges", tuple(sorted(edges)))
-
-    def edge(self, eid: str) -> Edge:
-        for e in self.edges:
-            if e.eid == eid:
-                return e
-        raise InvalidGraphError(f"no edge {_repr(eid)} in graph")
-
-    def end_table(self) -> dict[str, list[tuple[str, int, int]]]:
-        """(edge id, side, index) of each end at each vertex, sorted by (edge
-        id, side): one pass over the edges, which are sorted by id."""
-        table: dict[str, list[tuple[str, int, int]]] = {v: [] for v in self.vertices}
-        for eid, v0, v1, i0, i1 in self.edges:
-            table[v0].append((eid, 0, i0))
-            table[v1].append((eid, 1, i1))
-        return table
-
-    def shape(self) -> tuple[int, ...]:
-        """(vertex count, a, b, i, j, a, b, i, j, ...), the sorted edge tuples laid
-        flat in one tuple: the graph relabeled, ids dropped.  Vertices rank by their
-        sorted (near index, far index, is loop) ends, ties by id; an edge (a, b, i, j)
-        is (rank a, rank b, index at a, index at b), a <= b and a loop's smaller index
-        first, and gives exactly 4 entries.  Equal shapes share a certificate."""
-        ends: dict[str, list[tuple[int, int, bool]]] = {v: [] for v in self.vertices}
-        for _, v0, v1, i0, i1 in self.edges:
-            ends[v0].append((i0, i1, v0 == v1))
-            ends[v1].append((i1, i0, v0 == v1))
-        for vertex_ends in ends.values():
-            vertex_ends.sort()
-        order = sorted(self.vertices, key=ends.__getitem__)     # stable: ties by id
-        rank = {v: r for r, v in enumerate(order)}
-        tuples = []
-        for _, v0, v1, i, j in self.edges:
-            a, b = rank[v0], rank[v1]
-            tuples.append((a, b, i, j) if (a, i) <= (b, j) else (b, a, j, i))
-        return (len(self.vertices), *[x for edge in sorted(tuples) for x in edge])
 
 
 @dataclass(eq=False, slots=True)

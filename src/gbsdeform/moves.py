@@ -9,7 +9,8 @@ number, connectivity and nonzero indices.
 
 Also here: move inversion and transport, the legality predicates (reduced,
 minimal, strongly slide-free, the sufficient unfoldedness test, point/line
-geometry) and the one-move-per-line script format.
+geometry), the one-move-per-line script format and ``_end_table``, the
+per-vertex end table that the enumerators, ``analyze`` and ``invert_move`` read.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, isqrt
 
-from .graphs import (_IDENT_RE, Edge, EdgeIndexedGraph, End, InvalidGraphError, Isomorphism,
-                     ParseError, _content_lines, _repr, _require_int, _require_text,
-                     index_str, parse_index)
+from .graphs import (_IDENT_RE, Edge, EdgeIndexedGraph, End, Isomorphism, ParseError,
+                     _content_lines, _repr, _require_int, _require_text, index_str, parse_index)
 
 __all__ = [
     "IllegalMoveError",
@@ -129,10 +129,20 @@ def _require_end(g: EdgeIndexedGraph, end: End) -> Edge:
     and index off it.  IllegalMoveError for a bad side or a missing edge."""
     if type(end.side) is not int or end.side not in (0, 1):
         raise IllegalMoveError(f"end {_repr(end.edge, str)}:{_repr(end.side, str)} has a bad side")
-    try:
-        return g.edge(end.edge)
-    except InvalidGraphError:
-        raise IllegalMoveError(f"no edge {_repr(end.edge)} in graph") from None
+    for e in g.edges:
+        if e.eid == end.edge:
+            return e
+    raise IllegalMoveError(f"no edge {_repr(end.edge)} in graph")
+
+
+def _end_table(g: EdgeIndexedGraph) -> dict[str, list[tuple[str, int, int]]]:
+    """(edge id, side, index) of each end at each vertex, sorted by (edge id,
+    side): one pass over the edges, which are sorted by id."""
+    table: dict[str, list[tuple[str, int, int]]] = {v: [] for v in g.vertices}
+    for eid, v0, v1, i0, i1 in g.edges:
+        table[v0].append((eid, 0, i0))
+        table[v1].append((eid, 1, i1))
+    return table
 
 
 def apply_move(g: EdgeIndexedGraph, m: Move) -> EdgeIndexedGraph:
@@ -244,7 +254,7 @@ def invert_move(g: EdgeIndexedGraph, m: Move) -> Move:
     """
     if isinstance(m, Collapse):     # _collapse_parts is the collapse's legality check
         dead, n_surv, eps = _collapse_parts(g, m)
-        moved = tuple(End(eid, side) for eid, side, _ in g.end_table()[dead] if eid != m.edge)
+        moved = tuple(End(eid, side) for eid, side, _ in _end_table(g)[dead] if eid != m.edge)
         return Expansion(vertex=m.survivor, n=n_surv * eps, moved_ends=moved,
                          new_vertex=dead, new_edge=m.edge)
     apply_move(g, m)  # legality check of an expansion or slide; errors propagate
@@ -284,7 +294,7 @@ def enumerate_slides(g: EdgeIndexedGraph) -> list[Slide]:
     of distinct-edge ends at one vertex with the carrier index dividing the
     moving index.  ``verify_slide_ladder`` relies on this order."""
     out = []
-    for ends in g.end_table().values():
+    for ends in _end_table(g).values():
         for edge_m, side_m, i_m in ends:
             for edge_a, side_a, i_a in ends:
                 if edge_a != edge_m and i_m % i_a == 0:
@@ -304,7 +314,7 @@ def enumerate_expansions(g: EdgeIndexedGraph, bounds: ExpansionBounds) -> list[E
     new_v, new_e = _fresh_ids(g)
     out = []
     factors: dict[int, list[int]] = {}     # subset gcd -> its factors
-    for v, ends in g.end_table().items():
+    for v, ends in _end_table(g).items():
         for size in range(1, min(len(ends), bounds.max_subset_size) + 1):
             for combo in combinations(ends, size):
                 d = 0
@@ -367,7 +377,7 @@ def _geometry(g: EdgeIndexedGraph) -> str:
 
 def analyze(g: EdgeIndexedGraph) -> PredicateReport:
     reduced = not enumerate_collapses(g)
-    table = g.end_table()
+    table = _end_table(g)
     minimal = all(abs(ends[0][2]) >= 2 for ends in table.values() if len(ends) == 1)
     ssf = minimal and not any(
         i != j and a % b == 0

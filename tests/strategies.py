@@ -27,6 +27,15 @@ def ladder_level(p: ExampleParams, k: int) -> EdgeIndexedGraph:
                                          Edge("t", "A", "B", free_edge_index(p, k), p.s)))
 
 
+def edge_named(g: EdgeIndexedGraph, eid: str) -> Edge:
+    """The edge of g whose id is ``eid``: a graph is its two sorted fields and has
+    no lookup of its own.  KeyError when g has no such edge."""
+    for e in g.edges:
+        if e.eid == eid:
+            return e
+    raise KeyError(eid)
+
+
 def neighbor_moves(g: EdgeIndexedGraph, move_class: str, bounds: ExpansionBounds) -> list[Move]:
     """Every move of the class at g in one list: its slides, or under ``deform``
     its collapses, slides, then expansions.  The corpora draw their moved copies

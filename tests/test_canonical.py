@@ -25,8 +25,8 @@ from gbsdeform import (
 
 from oracles import brute_force_isomorphic, oracle_min_encoding
 from strategies import (
-    X_TEXT, Y_TEXT, connected_graphs, flip_signs, loop, scramble, scramble_with_end_swaps,
-    sign_flips,
+    X_TEXT, Y_TEXT, connected_graphs, edge_named, flip_signs, loop, scramble,
+    scramble_with_end_swaps, sign_flips,
 )
 
 
@@ -212,7 +212,7 @@ def test_isomorphism_witness_maps_structure():
     for e in g.edges:
         image0, image1 = (iso.end_map[End(e.eid, side)] for side in (0, 1))
         assert image0.edge == image1.edge
-        f = h.edge(image0.edge)
+        f = edge_named(h, image0.edge)
         targets.append(f.eid)
         assert {abs(e.i0), abs(e.i1)} == {abs(f.i0), abs(f.i1)}
         assert iso.vertex_map[e.v0] in (f.v0, f.v1)
@@ -329,8 +329,8 @@ def _assert_scramble_is_class_equal(g, seed):
         targets.append(images[0].edge)
         assert {image.side for image in images} == {0, 1}
         for side, image in enumerate(images):
-            assert h.edge(image.edge)[1 + image.side] == iso.vertex_map[e[1 + side]]
-            assert abs(h.edge(image.edge)[3 + image.side]) == abs(e[3 + side])
+            assert edge_named(h, image.edge)[1 + image.side] == iso.vertex_map[e[1 + side]]
+            assert abs(edge_named(h, image.edge)[3 + image.side]) == abs(e[3 + side])
     assert sorted(targets) == [e.eid for e in h.edges]
 
 

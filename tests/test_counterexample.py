@@ -32,7 +32,7 @@ from gbsdeform.counterexample import (
     verify_slide_ladder,
 )
 
-from strategies import X_TEXT, Y_TEXT, assert_valid, ladder_level, scramble
+from strategies import X_TEXT, Y_TEXT, assert_valid, edge_named, ladder_level, scramble
 
 P = ExampleParams(2, 3, 5, 7)
 
@@ -49,7 +49,7 @@ def test_params_validation_and_flags():
 def test_example_graphs_instantiate_the_diagrams():
     assert example_graph("X", P) == parse_graph(X_TEXT)
     assert example_graph("Y", P) == parse_graph(Y_TEXT)
-    assert ladder_level(P, 1).edge("t").i0 == 120
+    assert edge_named(ladder_level(P, 1), "t").i0 == 120
     assert ladder_level(P, 0) == example_graph("X", P)
     for which in ("Z", "Xk"):
         with pytest.raises(ValueError, match=f"^unknown example graph '{which}'$"):
@@ -232,7 +232,7 @@ def test_ladder_shape_check_fires_on_a_wrong_slide(monkeypatch, wrong):
 
     def slide(g, mv):
         # Level `wrong` slides onto itself instead of onto its neighbours.
-        return g if g.edge("t").i0 == free_edge_index(P, wrong) else real(g, mv)
+        return g if edge_named(g, "t").i0 == free_edge_index(P, wrong) else real(g, mv)
 
     monkeypatch.setattr(counterexample, "apply_move", slide)
     cert = verify_slide_ladder(P, 6)
@@ -248,7 +248,7 @@ def test_ladder_shape_check_fires_on_a_dropped_or_repeated_slide(monkeypatch, ed
 
     def slides(g):
         found = real(g)
-        return edit(found) if g.edge("t").i0 == free_edge_index(P, 3) else found
+        return edit(found) if edge_named(g, "t").i0 == free_edge_index(P, 3) else found
 
     monkeypatch.setattr(counterexample, "enumerate_slides", slides)
     cert = verify_slide_ladder(P, 6)

@@ -724,13 +724,13 @@ def test_a_searchs_names_are_equal_exactly_when_certificates_are(graphs, seed):
 def test_a_search_computes_each_roots_shape_once(monkeypatch, x, g2, move_class, kind,
                                                  computed):
     shapes = []
-    real = EdgeIndexedGraph.shape
+    real = explore._shape
 
     def counted(g):
         shapes.append(g)
         return real(g)
 
-    monkeypatch.setattr(EdgeIndexedGraph, "shape", counted)
+    monkeypatch.setattr(explore, "_shape", counted)
     verdict = decide_equivalence(x, g2, move_class, Budget(max_depth=0))
     assert verdict.kind == kind
     assert shapes == [x, g2][:computed]

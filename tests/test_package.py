@@ -229,9 +229,11 @@ def test_only_graph_isomorphism_compares_canonical_keys():
 def test_each_fact_of_a_search_or_report_is_stated_where_it_is_read():
     # A move kind's change in vertex count is stated in explore._Side.kinds,
     # beside its enumerator, and the index cap is read in _Side.grow: so a move
-    # record holds only its fields and methods, and a graph's public methods are
-    # the three that several modules read.  index_tuple reads each edge once,
-    # off g.edges, not again through a lookup.
+    # record holds only its fields and methods.  A graph is its two sorted
+    # fields and defines no public function: its end table is built in moves.py,
+    # the one module that reads it, and its shape in canonical.py, read only by
+    # explore._Names.__call__.  index_tuple reads each edge once, off g.edges,
+    # not again through a lookup.
     for cls in typing.get_args(gbsdeform.Move):
         fields = {field.name for field in dataclasses.fields(cls)}
         extra = [name for name, value in vars(cls).items() if not name.startswith("__")
@@ -239,11 +241,19 @@ def test_each_fact_of_a_search_or_report_is_stated_where_it_is_read():
         assert extra == [], cls
     methods = {name for name, value in vars(gbsdeform.EdgeIndexedGraph).items()
                if not name.startswith("_") and inspect.isfunction(value)}
-    assert methods == {"edge", "end_table", "shape"}
-    tree = ast.parse(inspect.getsource(gbsdeform.index_tuple))
-    calls = [node.func.attr for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Attribute)]
-    assert not {"edge", "end_table"} & set(calls)
+    assert methods == set()
+    reads = {path.relative_to(ROOT).as_posix(): _names_read(ast.parse(path.read_text()))
+             for path in USERS}
+    assert [path for path, read in reads.items() if read["_end_table"]] == [
+        "src/gbsdeform/moves.py"]
+    assert [path for path, read in reads.items() if read["_shape"]] == [
+        "src/gbsdeform/explore.py"]
+    tree = ast.parse((ROOT / "src" / "gbsdeform" / "explore.py").read_text())
+    names = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+                 and node.name == "_Names")
+    call = next(node for node in names.body if getattr(node, "name", None) == "__call__")
+    assert _names_read(call)["_shape"] == reads["src/gbsdeform/explore.py"]["_shape"]
+    assert "_require_end" not in _names_read(ast.parse(inspect.getsource(gbsdeform.index_tuple)))
 
 
 def _cap_records(tree: ast.AST) -> list[int]:
@@ -301,8 +311,6 @@ def test_every_public_name_and_member_is_read_outside_its_definition():
 UNREAD_FIELDS = {
     # The meeting oracle of tests/oracles.py reads it, and EXPLORE_SHA256 pins it.
     "explore.ExplorationReport.depths",
-    # README's Verdict contract: every verdict names the evidence it rests on.
-    "explore.Verdict.evidence",
 }
 
 

@@ -18,6 +18,7 @@ from gbsdeform import (
     serialize_graph,
 )
 from gbsdeform import random_graphs
+from gbsdeform.moves import _end_table
 
 from strategies import assert_valid
 
@@ -49,7 +50,7 @@ def test_generator_requirements():
     g = random_graph(ssf_spec, 1)
     e = g.edges[0]
     if e.v0 != e.v1:
-        table = g.end_table()
+        table = _end_table(g)
         assert len(table[e.v0]) == 1 and len(table[e.v1]) == 1
     else:
         assert e.i1 % e.i0 != 0 and e.i0 % e.i1 != 0
