@@ -5,7 +5,7 @@ Sample S is 6,000 seeded pairs of random graphs on 1-3 vertices with equal
 vertex counts and Betti numbers, each decided under both move classes, its
 budget chosen by the seed.  The tree stress is 1,500 seeded pairs of random
 trees on 3 or 4 vertices (``strategies.tree_stress_pair``), decided under
-``deform``.  For each of the three runs the script prints how many verdicts
+``deform`` and ``strategies.tree_stress_budget``.  For each of the three runs the script prints how many verdicts
 have each (kind, evidence, reason of an ``unknown``), then one sha256 over the
 "kind | reason | path" line of every verdict, the runs in the order printed
 and the pairs in seed order: two checkouts that print the same digest gave
@@ -14,7 +14,7 @@ every pair the same verdict, reason and path.
     python3 scripts/verdict_table.py
 
 It takes no flags and runs in a few seconds.  Standard library only, plus the
-test generators in ``tests/``, which need pytest and hypothesis as tier-1 does.
+test generators of ``tests/strategies.py``, which need hypothesis as tier-1 does.
 """
 
 import hashlib
@@ -26,8 +26,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from gbsdeform import Budget, ExpansionBounds, betti_number, decide_equivalence  # noqa: E402
-from strategies import tree_stress_pair  # noqa: E402
-from test_explore import DIFFERENTIAL_BUDGETS, _random_small_graph, corpus_line  # noqa: E402
+from strategies import (DIFFERENTIAL_BUDGETS, corpus_line, random_small_graph,  # noqa: E402
+                        tree_stress_budget, tree_stress_pair)
 
 SAMPLE_S_PAIRS = 6000
 TREE_STRESS_PAIRS = 1500
@@ -43,20 +43,17 @@ def sample_s(move_class, seeds=range(SAMPLE_S_PAIRS)):
     many vertices whose Betti number is g1's."""
     for seed in seeds:
         rng = random.Random(10**6 + seed)
-        g1 = _random_small_graph(rng)
-        g2 = _random_small_graph(rng, len(g1.vertices))
+        g1 = random_small_graph(rng)
+        g2 = random_small_graph(rng, len(g1.vertices))
         while betti_number(g2) != betti_number(g1):
-            g2 = _random_small_graph(rng, len(g1.vertices))
+            g2 = random_small_graph(rng, len(g1.vertices))
         yield decide_equivalence(g1, g2, move_class, SAMPLE_S_BUDGETS[seed % 6])
 
 
 def tree_stress(seeds=range(TREE_STRESS_PAIRS)):
-    """The deform verdict of each tree-stress pair, at depth ``2 + seed % 4``."""
+    """The deform verdict of each tree-stress pair."""
     for seed in seeds:
-        g1, g2 = tree_stress_pair(seed)
-        budget = Budget(max_depth=2 + seed % 4, max_nodes=3000, max_abs_index=10**6,
-                        expansion=ExpansionBounds(max_n=3, max_subset_size=2))
-        yield decide_equivalence(g1, g2, "deform", budget)
+        yield decide_equivalence(*tree_stress_pair(seed), "deform", tree_stress_budget(seed))
 
 
 def main() -> int:

@@ -7,8 +7,9 @@ import random
 import hypothesis.strategies as st
 
 from gbsdeform import (
-    Edge, EdgeIndexedGraph, ExampleParams, ExpansionBounds, Move, enumerate_collapses,
-    enumerate_expansions, enumerate_slides, free_edge_index, graph_from_parts, parse_graph,
+    Budget, Edge, EdgeIndexedGraph, ExampleParams, ExpansionBounds, Move, Verdict,
+    enumerate_collapses, enumerate_expansions, enumerate_slides, format_script, free_edge_index,
+    graph_from_parts, parse_graph,
 )
 
 X_TEXT = "vertex A\nvertex B\nedge l A A 30 5\nedge t A B 20 7\n"
@@ -140,6 +141,56 @@ def tree_stress_pair(seed: int) -> tuple[EdgeIndexedGraph, EdgeIndexedGraph]:
 
     g1 = tree()
     return g1, scramble(tree(), seed)
+
+
+def tree_stress_budget(seed: int) -> Budget:
+    """The budget pair ``seed`` of the tree stress is decided under, at depth
+    ``2 + seed % 4``."""
+    return Budget(max_depth=2 + seed % 4, max_nodes=3000, max_abs_index=10**6,
+                  expansion=ExpansionBounds(max_n=3, max_subset_size=2))
+
+
+def random_small_graph(rng: random.Random, n: int | None = None,
+                       extra: int | None = None) -> EdgeIndexedGraph:
+    """A random connected graph from rng: n vertices (1-3 when None), a random
+    spanning tree and ``extra`` more edges (0 or 1 when None), every index drawn
+    with a sign from 1 up to one of 1, 3 or 6.  The differential, node-cap and
+    soundness corpora and ROADMAP's sample S draw their graphs here."""
+    n = rng.randint(1, 3) if n is None else n
+    verts = [f"v{i}" for i in range(n)]
+    hi = rng.choice((1, 3, 6))
+
+    def index():
+        return rng.choice((1, -1)) * rng.randint(1, hi)
+
+    edges = [(f"e{i}", verts[rng.randrange(i)], verts[i], index(), index())
+             for i in range(1, n)]
+    for _ in range(rng.randint(0, 1) if extra is None else extra):
+        edges.append((f"e{len(edges) + 1}", rng.choice(verts), rng.choice(verts),
+                       index(), index()))
+    return graph_from_parts(verts, edges)
+
+
+# The budgets of the differential corpus (tests/data/differential.txt), which
+# sample S reuses.
+DIFFERENTIAL_BUDGETS = (
+    Budget(max_depth=2, max_nodes=4, max_abs_index=100,
+           expansion=ExpansionBounds(max_n=3, max_subset_size=2)),
+    Budget(max_depth=3, max_nodes=60, max_abs_index=60,
+           expansion=ExpansionBounds(max_n=3, max_subset_size=1)),
+    Budget(max_depth=2, max_nodes=400, max_abs_index=200,
+           expansion=ExpansionBounds(max_n=4, max_subset_size=2)),
+    Budget(max_depth=1, max_nodes=400, max_abs_index=200,
+           expansion=ExpansionBounds(max_n=2, max_subset_size=2)),
+    Budget(max_depth=4, max_nodes=40, max_abs_index=10**6,
+           expansion=ExpansionBounds(max_n=2, max_subset_size=1)),
+)
+
+
+def corpus_line(v: Verdict) -> str:
+    """A verdict as one line of a pinned corpus: "kind | reason | path"."""
+    path = None if v.path is None else format_script(v.path)
+    return f"{v.kind} | {v.reason} | {path}"
 
 
 def scramble_with_end_swaps(g: EdgeIndexedGraph, seed: int) -> EdgeIndexedGraph:

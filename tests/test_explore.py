@@ -40,8 +40,9 @@ from gbsdeform.moves import _apply_collapse
 from gbsdeform.cli import adjacency_dot, dump_visited, main
 
 from oracles import abelianization, least_meeting_sum
-from strategies import (X_TEXT, Y_TEXT, connected_graphs, ladder_level, loop, neighbor_moves,
-                        scramble, tree_stress_pair)
+from strategies import (DIFFERENTIAL_BUDGETS, X_TEXT, Y_TEXT, connected_graphs, corpus_line,
+                        ladder_level, loop, neighbor_moves, random_small_graph, scramble,
+                        tree_stress_budget, tree_stress_pair)
 
 P = ExampleParams(2, 3, 5, 7)
 DEFORM_BUDGET = Budget(max_depth=4, max_nodes=100_000, max_abs_index=100,
@@ -548,7 +549,7 @@ def test_every_path_through_the_reduced_graphs_replays_to_the_second_graph():
     outcomes = Counter()
     for seed in range(REDUCED_PAIRS):
         rng = random.Random(30_000 + seed)
-        g1 = _random_small_graph(rng)
+        g1 = random_small_graph(rng)
         g2 = _moved_copy(rng, g1, "deform", seed)
         v = decide_equivalence(g1, g2, "deform", Budget(max_depth=0))
         if not v.path:
@@ -745,11 +746,6 @@ def test_a_search_computes_each_roots_shape_once(monkeypatch, x, g2, move_class,
 CORPUS_DIR = Path(__file__).resolve().parent / "data"
 
 
-def corpus_line(v: Verdict) -> str:
-    path = None if v.path is None else format_script(v.path)
-    return f"{v.kind} | {v.reason} | {path}"
-
-
 def assert_matches_corpus(name, lines):
     """Whole-text equality of the lines with tests/data/<name>.txt; a mismatch
     names the first line of the file that differs."""
@@ -783,36 +779,6 @@ DIFFERENTIAL_COVERAGE = {
     ("slide", "distinct", "exhausted"): 8,
     ("slide", "unknown", None): 1,
 }
-DIFFERENTIAL_BUDGETS = (
-    Budget(max_depth=2, max_nodes=4, max_abs_index=100,
-           expansion=ExpansionBounds(max_n=3, max_subset_size=2)),
-    Budget(max_depth=3, max_nodes=60, max_abs_index=60,
-           expansion=ExpansionBounds(max_n=3, max_subset_size=1)),
-    Budget(max_depth=2, max_nodes=400, max_abs_index=200,
-           expansion=ExpansionBounds(max_n=4, max_subset_size=2)),
-    Budget(max_depth=1, max_nodes=400, max_abs_index=200,
-           expansion=ExpansionBounds(max_n=2, max_subset_size=2)),
-    Budget(max_depth=4, max_nodes=40, max_abs_index=10**6,
-           expansion=ExpansionBounds(max_n=2, max_subset_size=1)),
-)
-
-
-def _random_small_graph(rng, n=None, extra=None):
-    n = rng.randint(1, 3) if n is None else n
-    verts = [f"v{i}" for i in range(n)]
-    hi = rng.choice((1, 3, 6))
-
-    def index():
-        return rng.choice((1, -1)) * rng.randint(1, hi)
-
-    edges = [(f"e{i}", verts[rng.randrange(i)], verts[i], index(), index())
-             for i in range(1, n)]
-    for _ in range(rng.randint(0, 1) if extra is None else extra):
-        edges.append((f"e{len(edges) + 1}", rng.choice(verts), rng.choice(verts),
-                       index(), index()))
-    return graph_from_parts(verts, edges)
-
-
 def _moved_copy(rng, g, move_class, seed):
     """g moved by up to three random moves of the class, then relabeled."""
     for _ in range(rng.randint(1, 3)):
@@ -828,9 +794,9 @@ def differential_corpus():
         rng = random.Random(seed)
         move_class = ("slide", "deform")[seed % 2]
         budget = DIFFERENTIAL_BUDGETS[seed // 2 % len(DIFFERENTIAL_BUDGETS)]
-        g1 = _random_small_graph(rng)
+        g1 = random_small_graph(rng)
         if rng.random() < 0.35:
-            g2 = _random_small_graph(rng, len(g1.vertices), betti_number(g1))
+            g2 = random_small_graph(rng, len(g1.vertices), betti_number(g1))
         else:
             g2 = _moved_copy(rng, g1, move_class, seed)
         yield g1, g2, move_class, budget
@@ -936,9 +902,7 @@ def test_the_tree_stress_decides_its_first_150_seeds_as_pinned():
     counts = Counter()
     for seed in range(150):
         g1, g2 = tree_stress_pair(seed)
-        budget = Budget(max_depth=2 + seed % 4, max_nodes=3000, max_abs_index=10**6,
-                        expansion=ExpansionBounds(max_n=3, max_subset_size=2))
-        v = decide_equivalence(g1, g2, "deform", budget)
+        v = decide_equivalence(g1, g2, "deform", tree_stress_budget(seed))
         counts[v.kind, v.evidence] += 1
         g = g1
         for move in v.path or ():
@@ -966,7 +930,7 @@ def node_cap_lines():
         rng = random.Random(seed)
         move_class = ("slide", "deform")[i % 2]
         budget = NODE_CAP_BUDGETS[i // 2 % len(NODE_CAP_BUDGETS)]
-        g1 = _random_small_graph(rng)
+        g1 = random_small_graph(rng)
         v = decide_equivalence(g1, _moved_copy(rng, g1, move_class, seed), move_class, budget)
         yield f"{i} {corpus_line(v)}"
 

@@ -13,7 +13,6 @@ import re
 import subprocess
 import sys
 import textwrap
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -140,13 +139,6 @@ def test_rigidity_sweep_exits_1_on_a_failed_trial(monkeypatch, capsys):
         assert parse_graph(textwrap.dedent(start)) == trial.start
         moves = "".join(line for line in moves.splitlines(True) if line.startswith("    "))
         assert parse_script(textwrap.dedent(moves)) == trial.moves
-
-
-def test_verdict_tables_tree_stress_decides_its_first_150_seeds_as_pinned():
-    # The script's tree stress is ROADMAP's recipe: its first 150 seeds give the
-    # counts that test_explore pins for strategies.tree_stress_pair.
-    verdicts = load_script("verdict_table.py").tree_stress(range(150))
-    assert Counter(v.kind for v in verdicts) == {"equivalent": 97, "distinct": 19, "unknown": 34}
 
 
 @pytest.mark.parametrize("row", load_script("mutants.py").ROWS, ids=lambda row: row[0])

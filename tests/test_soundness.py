@@ -18,8 +18,9 @@ from gbsdeform import (
     decide_equivalence, example_graph, refute,
 )
 
-from strategies import neighbor_moves, scramble_with_end_swaps
-from test_explore import DIFFERENTIAL_BUDGETS, _random_small_graph, differential_corpus
+from strategies import (DIFFERENTIAL_BUDGETS, neighbor_moves, random_small_graph,
+                        scramble_with_end_swaps)
+from test_explore import differential_corpus
 
 # Moved copies: a random graph of 1-3 vertices and itself moved by 1-3 moves of
 # the pair's class, with expansion factors up to 7 (past every budget's
@@ -50,7 +51,7 @@ def test_no_moved_copy_is_refuted_or_distinct():
         rng = random.Random(50_000 + seed)
         move_class = ("slide", "deform")[seed % 2]
         budget = DIFFERENTIAL_BUDGETS[seed // 2 % len(DIFFERENTIAL_BUDGETS)]
-        g = moved = _random_small_graph(rng)
+        g = moved = random_small_graph(rng)
         for _ in range(rng.randint(1, 3)):
             if moves := neighbor_moves(moved, move_class, COPY_MOVES):
                 moved = apply_move(moved, rng.choice(moves))
